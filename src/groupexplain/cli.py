@@ -288,6 +288,8 @@ def _cf_influence(dataset: Dataset, args, group: Group) -> CommandResult:
 
 
 def _run_explain_cf(dataset: Dataset, args) -> CommandResult:
+    if args.k < 1:
+        raise _CliUsageError("--k must be at least 1")
     group = _resolve_group(dataset, args)
     handlers = {
         "aggregation": _cf_aggregation,

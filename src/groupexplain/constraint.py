@@ -7,7 +7,6 @@ minimal relaxations when the requirements filter everything away.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -21,10 +20,6 @@ from .errors import (
     MissingWeightError,
     UnknownUserError,
 )
-
-# Exponential subset enumeration; anything bigger is a modelling smell.
-MAX_RELAXATION_REQUIREMENTS = 20
-
 
 @dataclass(frozen=True)
 class Requirement:
@@ -157,35 +152,38 @@ def relaxation_proposals(
 ) -> list[RelaxationProposal]:
     """Subset-minimal removal sets that make the catalog non-empty again.
 
+    Removing a set R of requirements restores an item exactly when R holds
+    every requirement the item violates. So the minimal R are the
+    inclusion-minimal sets among the items' violation sets, and the
+    survivors of R are the items whose violation set lies inside R. That
+    takes one ``Requirement.matches`` call per (item, requirement) pair,
+    O(items x requirements), plus subset tests among the distinct violation
+    sets; there is no cap on the number of requirements.
+    Every pair is evaluated, so an item lacking a required attribute
+    raises ``MissingAttributeError`` whatever the requirement order.
+
     Empty list when the requirements already admit an item. Proposals are
-    ordered by cardinality, then lexicographically by removed ids.
+    ordered by cardinality, then lexicographically by removed ids; a
+    repeated requirement id counts once, as its last occurrence.
     """
     if not items:
         raise EmptyCatalogError("item catalog is empty")
-    if len(requirements) > MAX_RELAXATION_REQUIREMENTS:
-        raise ValueError(
-            f"relaxation enumeration capped at {MAX_RELAXATION_REQUIREMENTS} requirements"
-        )
     by_id = {req.id: req for req in requirements}
-
-    def survivors_without(removed: frozenset[str]) -> tuple[str, ...]:
-        kept = [req for rid, req in by_id.items() if rid not in removed]
-        return tuple(
-            item.id for item in items if all(req.matches(item) for req in kept)
-        )
-
-    if survivors_without(frozenset()):
+    violated: list[tuple[str, frozenset[str]]] = []
+    for item in items:
+        own = frozenset([rid for rid, req in by_id.items() if not req.matches(item)])
+        violated.append((item.id, own))
+    if any(not own for _, own in violated):
         return []
-    ids = sorted(by_id)
-    proposals: list[RelaxationProposal] = []
-    for size in range(1, len(ids) + 1):
-        for combo in itertools.combinations(ids, size):
-            removed = frozenset(combo)
-            if any(set(p.removed) <= removed for p in proposals):
-                continue  # a smaller accepted set is contained: not minimal
-            surviving = survivors_without(removed)
-            if surviving:
-                proposals.append(
-                    RelaxationProposal(removed=combo, survivors=tuple(sorted(surviving)))
-                )
-    return proposals
+    # a strict subset is shorter, so it is kept before any of its supersets
+    minimal: list[frozenset[str]] = []
+    for own in sorted({own for _, own in violated}, key=lambda v: (len(v), sorted(v))):
+        if not any(kept <= own for kept in minimal):
+            minimal.append(own)
+    return [
+        RelaxationProposal(
+            removed=tuple(sorted(removed)),
+            survivors=tuple(sorted(i for i, own in violated if own <= removed)),
+        )
+        for removed in minimal
+    ]

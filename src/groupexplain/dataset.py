@@ -14,6 +14,7 @@ invalid-value. Every message names the entity and field involved.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -87,10 +88,24 @@ def _optional(mapping: Mapping, key: str, kind: type, where: str, default):
     return value
 
 
+def _reject_constant(path, constant: str):
+    raise MalformedDatasetError(f"{path}: non-finite number {constant} is not allowed")
+
+
+def _finite(value, where: str):
+    """Reject the infinity json.loads makes of an overflowing literal like 1e999."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidValueError(f"{where}: {value} is not a finite number")
+    return value
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedDatasetError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return _finite(float(value), where)
+    except OverflowError:  # an integer literal beyond the float range
+        raise InvalidValueError(f"{where}: integer too large for a float") from None
 
 
 def _unit_weights(raw, where: str) -> dict[str, float]:
@@ -128,7 +143,7 @@ def _predicate_fields(entry: dict, where: str) -> tuple[str, str, object]:
         raise InvalidValueError(f"{where}: unknown operator {operator!r}")
     if "bound" not in entry:
         raise MalformedDatasetError(f"{where}: missing required section 'bound'")
-    bound = entry["bound"]
+    bound = _finite(entry["bound"], f"{where}.bound")
     if operator in ("<=", ">=") and (
         isinstance(bound, bool) or not isinstance(bound, (int, float))
     ):
@@ -145,8 +160,8 @@ def load_dataset(path: str | Path) -> Dataset:
     except OSError as exc:
         raise MalformedDatasetError(f"cannot read {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_constant=lambda c: _reject_constant(path, c))
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise MalformedDatasetError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedDatasetError(f"{path}: top level must be an object")
@@ -175,6 +190,8 @@ def load_dataset(path: str | Path) -> Dataset:
         if not isinstance(entry, dict):
             raise MalformedDatasetError(f"items[{item_id}]: must be an object")
         attributes = _optional(entry, "attributes", dict, f"items[{item_id}]", {})
+        for name, value in attributes.items():
+            _finite(value, f"items[{item_id}].attributes.{name}")
         items[item_id] = Item(
             id=item_id,
             attributes=dict(attributes),

@@ -7,7 +7,6 @@ in series order, so identical charts yield byte-identical documents.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .render import ChartData
 
@@ -19,6 +18,11 @@ _BAR_FILL = "#4a7ebb"
 _AXIS_STROKE = "#444444"
 
 
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for XML character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fx(value: float) -> str:
     return f"{value:.2f}"
 
@@ -28,7 +32,7 @@ def _document(body: list[str], title: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
-    lines = [head, f"  <title>{escape(title)}</title>", *body, "</svg>"]
+    lines = [head, f"  <title>{_escape(title)}</title>", *body, "</svg>"]
     return "\n".join(lines) + "\n"
 
 
@@ -56,11 +60,11 @@ def _bars(chart: ChartData, title: str) -> str:
         )
         body.append(
             f'  <text x="{_fx(x + bar_width / 2)}" y="{_fx(y - 6)}" '
-            f'text-anchor="middle" font-size="12">{escape(f"{value:g}")}</text>'
+            f'text-anchor="middle" font-size="12">{_escape(f"{value:g}")}</text>'
         )
         body.append(
             f'  <text x="{_fx(x + bar_width / 2)}" y="{HEIGHT - MARGIN + 16}" '
-            f'text-anchor="middle" font-size="12">{escape(label)}</text>'
+            f'text-anchor="middle" font-size="12">{_escape(label)}</text>'
         )
     return _document(body, title)
 
@@ -85,7 +89,7 @@ def _spider(chart: ChartData, title: str) -> str:
         ly = cy + (radius + 14) * math.sin(angle)
         body.append(
             f'  <text x="{_fx(lx)}" y="{_fx(ly)}" text-anchor="middle" '
-            f'font-size="12">{escape(f"{label} ({value:g})")}</text>'
+            f'font-size="12">{_escape(f"{label} ({value:g})")}</text>'
         )
         reach = radius * (value / vmax)
         points.append(
@@ -106,13 +110,13 @@ def _tag_cloud(chart: ChartData, title: str) -> str:
         font = 12.0 * scale
         body.append(
             f'  <text x="{MARGIN}" y="{_fx(y)}" font-size="{_fx(font)}">'
-            f"{escape(label)}</text>"
+            f"{_escape(label)}</text>"
         )
         liked_by = members.get(label) if isinstance(members, dict) else None
         if liked_by:
             body.append(
                 f'  <text x="{WIDTH - MARGIN}" y="{_fx(y)}" text-anchor="end" '
-                f'font-size="10">({escape(", ".join(liked_by))})</text>'
+                f'font-size="10">({_escape(", ".join(liked_by))})</text>'
             )
         y += font + 10
     return _document(body, title)

@@ -182,6 +182,16 @@ class TestPrivacy:
         assert payload["member_count"] == 3
 
 
+NUMERIC_DATASET = {
+    "users": ["a", "b"],
+    "items": {"i1": {"attributes": {"price": 100}}},
+    "ratings": [["a", "i1", 4]],
+    "requirements": [
+        {"id": "cheap", "attribute": "price", "operator": "<=", "bound": 250}
+    ],
+}
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "explain-everything")[0] == EXIT_USAGE
@@ -219,6 +229,39 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         assert run(capsys, "relax", "--data", str(bad))[0] == EXIT_DATASET
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one(self, capsys, k):
+        code, out, err = run(capsys, "explain-cf", "--item", "t1", "--k", k)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"bound": 250', '"bound": NaN'),
+            ('"bound": 250', '"bound": -Infinity'),
+            ('"bound": 250', '"bound": 1e999'),
+            ('"price": 100', '"price": Infinity'),
+            ('"price": 100', '"price": -1e999'),
+            ('["a", "i1", 4]', '["a", "i1", 1e999]'),
+            ('["a", "i1", 4]', '["a", "i1", 1' + "0" * 400 + "]"),
+            ('["a", "i1", 4]', '["a", "i1", 1' + "0" * 5000 + "]"),
+        ],
+        ids=[
+            "nan-bound", "neg-inf-bound", "overflow-bound", "inf-attribute",
+            "overflow-attribute", "overflow-rating", "huge-int-rating",
+            "past-digit-limit",
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, capsys, tmp_path, old, new):
+        text = json.dumps(NUMERIC_DATASET)
+        assert old in text
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        code, out, err = run(capsys, "relax", "--data", str(path))
+        assert code == EXIT_DATASET and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_no_prediction_basis(self, capsys):
         # x13 is rated by u1 only; no neighbor of any member rated it

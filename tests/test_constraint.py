@@ -194,8 +194,33 @@ class TestRelaxation:
         with pytest.raises(EmptyCatalogError):
             relaxation_proposals([_req("r1", "a", "<=", 0)], [])
 
-    def test_requirement_cap(self):
-        items = [Item(id="i1", attributes={"a": 1})]
-        reqs = [_req(f"r{n:02d}", "a", "<=", 0) for n in range(21)]
-        with pytest.raises(ValueError):
-            relaxation_proposals(reqs, items)
+    def test_single_violations_over_24_requirements(self):
+        # item iNN violates rNN alone; "both" violates r00 and r01, so the
+        # pair is never minimal and "both" survives no proposal
+        names = [f"{n:02d}" for n in range(24)]
+        items = [
+            Item(id=f"i{n}", attributes={f"a{m}": int(m == n) for m in names})
+            for n in names
+        ]
+        items.append(
+            Item(id="both", attributes={f"a{m}": int(m in ("00", "01")) for m in names})
+        )
+        reqs = [_req(f"r{n}", f"a{n}", "<=", 0) for n in reversed(names)]
+        proposals = relaxation_proposals(reqs, items)
+        assert [(p.removed, p.survivors) for p in proposals] == [
+            ((f"r{n}",), (f"i{n}",)) for n in names
+        ]
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)], ids=["r2-last", "r2-first"])
+    def test_missing_attribute_regardless_of_order(self, order):
+        items = [
+            Item(id="x", attributes={"a": 5, "c": 5}),
+            Item(id="y", attributes={"a": 5, "b": 0, "c": 0}),
+        ]
+        reqs = [
+            _req("r0", "a", "<=", 1),
+            _req("r1", "c", "<=", 1),
+            _req("r2", "b", "<=", 1),
+        ]
+        with pytest.raises(MissingAttributeError):
+            relaxation_proposals([reqs[i] for i in order], items)
