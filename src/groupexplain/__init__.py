@@ -39,7 +39,9 @@ from .constraint import (
     adapt_weights,
     causally_relevant,
     fairness_degree,
+    group_fairness,
     maut_relevance,
+    mean_importance,
     relaxation_proposals,
     requirement_relevance,
 )
@@ -114,6 +116,7 @@ __all__ = [
     "default_catalog",
     "fairness_chart",
     "fairness_degree",
+    "group_fairness",
     "group_rating_histogram",
     "group_tag_preference",
     "group_tag_relevance",
@@ -124,6 +127,7 @@ __all__ = [
     "load_builtin",
     "load_dataset",
     "maut_relevance",
+    "mean_importance",
     "nn_rating_histogram",
     "opinion_relevance",
     "opinion_relevance_per_member",

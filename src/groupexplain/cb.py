@@ -70,7 +70,7 @@ class TagApplications:
         self._totals: dict[str, int] = {}
         for item, tags in applications.items():
             for tag, count in tags.items():
-                if not isinstance(count, int) or count < 0:
+                if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                     raise InvalidValueError(
                         f"tag count for ({item!r}, {tag!r}) must be a non-negative int"
                     )

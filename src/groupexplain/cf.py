@@ -27,12 +27,7 @@ from .errors import (
     NoPredictionBasisError,
     UnknownUserError,
 )
-from .render import (
-    Explanation,
-    PRIVACY_NAMED,
-    TemplateCatalog,
-    render_explanation,
-)
+from .render import Explanation, PRIVACY_NAMED, render_explanation
 
 SOURCE_MEMBER_NEIGHBORS = "member-neighbors"
 SOURCE_NEIGHBOR_GROUPS = "neighbor-groups"
@@ -145,7 +140,6 @@ def aggregation_explanation(
     scores: Mapping[str, float],
     strategy: AggregationStrategy,
     privacy: str = PRIVACY_NAMED,
-    catalog: TemplateCatalog | None = None,
 ) -> Explanation:
     """Verbal explanation of the aggregated group score.
 
@@ -167,7 +161,6 @@ def aggregation_explanation(
         template_id=f"cf-{strategy.value}",
         privacy=privacy,
         slots=slots,
-        catalog=catalog,
     )
 
 

@@ -4,20 +4,20 @@ One subcommand per explanation paradigm plus fairness adaptation and
 requirement relaxation. Every subcommand reads a dataset (bundled worked
 examples by default), computes through the library and emits text, JSON
 or SVG. Exit codes: 0 ok, 2 usage, 3 dataset problem, 4 computation
-problem.
+problem. Each (subcommand, mode) pair is one row of ``_TABLE``, which
+also gives the parser its ``--mode`` choices.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import cb, cf, constraint, critique, svg
-from .core import AggregationStrategy, Group, aggregate, predict_rating
+from .core import AggregationStrategy, Group, Item, aggregate, predict_rating
 from .dataset import Dataset, builtin_dataset_path, load_dataset
 from .errors import (
     DATASET_ERRORS,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .render import (
     ChartData,
-    PRIVACY_ANONYMOUS,
+    PRIVACIES,
     PRIVACY_NAMED,
     display_round,
     display_trunc,
@@ -48,22 +48,46 @@ EXIT_COMPUTE = 4
 
 
 class _CliUsageError(Exception):
-    """Bad flag combination detected after parsing; maps to exit 2."""
+    """A command line that does not parse or does not fit the mode; exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing a usage block and exiting.
+
+    ``add_subparsers`` makes its subparsers of the same class.
+    """
+
+    def error(self, message: str):
+        raise _CliUsageError(message)
 
 
 @dataclass
 class CommandResult:
     lines: list[str]
     payload: dict
-    charts: list[ChartData] = field(default_factory=list)
+    chart: ChartData | None = None
 
 
 def _r2(value: float) -> float:
     return display_round(value, 2)
 
 
-def _r4(value: float) -> float:
-    return display_round(value, 4)
+def _by_value(rows) -> list[tuple]:
+    """(label, value, ...) rows by descending value, ties by ascending label."""
+    return sorted(rows, key=lambda row: (-row[1], row[0]))
+
+
+def _listing(first: str, pairs) -> list[str]:
+    return [first] + [f"{label}: {fmt_num(value)}" for label, value in pairs]
+
+
+def _bar(series, axis: str, **meta) -> ChartData:
+    meta = {"value-axis": axis, **meta}
+    return ChartData(kind="bar", series=tuple(series), meta=meta)
+
+
+def _anonymous_labels(series: Sequence[tuple[str, float]]) -> tuple:
+    return tuple((f"member-{i}", v) for i, (_, v) in enumerate(series, start=1))
 
 
 def _resolve_group(dataset: Dataset, args) -> Group:
@@ -74,183 +98,102 @@ def _resolve_group(dataset: Dataset, args) -> Group:
     return dataset.groups[sorted(dataset.groups)[0]]
 
 
-def _need_item(args) -> str:
-    if not args.item:
-        raise _CliUsageError(f"--item is required for this mode")
-    return args.item
-
-
-def _anonymous_labels(series: Sequence[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
-    return tuple((f"member-{i}", v) for i, (_, v) in enumerate(series, start=1))
-
-
 # ---------------------------------------------------------------- explain-cf
 
 
-def _cf_aggregation(dataset: Dataset, args, group: Group) -> CommandResult:
-    item = _need_item(args)
-    dataset.item(item)
+def _cf_aggregation(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
     scores = {
-        member: predict_rating(dataset.matrix, member, item, args.k)
+        member: predict_rating(dataset.matrix, member, item.id, args.k)
         for member in group.members
     }
     strategy = AggregationStrategy.parse(args.strategy)
-    explanation = cf.aggregation_explanation(
-        item, scores, strategy, privacy=args.privacy
-    )
+    explanation = cf.aggregation_explanation(item.id, scores, strategy, args.privacy)
     value, contributors = aggregate(scores, strategy)
-    payload = {
-        "command": "explain-cf",
-        "mode": "aggregation",
-        "item": item,
-        "group": group.id,
-        "strategy": strategy.value,
-        "privacy": args.privacy,
-        "score": _r2(value),
-        "explanation": explanation.text,
-        "template": explanation.template_id,
-    }
-    if args.privacy == PRIVACY_NAMED:
-        payload["scores"] = {m: _r2(s) for m, s in sorted(scores.items())}
-        payload["contributors"] = list(contributors)
-        chart_series = tuple((m, scores[m]) for m in sorted(scores))
-    else:
-        payload["contributor_count"] = len(contributors)
-        payload["member_count"] = len(scores)
-        chart_series = _anonymous_labels(
-            [(m, scores[m]) for m in sorted(scores)]
-        )
-    chart = ChartData(
-        kind="bar", series=chart_series, meta={"value-axis": "score", "max": 5.0}
+    ordered = sorted(scores.items())
+    payload = dict(
+        strategy=strategy.value,
+        score=_r2(value),
+        explanation=explanation.text,
+        template=explanation.template_id,
     )
     lines = [explanation.text]
     if args.privacy == PRIVACY_NAMED:
-        lines += [f"{m}: {fmt_num(s)}" for m, s in sorted(scores.items())]
+        payload.update(
+            scores={m: _r2(s) for m, s in ordered}, contributors=list(contributors)
+        )
+        lines += [f"{m}: {fmt_num(s)}" for m, s in ordered]
+        series = tuple(ordered)
+    else:
+        payload.update(contributor_count=len(contributors), member_count=len(scores))
+        series = _anonymous_labels(ordered)
     lines.append(f"group score ({strategy.value}): {fmt_num(value)}")
-    return CommandResult(lines=lines, payload=payload, charts=[chart])
+    return CommandResult(lines, payload, _bar(series, "score", max=5.0))
 
 
-def _cf_histogram(dataset: Dataset, args, group: Group) -> CommandResult:
-    item = _need_item(args)
-    dataset.item(item)
+def _histogram_result(args, histogram, template_id: str, **body) -> CommandResult:
+    counts = histogram.counts._asdict()
+    explanation = render_explanation(
+        "collaborative", template_id, args.privacy, dict(item=histogram.item)
+    )
+    counts_line = render_explanation(
+        "collaborative", "cf-histogram-counts", args.privacy, counts
+    )
+    payload = dict(
+        source=histogram.source, histogram=counts, explanation=explanation.text, **body
+    )
+    return CommandResult(
+        [explanation.text, counts_line.text], payload, histogram_chart(histogram)
+    )
+
+
+def _cf_histogram(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
     assignment = cf.NeighborAssignment.from_knn(
         dataset.matrix, group, k=args.k, mode=args.nn_mode
     )
-    histogram = cf.nn_rating_histogram(dataset.matrix, assignment, item)
-    explanation = render_explanation(
-        "collaborative", "cf-nn-histogram", args.privacy, {"item": item}
-    )
-    counts_line = render_explanation(
-        "collaborative",
-        "cf-histogram-counts",
-        args.privacy,
-        {
-            "bad": histogram.counts.bad,
-            "neutral": histogram.counts.neutral,
-            "good": histogram.counts.good,
-        },
-    )
-    payload = {
-        "command": "explain-cf",
-        "mode": "histogram",
-        "item": item,
-        "group": group.id,
-        "privacy": args.privacy,
-        "nn_mode": args.nn_mode,
-        "source": histogram.source,
-        "histogram": {
-            "bad": histogram.counts.bad,
-            "neutral": histogram.counts.neutral,
-            "good": histogram.counts.good,
-        },
-        "explanation": explanation.text,
-    }
+    histogram = cf.nn_rating_histogram(dataset.matrix, assignment, item.id)
+    neighbors = list(assignment.effective_users())
     if args.privacy == PRIVACY_NAMED:
-        payload["neighbors"] = list(assignment.effective_users())
+        body = dict(neighbors=neighbors)
     else:
-        payload["neighbor_count"] = len(assignment.effective_users())
-    return CommandResult(
-        lines=[explanation.text, counts_line.text],
-        payload=payload,
-        charts=[histogram_chart(histogram)],
+        body = dict(neighbor_count=len(neighbors))
+    return _histogram_result(
+        args, histogram, "cf-nn-histogram", nn_mode=args.nn_mode, **body
     )
 
 
-def _neighbor_group_row(dataset: Dataset, item: str) -> dict[str, float]:
+def _neighbor_group_row(dataset: Dataset, item: Item) -> dict[str, float]:
     return {
-        gp: ratings[item]
+        gp: ratings[item.id]
         for gp, ratings in dataset.neighbor_group_ratings.items()
-        if item in ratings
+        if item.id in ratings
     }
 
 
-def _cf_group_histogram(dataset: Dataset, args, group: Group) -> CommandResult:
-    item = _need_item(args)
-    dataset.item(item)
+def _cf_group_histogram(
+    dataset: Dataset, args, group: Group, item: Item
+) -> CommandResult:
     ratings = _neighbor_group_row(dataset, item)
-    histogram = cf.group_rating_histogram(ratings, item)
-    explanation = render_explanation(
-        "collaborative", "cf-group-histogram", args.privacy, {"item": item}
-    )
-    counts_line = render_explanation(
-        "collaborative",
-        "cf-histogram-counts",
-        args.privacy,
-        {
-            "bad": histogram.counts.bad,
-            "neutral": histogram.counts.neutral,
-            "good": histogram.counts.good,
-        },
-    )
-    payload = {
-        "command": "explain-cf",
-        "mode": "group-histogram",
-        "item": item,
-        "group": group.id,
-        "privacy": args.privacy,
-        "source": histogram.source,
-        "histogram": {
-            "bad": histogram.counts.bad,
-            "neutral": histogram.counts.neutral,
-            "good": histogram.counts.good,
-        },
-        "neighbor_groups": sorted(ratings),
-        "explanation": explanation.text,
-    }
-    return CommandResult(
-        lines=[explanation.text, counts_line.text],
-        payload=payload,
-        charts=[histogram_chart(histogram)],
+    histogram = cf.group_rating_histogram(ratings, item.id)
+    return _histogram_result(
+        args, histogram, "cf-group-histogram", neighbor_groups=sorted(ratings)
     )
 
 
-def _cf_spider(dataset: Dataset, args, group: Group) -> CommandResult:
-    item = _need_item(args)
-    dataset.item(item)
+def _cf_spider(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
     ratings = _neighbor_group_row(dataset, item)
-    chart = spider_chart(ratings, item)
+    chart = spider_chart(ratings, item.id)
     explanation = render_explanation(
-        "collaborative", "cf-group-histogram", args.privacy, {"item": item}
+        "collaborative", "cf-group-histogram", args.privacy, dict(item=item.id)
     )
-    payload = {
-        "command": "explain-cf",
-        "mode": "spider",
-        "item": item,
-        "group": group.id,
-        "privacy": args.privacy,
-        "ratings": {gp: _r2(r) for gp, r in sorted(ratings.items())},
-        "explanation": explanation.text,
-    }
-    lines = [explanation.text] + [
-        f"{gp}: {fmt_num(r)}" for gp, r in sorted(ratings.items())
-    ]
-    return CommandResult(lines=lines, payload=payload, charts=[chart])
+    ordered = sorted(ratings.items())
+    payload = dict(
+        ratings={gp: _r2(r) for gp, r in ordered}, explanation=explanation.text
+    )
+    return CommandResult(_listing(explanation.text, ordered), payload, chart)
 
 
-def _cf_influence(dataset: Dataset, args, group: Group) -> CommandResult:
-    item = _need_item(args)
-    dataset.item(item)
-    results = cf.influential_items(dataset.matrix, group, item, k=args.k)
+def _cf_influence(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
+    results = cf.influential_items(dataset.matrix, group, item.id, k=args.k)
     lines = []
     if results:
         top = results[0]
@@ -258,87 +201,42 @@ def _cf_influence(dataset: Dataset, args, group: Group) -> CommandResult:
             "collaborative",
             "cf-influence",
             args.privacy,
-            {"influencer": top.item, "item": item, "delta": top.delta},
+            dict(influencer=top.item, item=item.id, delta=top.delta),
         )
         lines.append(explanation.text)
     for result in results:
         flag = " (basis-destroying)" if result.basis_destroying else ""
         lines.append(f"{result.item}: {fmt_num(result.delta)}{flag}")
-    payload = {
-        "command": "explain-cf",
-        "mode": "influence",
-        "item": item,
-        "group": group.id,
-        "privacy": args.privacy,
-        "ranking": [
-            {
-                "item": r.item,
-                "delta": _r2(r.delta),
-                "basis_destroying": r.basis_destroying,
-            }
-            for r in results
-        ],
-    }
-    chart = ChartData(
-        kind="bar",
-        series=tuple((r.item, r.delta) for r in results[:10]),
-        meta={"value-axis": "delta"},
-    )
-    return CommandResult(lines=lines, payload=payload, charts=[chart])
-
-
-def _run_explain_cf(dataset: Dataset, args) -> CommandResult:
-    if args.k < 1:
-        raise _CliUsageError("--k must be at least 1")
-    group = _resolve_group(dataset, args)
-    handlers = {
-        "aggregation": _cf_aggregation,
-        "histogram": _cf_histogram,
-        "group-histogram": _cf_group_histogram,
-        "spider": _cf_spider,
-        "influence": _cf_influence,
-    }
-    return handlers[args.mode](dataset, args, group)
+    ranking = [
+        dict(item=r.item, delta=_r2(r.delta), basis_destroying=r.basis_destroying)
+        for r in results
+    ]
+    chart = _bar(((r.item, r.delta) for r in results[:10]), "delta")
+    return CommandResult(lines, dict(ranking=ranking), chart)
 
 
 # ---------------------------------------------------------------- explain-cb
 
 
-def _cb_category(dataset: Dataset, args, group: Group) -> CommandResult:
-    item = dataset.item(_need_item(args))
+def _cb_category(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
     ranked = cb.rank_categories(group, dataset.user_category_weights, item)
     if not ranked:
         raise MissingWeightError(f"item {item.id!r} carries no category weights")
     top = ranked[0][0]
     explanation = render_explanation(
-        "content-based",
-        "cb-category",
-        args.privacy,
-        {"item": item.id, "category": top},
+        "content-based", "cb-category", args.privacy, dict(item=item.id, category=top)
     )
-    payload = {
-        "command": "explain-cb",
-        "mode": "category",
-        "item": item.id,
-        "group": group.id,
-        "privacy": args.privacy,
-        "top": top,
-        "ranking": [
-            {"category": c, "relevance": _r2(er)} for c, er in ranked
-        ],
-        "explanation": explanation.text,
-    }
-    lines = [explanation.text] + [f"{c}: {fmt_num(er)}" for c, er in ranked]
-    chart = ChartData(
-        kind="bar",
-        series=tuple((c, er) for c, er in ranked),
-        meta={"value-axis": "relevance"},
+    payload = dict(
+        top=top,
+        ranking=[dict(category=c, relevance=_r2(er)) for c, er in ranked],
+        explanation=explanation.text,
     )
-    return CommandResult(lines=lines, payload=payload, charts=[chart])
+    return CommandResult(
+        _listing(explanation.text, ranked), payload, _bar(ranked, "relevance")
+    )
 
 
-def _cb_opinion(dataset: Dataset, args, group: Group) -> CommandResult:
-    item = dataset.item(_need_item(args))
+def _cb_opinion(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
     profile = dataset.group_sentiments.get(group.id)
     if profile is None:
         raise MissingFeatureError(f"group {group.id!r} has no sentiment profile")
@@ -347,94 +245,67 @@ def _cb_opinion(dataset: Dataset, args, group: Group) -> CommandResult:
         "content-based",
         "cb-opinion",
         args.privacy,
-        {
-            "item": item.id,
-            "pros": [f for f, _ in pros],
-            "cons": [f for f, _ in cons],
-        },
+        dict(item=item.id, pros=[f for f, _ in pros], cons=[f for f, _ in cons]),
     )
-    merged = sorted(pros + cons, key=lambda pair: (-pair[1], pair[0]))
-    payload = {
-        "command": "explain-cb",
-        "mode": "opinion",
-        "item": item.id,
-        "group": group.id,
-        "privacy": args.privacy,
-        "threshold": args.threshold,
-        "pros": [{"feature": f, "relevance": _r2(er)} for f, er in pros],
-        "cons": [{"feature": f, "relevance": _r2(er)} for f, er in cons],
-        "explanation": explanation.text,
-    }
-    lines = [explanation.text] + [f"{f}: {fmt_num(er)}" for f, er in merged]
-    chart = ChartData(
-        kind="bar",
-        series=tuple((f, er) for f, er in merged),
-        meta={"value-axis": "relevance"},
+    merged = _by_value(pros + cons)
+    payload = dict(
+        threshold=args.threshold,
+        pros=[dict(feature=f, relevance=_r2(er)) for f, er in pros],
+        cons=[dict(feature=f, relevance=_r2(er)) for f, er in cons],
+        explanation=explanation.text,
     )
-    return CommandResult(lines=lines, payload=payload, charts=[chart])
+    return CommandResult(
+        _listing(explanation.text, merged), payload, _bar(merged, "relevance")
+    )
 
 
-def _cb_tags(dataset: Dataset, args, group: Group) -> CommandResult:
-    rows = []
-    for tag in dataset.tags.tags():
-        preference = cb.group_tag_preference(dataset.matrix, dataset.tags, group, tag)
-        relevance = cb.group_tag_relevance(
-            dataset.matrix, dataset.tags, group, tag, privacy=args.privacy
+def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
+    rows = _by_value(
+        (
+            tag,
+            cb.group_tag_preference(dataset.matrix, dataset.tags, group, tag),
+            cb.group_tag_relevance(
+                dataset.matrix, dataset.tags, group, tag, privacy=args.privacy
+            ),
         )
-        rows.append((tag, preference, relevance))
-    rows.sort(key=lambda row: (-row[1], row[0]))
+        for tag in dataset.tags.tags()
+    )
     favored = [tag for tag, pref, _ in rows if pref >= args.threshold]
     if not favored and rows:
         favored = [rows[0][0]]
     explanation = render_explanation(
-        "content-based", "cb-tags", args.privacy, {"tags": favored}
+        "content-based", "cb-tags", args.privacy, dict(tags=favored)
     )
     member_likes = None
     if args.privacy == PRIVACY_NAMED:
-        member_likes = {}
-        for tag, _, _ in rows:
-            liking = [
+        liking = {
+            tag: [
                 member
                 for member in sorted(group.members)
                 if cb.tag_preference(dataset.matrix, dataset.tags, member, tag)
                 >= args.threshold
             ]
-            if liking:
-                member_likes[tag] = liking
+            for tag, _, _ in rows
+        }
+        member_likes = {tag: members for tag, members in liking.items() if members}
     cloud = tag_cloud(
-        {tag: pref for tag, pref, _ in rows},
-        member_likes,
-        privacy=args.privacy,
+        {tag: pref for tag, pref, _ in rows}, member_likes, privacy=args.privacy
     )
-    payload = {
-        "command": "explain-cb",
-        "mode": "tags",
-        "group": group.id,
-        "privacy": args.privacy,
-        "threshold": args.threshold,
-        "tags": [
-            {"tag": tag, "preference": _r2(pref), "relevance": _r2(rel)}
+    payload = dict(
+        threshold=args.threshold,
+        tags=[
+            dict(tag=tag, preference=_r2(pref), relevance=_r2(rel))
             for tag, pref, rel in rows
         ],
-        "explanation": explanation.text,
-    }
+        explanation=explanation.text,
+    )
     if member_likes is not None:
-        payload["member_likes"] = member_likes
+        payload.update(member_likes=member_likes)
     lines = [explanation.text] + [
         f"{tag}: preference {fmt_num(pref)}, relevance {fmt_num(rel)}"
         for tag, pref, rel in rows
     ]
-    return CommandResult(lines=lines, payload=payload, charts=[cloud])
-
-
-def _run_explain_cb(dataset: Dataset, args) -> CommandResult:
-    group = _resolve_group(dataset, args)
-    handlers = {
-        "category": _cb_category,
-        "opinion": _cb_opinion,
-        "tags": _cb_tags,
-    }
-    return handlers[args.mode](dataset, args, group)
+    return CommandResult(lines, payload, cloud)
 
 
 # -------------------------------------------------------- explain-constraint
@@ -450,319 +321,246 @@ def _constraint_catalog(dataset: Dataset) -> list:
     ]
 
 
-def _constraint_requirements(dataset: Dataset, args, group: Group) -> CommandResult:
+def _constraint_requirements(
+    dataset: Dataset, args, group: Group, item: None
+) -> CommandResult:
     catalog = _constraint_catalog(dataset)
-    ranking = [
+    ranking = _by_value(
         (req.id, constraint.requirement_relevance(group, req))
         for req in dataset.requirements
-    ]
-    ranking.sort(key=lambda pair: (-pair[1], pair[0]))
+    )
     causal = {
         req.id: constraint.causally_relevant(req, catalog)
         for req in dataset.requirements
     }
     lines = []
-    payload = {
-        "command": "explain-constraint",
-        "mode": "requirements",
-        "group": group.id,
-        "privacy": args.privacy,
-        "ranking": [
-            {
-                "requirement": rid,
-                "relevance": _r2(rel),
-                "causally_relevant": causal[rid],
-            }
+    payload = dict(
+        ranking=[
+            dict(requirement=rid, relevance=_r2(rel), causally_relevant=causal[rid])
             for rid, rel in ranking
-        ],
-    }
+        ]
+    )
     if ranking:
         top = ranking[0][0]
         explanation = render_explanation(
-            "constraint", "constraint-requirement", args.privacy, {"requirement": top}
+            "constraint", "constraint-requirement", args.privacy, dict(requirement=top)
         )
-        payload["top"] = top
-        payload["explanation"] = explanation.text
+        payload.update(top=top, explanation=explanation.text)
         lines.append(explanation.text)
     for rid, rel in ranking:
         suffix = " (causally relevant)" if causal[rid] else ""
         lines.append(f"{rid}: {fmt_num(rel)}{suffix}")
-    chart = ChartData(
-        kind="bar",
-        series=tuple((rid, rel) for rid, rel in ranking),
-        meta={"value-axis": "relevance"},
-    )
-    return CommandResult(lines=lines, payload=payload, charts=[chart])
+    return CommandResult(lines, payload, _bar(ranking, "relevance"))
 
 
-def _constraint_maut(dataset: Dataset, args, group: Group) -> CommandResult:
-    item = dataset.item(_need_item(args))
-    ranking = [
+def _constraint_maut(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
+    ranking = _by_value(
         (dim.id, constraint.maut_relevance(group, dim, item))
         for dim in dataset.dimensions
-    ]
+    )
     if not ranking:
         raise MissingWeightError("dataset defines no interest dimensions")
-    ranking.sort(key=lambda pair: (-pair[1], pair[0]))
     top = ranking[0][0]
     explanation = render_explanation(
-        "constraint",
-        "constraint-maut",
-        args.privacy,
-        {"item": item.id, "dimension": top},
+        "constraint", "constraint-maut", args.privacy, dict(item=item.id, dimension=top)
     )
-    means = {}
-    for dim in dataset.dimensions:
-        for member in group.members:
-            if member not in dim.importance:
-                raise MissingWeightError(
-                    f"dimension {dim.id!r} has no importance for {member!r}"
-                )
-        means[dim.id] = math.fsum(
-            dim.importance[m] for m in group.members
-        ) / len(group.members)
-    payload = {
-        "command": "explain-constraint",
-        "mode": "maut",
-        "item": item.id,
-        "group": group.id,
-        "privacy": args.privacy,
-        "top": top,
-        "ranking": [
-            {"dimension": d, "relevance": _r2(rel)} for d, rel in ranking
-        ],
-        "importance_means": {d: _r2(v) for d, v in sorted(means.items())},
-        "explanation": explanation.text,
+    means = {
+        dim.id: constraint.mean_importance(group, dim) for dim in dataset.dimensions
     }
-    lines = [explanation.text] + [f"{d}: {fmt_num(rel)}" for d, rel in ranking]
+    payload = dict(
+        top=top,
+        ranking=[dict(dimension=d, relevance=_r2(rel)) for d, rel in ranking],
+        importance_means={d: _r2(v) for d, v in sorted(means.items())},
+        explanation=explanation.text,
+    )
     return CommandResult(
-        lines=lines, payload=payload, charts=[importance_chart(means)]
+        _listing(explanation.text, ranking), payload, importance_chart(means)
     )
 
 
-def _run_explain_constraint(dataset: Dataset, args) -> CommandResult:
-    group = _resolve_group(dataset, args)
-    handlers = {
-        "requirements": _constraint_requirements,
-        "maut": _constraint_maut,
-    }
-    return handlers[args.mode](dataset, args, group)
-
-
-# ------------------------------------------------------------ fairness-adapt
-
-
-def _run_fairness_adapt(dataset: Dataset, args) -> CommandResult:
-    group = _resolve_group(dataset, args)
-    history = dataset.decision_history
-    if history is None:
-        raise UnresolvedIdError("dataset has no decision_history section")
-    fairness = {
-        member: constraint.fairness_degree(history, member)
-        for member in group.members
-    }
-    values = list(fairness.values())
-    mean = values[0] if max(values) == min(values) else math.fsum(values) / len(values)
-    adapted = constraint.adapt_weights(group, dataset.fairness_weights, history)
-    upgraded = sorted(m for m, f in fairness.items() if f < mean)
-    if upgraded:
-        slots = (
-            {"users": upgraded}
-            if args.privacy == PRIVACY_NAMED
-            else {"count": len(upgraded), "total": len(group.members)}
-        )
-        explanation = render_explanation(
-            "constraint", "constraint-fairness", args.privacy, slots
-        )
-    else:
-        explanation = render_explanation(
-            "constraint", "constraint-fairness-balanced", args.privacy, {}
-        )
-    payload = {
-        "command": "fairness-adapt",
-        "group": group.id,
-        "privacy": args.privacy,
-        "mean_fairness": _r2(mean),
-        "explanation": explanation.text,
-    }
-    lines = [explanation.text, f"mean fairness: {fmt_num(mean)}"]
-    if args.privacy == PRIVACY_NAMED:
-        payload["fairness"] = {m: _r2(f) for m, f in sorted(fairness.items())}
-        payload["adapted_weights"] = {
-            m: {d: _r4(w) for d, w in sorted(weights.items())}
-            for m, weights in sorted(adapted.items())
-        }
-        payload["upgraded"] = upgraded
-        for member in sorted(fairness):
-            lines.append(f"{member}: fairness {fmt_num(fairness[member])}")
-        chart = fairness_chart(history)
-    else:
-        payload["upgraded_count"] = len(upgraded)
-        payload["member_count"] = len(group.members)
-        chart = ChartData(
-            kind="bar",
-            series=_anonymous_labels(
-                [(m, fairness[m]) for m in sorted(fairness)]
-            ),
-            meta={"value-axis": "fairness", "max": 1.0},
-        )
-    return CommandResult(lines=lines, payload=payload, charts=[chart])
-
-
-# ----------------------------------------------------------------------relax
-
-
-def _run_relax(dataset: Dataset, args) -> CommandResult:
-    catalog = _constraint_catalog(dataset)
-    proposals = constraint.relaxation_proposals(dataset.requirements, catalog)
-    lines = []
-    if not proposals:
-        explanation = render_explanation("constraint", "relax-none", args.privacy, {})
-        lines.append(explanation.text)
-    else:
-        for proposal in proposals:
-            explanation = render_explanation(
-                "constraint",
-                "relax-proposal",
-                args.privacy,
-                {
-                    "requirements": list(proposal.removed),
-                    "items": list(proposal.survivors),
-                },
-            )
-            lines.append(explanation.text)
-    payload = {
-        "command": "relax",
-        "privacy": args.privacy,
-        "proposals": [
-            {"remove": list(p.removed), "survivors": list(p.survivors)}
-            for p in proposals
-        ],
-    }
-    return CommandResult(lines=lines, payload=payload, charts=[])
-
-
-# ------------------------------------------------------------ explain-critique
-
-
-def _run_explain_critique(dataset: Dataset, args) -> CommandResult:
-    group = _resolve_group(dataset, args)
-    item = dataset.item(_need_item(args))
+def _critique(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
     critiques = [c for c in dataset.critiques if c.author in group.members]
-    explanation = critique.critique_explanation(
-        critiques, item, privacy=args.privacy
-    )
+    explanation = critique.critique_explanation(critiques, item, privacy=args.privacy)
     supports = [
         (attribute, critique.critique_support(critiques, attribute, item))
         for attribute in critique.attribute_order(critiques)
     ]
-    payload = {
-        "command": "explain-critique",
-        "item": item.id,
-        "group": group.id,
-        "privacy": args.privacy,
-        "supports": [
-            {"attribute": a, "support": display_trunc(s)} for a, s in supports
-        ],
-        "explanation": explanation.text,
-    }
-    if args.privacy == PRIVACY_NAMED:
-        matrix = critique.support_matrix(critiques, item)
-        payload["matrix"] = {
-            author: {
-                attribute: matrix.cells[(author, attribute)]
-                for attribute in matrix.columns
-                if (author, attribute) in matrix.cells
-            }
-            for author in matrix.rows
-        }
-    lines = [explanation.text] + [
-        f"{a}: {fmt_num(display_trunc(s))}" for a, s in supports
-    ]
-    chart = ChartData(
-        kind="bar",
-        series=tuple((a, s) for a, s in supports),
-        meta={"value-axis": "support", "max": 1.0},
+    shown = [(a, display_trunc(s)) for a, s in supports]
+    payload = dict(
+        supports=[dict(attribute=a, support=s) for a, s in shown],
+        explanation=explanation.text,
     )
-    return CommandResult(lines=lines, payload=payload, charts=[chart])
+    if args.privacy == PRIVACY_NAMED:
+        matrix: dict[str, dict[str, bool]] = {}
+        cells = critique.support_matrix(critiques, item).cells
+        for (author, attribute), satisfied in cells.items():
+            matrix.setdefault(author, {})[attribute] = satisfied
+        payload.update(matrix=matrix)
+    chart = _bar(supports, "support", max=1.0)
+    return CommandResult(_listing(explanation.text, shown), payload, chart)
+
+
+def _fairness_adapt(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
+    history = dataset.decision_history
+    if history is None:
+        raise UnresolvedIdError("dataset has no decision_history section")
+    fairness, mean = constraint.group_fairness(group, history)
+    adapted = constraint.adapt_weights(group, dataset.fairness_weights, history)
+    upgraded = sorted(m for m, f in fairness.items() if f < mean)
+    if not upgraded:
+        template, slots = "constraint-fairness-balanced", {}
+    elif args.privacy == PRIVACY_NAMED:
+        template, slots = "constraint-fairness", dict(users=upgraded)
+    else:
+        slots = dict(count=len(upgraded), total=len(group.members))
+        template = "constraint-fairness"
+    explanation = render_explanation("constraint", template, args.privacy, slots)
+    payload = dict(mean_fairness=_r2(mean), explanation=explanation.text)
+    lines = [explanation.text, f"mean fairness: {fmt_num(mean)}"]
+    ordered = sorted(fairness.items())
+    if args.privacy == PRIVACY_NAMED:
+        payload.update(
+            fairness={m: _r2(f) for m, f in ordered},
+            adapted_weights={
+                m: {d: display_round(w, 4) for d, w in sorted(weights.items())}
+                for m, weights in sorted(adapted.items())
+            },
+            upgraded=upgraded,
+        )
+        lines += [f"{m}: fairness {fmt_num(f)}" for m, f in ordered]
+        chart = fairness_chart(history)
+    else:
+        payload.update(upgraded_count=len(upgraded), member_count=len(group.members))
+        chart = _bar(_anonymous_labels(ordered), "fairness", max=1.0)
+    return CommandResult(lines, payload, chart)
+
+
+def _relax(dataset: Dataset, args, group: None, item: None) -> CommandResult:
+    proposals = constraint.relaxation_proposals(
+        dataset.requirements, _constraint_catalog(dataset)
+    )
+    lines = [
+        render_explanation(
+            "constraint",
+            "relax-proposal",
+            args.privacy,
+            dict(requirements=list(p.removed), items=list(p.survivors)),
+        ).text
+        for p in proposals
+    ] or [render_explanation("constraint", "relax-none", args.privacy, {}).text]
+    payload = dict(
+        proposals=[
+            dict(remove=list(p.removed), survivors=list(p.survivors))
+            for p in proposals
+        ]
+    )
+    return CommandResult(lines, payload)
 
 
 # ---------------------------------------------------------------------- glue
 
 
-def _add_common(parser: argparse.ArgumentParser, with_item: bool):
-    parser.add_argument("--data", default=None, help="dataset file (JSON)")
-    parser.add_argument("--group", default=None, help="group id (default: first)")
-    if with_item:
-        parser.add_argument("--item", default=None, help="target item id")
-    parser.add_argument(
-        "--privacy",
-        choices=[PRIVACY_NAMED, PRIVACY_ANONYMOUS],
-        default=PRIVACY_NAMED,
-    )
-    parser.add_argument(
-        "--format",
-        dest="fmt",
-        choices=["text", "json", "svg"],
-        default="text",
-    )
+@dataclass(frozen=True)
+class _Mode:
+    """One (subcommand, mode) row.
+
+    ``_run`` resolves the group and the item when the row asks for them and
+    calls ``run(dataset, args, group, item)``, with None for the others.
+    """
+
+    run: Callable[..., CommandResult]
+    group: bool = True
+    item: bool = True
+
+
+# Subcommands without a --mode flag have the mode None.
+_TABLE: dict[tuple[str, str | None], _Mode] = {
+    ("explain-cf", "aggregation"): _Mode(_cf_aggregation),
+    ("explain-cf", "histogram"): _Mode(_cf_histogram),
+    ("explain-cf", "group-histogram"): _Mode(_cf_group_histogram),
+    ("explain-cf", "spider"): _Mode(_cf_spider),
+    ("explain-cf", "influence"): _Mode(_cf_influence),
+    ("explain-cb", "category"): _Mode(_cb_category),
+    ("explain-cb", "opinion"): _Mode(_cb_opinion),
+    ("explain-cb", "tags"): _Mode(_cb_tags, item=False),
+    ("explain-constraint", "requirements"): _Mode(_constraint_requirements, item=False),
+    ("explain-constraint", "maut"): _Mode(_constraint_maut),
+    ("explain-critique", None): _Mode(_critique),
+    ("fairness-adapt", None): _Mode(_fairness_adapt, item=False),
+    ("relax", None): _Mode(_relax, group=False, item=False),
+}
+
+_HELP = {
+    "explain-cf": "collaborative filtering explanations",
+    "explain-cb": "content-based explanations",
+    "explain-constraint": "constraint-based explanations",
+    "explain-critique": "critiquing-based explanations",
+    "fairness-adapt": "fairness-aware weight adaptation",
+    "relax": "minimal requirement relaxations",
+}
+
+
+def _neighbor_count(text: str) -> int:
+    try:
+        k = int(text)
+        if k >= 1:
+            return k
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupexplain",
         description="Explain group recommendations across four paradigms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for command, help_text in _HELP.items():
+        rows = {mode: row for (cmd, mode), row in _TABLE.items() if cmd == command}
+        p = parsers[command] = sub.add_parser(command, help=help_text)
+        p.add_argument("--data", default=None, help="dataset file (JSON)")
+        p.add_argument("--group", default=None, help="group id (default: first)")
+        if any(row.item for row in rows.values()):
+            p.add_argument("--item", default=None, help="target item id")
+        p.add_argument("--privacy", choices=PRIVACIES, default=PRIVACY_NAMED)
+        p.add_argument(
+            "--format", dest="fmt", choices=["text", "json", "svg"], default="text"
+        )
+        modes = [mode for mode in rows if mode is not None]
+        if modes:
+            p.add_argument("--mode", choices=modes, default=modes[0])
 
-    p_cf = sub.add_parser("explain-cf", help="collaborative filtering explanations")
-    _add_common(p_cf, with_item=True)
-    p_cf.add_argument(
-        "--mode",
-        choices=["aggregation", "histogram", "group-histogram", "spider", "influence"],
-        default="aggregation",
-    )
-    p_cf.add_argument("--strategy", choices=["avg", "lms", "mpl"], default="avg")
-    p_cf.add_argument("--k", type=int, default=2)
-    p_cf.add_argument(
-        "--nn-mode", dest="nn_mode", choices=["union", "intersection"], default="union"
-    )
-
-    p_cb = sub.add_parser("explain-cb", help="content-based explanations")
-    _add_common(p_cb, with_item=True)
-    p_cb.add_argument(
-        "--mode", choices=["category", "opinion", "tags"], default="category"
-    )
-    p_cb.add_argument("--threshold", type=float, default=0.4)
-
-    p_con = sub.add_parser(
-        "explain-constraint", help="constraint-based explanations"
-    )
-    _add_common(p_con, with_item=True)
-    p_con.add_argument(
-        "--mode", choices=["requirements", "maut"], default="requirements"
-    )
-
-    p_crit = sub.add_parser("explain-critique", help="critiquing-based explanations")
-    _add_common(p_crit, with_item=True)
-
-    p_fair = sub.add_parser("fairness-adapt", help="fairness-aware weight adaptation")
-    _add_common(p_fair, with_item=False)
-
-    p_relax = sub.add_parser("relax", help="minimal requirement relaxations")
-    _add_common(p_relax, with_item=False)
-
+    p_cf = parsers["explain-cf"]
+    strategies = [s.value for s in AggregationStrategy]
+    p_cf.add_argument("--strategy", choices=strategies, default=strategies[0])
+    p_cf.add_argument("--k", type=_neighbor_count, default=2)
+    nn_modes = [cf.NN_MODE_UNION, cf.NN_MODE_INTERSECTION]
+    p_cf.add_argument("--nn-mode", choices=nn_modes, default=nn_modes[0])
+    parsers["explain-cb"].add_argument("--threshold", type=float, default=0.4)
     return parser
 
 
-_HANDLERS: dict[str, Callable[[Dataset, argparse.Namespace], CommandResult]] = {
-    "explain-cf": _run_explain_cf,
-    "explain-cb": _run_explain_cb,
-    "explain-constraint": _run_explain_constraint,
-    "explain-critique": _run_explain_critique,
-    "fairness-adapt": _run_fairness_adapt,
-    "relax": _run_relax,
-}
+def _run(dataset: Dataset, args) -> CommandResult:
+    """Resolve what the row asks for, run it and head its payload."""
+    mode = getattr(args, "mode", None)
+    row = _TABLE[(args.command, mode)]
+    header = dict(command=args.command, privacy=args.privacy)
+    if mode is not None:
+        header.update(mode=mode)
+    group = item = None
+    if row.group:
+        group = _resolve_group(dataset, args)
+        header.update(group=group.id)
+    if row.item:
+        if not args.item:
+            raise _CliUsageError("--item is required for this mode")
+        item = dataset.item(args.item)
+        header.update(item=item.id)
+    result = row.run(dataset, args, group, item)
+    result.payload.update(header)
+    return result
 
 
 def _emit(result: CommandResult, args) -> str:
@@ -770,21 +568,19 @@ def _emit(result: CommandResult, args) -> str:
         return "\n".join(result.lines) + "\n"
     if args.fmt == "json":
         return json.dumps(result.payload, indent=2, sort_keys=True) + "\n"
-    if not result.charts:
+    if result.chart is None:
         raise _CliUsageError(f"{args.command} has no chart; --format svg unsupported")
-    return "".join(svg.render_svg(chart) for chart in result.charts)
+    return svg.render_svg(result.chart)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the message
-        return int(exc.code or 0)
-    try:
         dataset = load_dataset(args.data if args.data else builtin_dataset_path())
-        result = _HANDLERS[args.command](dataset, args)
-        output = _emit(result, args)
+        output = _emit(_run(dataset, args), args)
+    except SystemExit as exc:  # only --help exits: it has printed the help
+        return int(exc.code or 0)
     except _CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

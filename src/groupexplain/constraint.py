@@ -86,6 +86,22 @@ def causally_relevant(requirement: Requirement, items: Sequence[Item]) -> bool:
     return surviving < len(items)
 
 
+def _member_importances(group: Group, dimension: InterestDimension) -> list[float]:
+    """Each member's importance for the dimension, in member order."""
+    for member in group.members:
+        if member not in dimension.importance:
+            raise MissingWeightError(
+                f"dimension {dimension.id!r} has no importance for {member!r}"
+            )
+    return [dimension.importance[m] for m in group.members]
+
+
+def mean_importance(group: Group, dimension: InterestDimension) -> float:
+    """Group-mean importance of one interest dimension."""
+    weights = _member_importances(group, dimension)
+    return math.fsum(weights) / len(weights)
+
+
 def maut_relevance(group: Group, dimension: InterestDimension, item: Item) -> float:
     """Group-mean of importance * contribution for one interest dimension."""
     if dimension.id not in item.dimension_contributions:
@@ -93,14 +109,8 @@ def maut_relevance(group: Group, dimension: InterestDimension, item: Item) -> fl
             f"item {item.id!r} has no contribution for dimension {dimension.id!r}"
         )
     contribution = item.dimension_contributions[dimension.id]
-    for member in group.members:
-        if member not in dimension.importance:
-            raise MissingWeightError(
-                f"dimension {dimension.id!r} has no importance for {member!r}"
-            )
-    return math.fsum(
-        dimension.importance[m] * contribution for m in group.members
-    ) / len(group.members)
+    weights = _member_importances(group, dimension)
+    return math.fsum(w * contribution for w in weights) / len(weights)
 
 
 def fairness_degree(history: DecisionHistory, user: str) -> float:
@@ -111,6 +121,21 @@ def fairness_degree(history: DecisionHistory, user: str) -> float:
     return supported / decisions
 
 
+def group_fairness(
+    group: Group, history: DecisionHistory
+) -> tuple[dict[str, float], float]:
+    """Each member's fairness degree, and the group mean of the degrees.
+
+    The mean of equal degrees is that degree: fsum / n could drift by one
+    ulp and put a member of a balanced group below the mean.
+    """
+    fairness = {m: fairness_degree(history, m) for m in group.members}
+    values = list(fairness.values())
+    if max(values) == min(values):
+        return fairness, values[0]
+    return fairness, math.fsum(values) / len(values)
+
+
 def adapt_weights(
     group: Group,
     weights: Mapping[str, Mapping[str, float]],
@@ -118,16 +143,11 @@ def adapt_weights(
 ) -> dict[str, dict[str, float]]:
     """Scale each member's dimension weights by their fairness deficit.
 
-    w'(u, d) = w(u, d) * (1 + (mean_fairness - fairness(u))). Members at
-    the mean keep their weights; disadvantaged members gain.
+    w'(u, d) = w(u, d) * (1 + (mean_fairness - fairness(u))), with the
+    mean of ``group_fairness``. Members at the mean keep their weights;
+    disadvantaged members gain.
     """
-    fairness = {m: fairness_degree(history, m) for m in group.members}
-    values = list(fairness.values())
-    # mean of equal values is that value; avoids one-ulp drift breaking identity
-    if max(values) == min(values):
-        mean = values[0]
-    else:
-        mean = math.fsum(values) / len(values)
+    fairness, mean = group_fairness(group, history)
     adapted: dict[str, dict[str, float]] = {}
     for member in group.members:
         if member not in weights:

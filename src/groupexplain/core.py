@@ -189,22 +189,28 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation of two equal-length samples.
 
     Raises dimension-mismatch below two paired points and
-    degenerate-variance when either side is constant.
+    degenerate-variance when either side is constant (its minimum equals
+    its maximum), whatever rounding its mean takes, or varies so little
+    that its variance underflows a float.
     """
     if len(x) != len(y):
         raise DimensionMismatchError(f"sample sizes differ: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise DimensionMismatchError("need at least two paired points")
+    # constant means min == max; one count per sample is the cheaper test
+    if x.count(x[0]) == len(x) or y.count(y[0]) == len(y):
+        raise DegenerateVarianceError("a constant sample has no correlation")
     mx = math.fsum(x) / len(x)
     my = math.fsum(y) / len(y)
     dx = [a - mx for a in x]
     dy = [b - my for b in y]
     sxx = math.fsum(a * a for a in dx)
     syy = math.fsum(b * b for b in dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateVarianceError("a sample with zero variance has no correlation")
     sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    return sxy / math.sqrt(sxx * syy)
+    spread = math.sqrt(sxx * syy)
+    if spread == 0.0:  # the product of two tiny variances can underflow
+        raise DegenerateVarianceError("sample variance underflows a float")
+    return sxy / spread
 
 
 def knn_neighbors(

@@ -13,12 +13,7 @@ from typing import Mapping, Sequence
 
 from .core import Item, satisfies
 from .errors import MissingAttributeError, NoCritiquesError
-from .render import (
-    Explanation,
-    PRIVACY_NAMED,
-    TemplateCatalog,
-    render_explanation,
-)
+from .render import Explanation, PRIVACY_NAMED, render_explanation
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,6 @@ def critique_explanation(
     critiques: Sequence[Critique],
     item: Item,
     privacy: str = PRIVACY_NAMED,
-    catalog: TemplateCatalog | None = None,
 ) -> Explanation:
     """Sentence-per-attribute summary of how the item meets the critiques.
 
@@ -141,7 +135,6 @@ def critique_explanation(
                 template_id=template,
                 privacy=privacy,
                 slots=slots,
-                catalog=catalog,
             )
             sentences.append(sentence.text)
     return render_explanation(
@@ -149,5 +142,4 @@ def critique_explanation(
         template_id="critique-summary",
         privacy=privacy,
         slots={"item": item.id, "sentences": " ".join(sentences)},
-        catalog=catalog,
     )

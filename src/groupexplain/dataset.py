@@ -211,7 +211,6 @@ def load_dataset(path: str | Path) -> Dataset:
 
     raw_ratings = _optional(raw, "ratings", list, where, [])
     triples: list[tuple[str, str, float]] = []
-    seen_pairs: set[tuple[str, str]] = set()
     for index, row in enumerate(raw_ratings):
         spot = f"ratings[{index}]"
         if not isinstance(row, list) or len(row) != 3:
@@ -221,28 +220,16 @@ def load_dataset(path: str | Path) -> Dataset:
         value = _number(row[2], spot)
         if not RATING_MIN <= value <= RATING_MAX:
             raise InvalidValueError(f"{spot}: rating {value} outside [0, 5]")
-        if (user, item) in seen_pairs:
-            raise InvalidValueError(f"{spot}: duplicate rating for ({user}, {item})")
-        seen_pairs.add((user, item))
         triples.append((user, item, value))
     matrix = RatingsMatrix(triples)
 
     raw_tags = _optional(raw, "tags", dict, where, {})
-    applications: dict[str, dict[str, int]] = {}
     for item_id, tag_counts in raw_tags.items():
         spot = f"tags[{item_id}]"
         _check_item(item_id, known_items, spot)
         if not isinstance(tag_counts, dict):
             raise MalformedDatasetError(f"{spot}: must be an object")
-        counts: dict[str, int] = {}
-        for tag, count in tag_counts.items():
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                raise InvalidValueError(
-                    f"{spot}.{tag}: count must be a non-negative integer"
-                )
-            counts[tag] = count
-        applications[item_id] = counts
-    tags = TagApplications(applications)
+    tags = TagApplications(raw_tags)
 
     raw_groups = _optional(raw, "groups", dict, where, {})
     groups: dict[str, Group] = {}
@@ -251,8 +238,6 @@ def load_dataset(path: str | Path) -> Dataset:
         if not isinstance(members, list) or not members:
             raise InvalidValueError(f"{spot}: needs a non-empty member list")
         checked = tuple(_check_user(m, known_users, spot) for m in members)
-        if len(set(checked)) != len(checked):
-            raise InvalidValueError(f"{spot}: duplicate member")
         groups[group_id] = Group(id=group_id, members=checked)
 
     raw_ucw = _optional(raw, "user_category_weights", dict, where, {})
@@ -345,14 +330,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)
             ):
                 raise MalformedDatasetError(f"{spot}: expected [supported, decisions]")
-            supported, decisions = pair
-            if decisions < 1:
-                raise InvalidValueError(f"{spot}: decision count must be positive")
-            if not 0 <= supported <= decisions:
-                raise InvalidValueError(
-                    f"{spot}: supported {supported} outside [0, {decisions}]"
-                )
-            records[user] = (supported, decisions)
+            records[user] = tuple(pair)
         decision_history = DecisionHistory(records=records)
         weights_raw = _optional(raw_history, "weights", dict, "decision_history", {})
         for user, weights in weights_raw.items():

@@ -87,7 +87,7 @@ def format_slot(value: object) -> str:
 
 
 class TemplateCatalog:
-    """Id -> template text, loaded from the packaged catalog or a user file."""
+    """Id -> template text, parsed from ``id: text`` lines."""
 
     def __init__(self, templates: Mapping[str, str]):
         self._templates = dict(templates)
@@ -104,11 +104,6 @@ class TemplateCatalog:
             template_id, body = line.split(": ", 1)
             templates[template_id.strip()] = body
         return cls(templates)
-
-    @classmethod
-    def from_path(cls, path) -> "TemplateCatalog":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
 
     def ids(self) -> tuple[str, ...]:
         return tuple(sorted(self._templates))
@@ -172,16 +167,15 @@ def render_explanation(
     template_id: str,
     privacy: str,
     slots: Mapping[str, object],
-    catalog: TemplateCatalog | None = None,
 ) -> Explanation:
-    """Fill a catalog template and wrap the result.
+    """Fill a template of the packaged catalog and wrap the result.
 
     ``template_id`` may be a base id; the privacy-specific variant
     (``<id>-named`` / ``<id>-anonymous``) wins when the catalog has one.
     """
     if privacy not in PRIVACIES:
         raise ValueError(f"privacy must be one of {PRIVACIES}, got {privacy!r}")
-    catalog = catalog or default_catalog()
+    catalog = default_catalog()
     resolved = catalog.resolve(template_id, privacy)
     text = catalog.render(resolved, slots)
     return Explanation(

@@ -20,6 +20,7 @@ from groupexplain import (
 from groupexplain.errors import (
     DegenerateVarianceError,
     EmptyGroupError,
+    InvalidValueError,
     MissingFeatureError,
     MissingWeightError,
     NoTaggedRatingsError,
@@ -193,6 +194,11 @@ class TestTags:
         single = TagApplications({"m1": {"alpha": 1}})
         with pytest.raises(NoTaggedRatingsError):
             tag_relevance(matrix, single, "v", "alpha")
+
+    @pytest.mark.parametrize("count", [True, False])
+    def test_bool_count_rejected(self, count):
+        with pytest.raises(InvalidValueError):
+            TagApplications({"m1": {"alpha": count}})
 
     def test_all_zero_ratings_give_zero_preference(self):
         matrix = RatingsMatrix([("z", "m1", 0.0), ("z", "m2", 0.0)])

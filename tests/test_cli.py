@@ -153,6 +153,13 @@ class TestPrivacy:
             ["explain-cb", "--mode", "tags"],
             ["explain-critique", "--item", "t2"],
             ["fairness-adapt"],
+            ["explain-cf", "--mode", "group-histogram", "--item", "t1"],
+            ["explain-cf", "--mode", "spider", "--item", "t1"],
+            ["explain-cf", "--mode", "influence", "--item", "t1"],
+            ["explain-cb", "--mode", "category", "--item", "t1"],
+            ["explain-cb", "--mode", "opinion", "--item", "t1"],
+            ["explain-constraint", "--mode", "requirements"],
+            ["explain-constraint", "--mode", "maut", "--item", "t1"],
         ],
     )
     @pytest.mark.parametrize("fmt", ["text", "json", "svg"])
@@ -199,6 +206,20 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert run(capsys, "relax", "--frobnicate")[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["relax", "--frobnicate"],
+            ["explain-everything"],
+            ["explain-cf", "--mode", "nope"],
+        ],
+        ids=["unknown-flag", "unknown-subcommand", "unknown-mode"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_missing_item(self, capsys):
         code, _, err = run(capsys, "explain-cf", "--mode", "aggregation")
         assert code == EXIT_USAGE
@@ -230,7 +251,7 @@ class TestExitCodes:
         bad.write_text("{not json", encoding="utf-8")
         assert run(capsys, "relax", "--data", str(bad))[0] == EXIT_DATASET
 
-    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("k", ["0", "-1", "x"])
     def test_k_below_one(self, capsys, k):
         code, out, err = run(capsys, "explain-cf", "--item", "t1", "--k", k)
         assert code == EXIT_USAGE and out == ""

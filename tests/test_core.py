@@ -124,6 +124,12 @@ class TestPearson:
             pearson([3.0, 3.0, 3.0], [1.0, 2.0, 3.0])
         with pytest.raises(DegenerateVarianceError):
             pearson([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
+        # constant, though fsum([0.1] * 3) / 3 is not exactly 0.1
+        with pytest.raises(DegenerateVarianceError):
+            pearson([0.1] * 3, [0.0, 1.0, 2.0])
+        # not constant, but the variance underflows to zero
+        with pytest.raises(DegenerateVarianceError):
+            pearson([0.0, 1e-200], [0.0, 1.0])
 
 
 class TestRatingsMatrix:
