@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .core import Group, Item, RatingsMatrix, pearson
+from .core import AggregationStrategy, Group, Item, RatingsMatrix, aggregate, pearson
 from .errors import (
     EmptyGroupError,
     InvalidValueError,
@@ -77,9 +77,6 @@ class TagApplications:
             self._counts[item] = dict(tags)
             self._totals[item] = sum(tags.values())
 
-    def items(self) -> tuple[str, ...]:
-        return tuple(sorted(self._counts))
-
     def tags(self) -> tuple[str, ...]:
         seen = {tag for tags in self._counts.values() for tag in tags}
         return tuple(sorted(seen))
@@ -135,14 +132,21 @@ def tag_relevance(
     return pearson([row[i] for i in items], [tags.share(i, tag) for i in items])
 
 
+def member_tag_preferences(
+    matrix: RatingsMatrix, tags: TagApplications, group: Group, tag: str
+) -> dict[str, float]:
+    """Each member's tag preference, in member order."""
+    return {
+        member: tag_preference(matrix, tags, member, tag) for member in group.members
+    }
+
+
 def group_tag_preference(
     matrix: RatingsMatrix, tags: TagApplications, group: Group, tag: str
 ) -> float:
     """Mean member tag preference."""
-    total = math.fsum(
-        tag_preference(matrix, tags, member, tag) for member in group.members
-    )
-    return total / len(group.members)
+    preferences = member_tag_preferences(matrix, tags, group, tag)
+    return aggregate(preferences, AggregationStrategy.AVG)[0]
 
 
 def group_tag_relevance(

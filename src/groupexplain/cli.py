@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -260,16 +261,15 @@ def _cb_opinion(dataset: Dataset, args, group: Group, item: Item) -> CommandResu
 
 
 def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
-    rows = _by_value(
-        (
-            tag,
-            cb.group_tag_preference(dataset.matrix, dataset.tags, group, tag),
-            cb.group_tag_relevance(
-                dataset.matrix, dataset.tags, group, tag, privacy=args.privacy
-            ),
+    rows, likers = [], {}
+    for tag in dataset.tags.tags():
+        prefs = cb.member_tag_preferences(dataset.matrix, dataset.tags, group, tag)
+        relevance = cb.group_tag_relevance(
+            dataset.matrix, dataset.tags, group, tag, privacy=args.privacy
         )
-        for tag in dataset.tags.tags()
-    )
+        rows.append((tag, aggregate(prefs, AggregationStrategy.AVG)[0], relevance))
+        likers[tag] = [m for m in sorted(prefs) if prefs[m] >= args.threshold]
+    rows = _by_value(rows)
     favored = [tag for tag, pref, _ in rows if pref >= args.threshold]
     if not favored and rows:
         favored = [rows[0][0]]
@@ -278,16 +278,7 @@ def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
     )
     member_likes = None
     if args.privacy == PRIVACY_NAMED:
-        liking = {
-            tag: [
-                member
-                for member in sorted(group.members)
-                if cb.tag_preference(dataset.matrix, dataset.tags, member, tag)
-                >= args.threshold
-            ]
-            for tag, _, _ in rows
-        }
-        member_likes = {tag: members for tag, members in liking.items() if members}
+        member_likes = {tag: likers[tag] for tag, _, _ in rows if likers[tag]}
     cloud = tag_cloud(
         {tag: pref for tag, pref, _ in rows}, member_likes, privacy=args.privacy
     )
@@ -510,6 +501,16 @@ def _neighbor_count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
+def _finite_number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="groupexplain",
@@ -521,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
         rows = {mode: row for (cmd, mode), row in _TABLE.items() if cmd == command}
         p = parsers[command] = sub.add_parser(command, help=help_text)
         p.add_argument("--data", default=None, help="dataset file (JSON)")
-        p.add_argument("--group", default=None, help="group id (default: first)")
+        if any(row.group for row in rows.values()):
+            p.add_argument("--group", default=None, help="group id (default: first)")
         if any(row.item for row in rows.values()):
             p.add_argument("--item", default=None, help="target item id")
         p.add_argument("--privacy", choices=PRIVACIES, default=PRIVACY_NAMED)
@@ -538,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--k", type=_neighbor_count, default=2)
     nn_modes = [cf.NN_MODE_UNION, cf.NN_MODE_INTERSECTION]
     p_cf.add_argument("--nn-mode", choices=nn_modes, default=nn_modes[0])
-    parsers["explain-cb"].add_argument("--threshold", type=float, default=0.4)
+    parsers["explain-cb"].add_argument("--threshold", type=_finite_number, default=0.4)
     return parser
 
 
@@ -558,6 +560,8 @@ def _run(dataset: Dataset, args) -> CommandResult:
             raise _CliUsageError("--item is required for this mode")
         item = dataset.item(args.item)
         header.update(item=item.id)
+    elif getattr(args, "item", None) is not None:
+        raise _CliUsageError("--item is not used by this mode")
     result = row.run(dataset, args, group, item)
     result.payload.update(header)
     return result

@@ -97,7 +97,6 @@ class RatingsMatrix:
 
     def __init__(self, ratings: Iterable[tuple[str, str, float]]):
         by_user: dict[str, dict[str, float]] = {}
-        by_item: dict[str, dict[str, float]] = {}
         for user, item, value in ratings:
             value = float(value)
             if not RATING_MIN <= value <= RATING_MAX:
@@ -108,18 +107,13 @@ class RatingsMatrix:
             if item in row:
                 raise InvalidValueError(f"duplicate rating for ({user!r}, {item!r})")
             row[item] = value
-            by_item.setdefault(item, {})[user] = value
         self._by_user = by_user
-        self._by_item = by_item
 
     def __len__(self) -> int:
         return sum(len(row) for row in self._by_user.values())
 
     def users(self) -> tuple[str, ...]:
         return tuple(sorted(self._by_user))
-
-    def items(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_item))
 
     def has_user(self, user: str) -> bool:
         return user in self._by_user
@@ -129,9 +123,6 @@ class RatingsMatrix:
 
     def items_rated_by(self, user: str) -> Mapping[str, float]:
         return MappingProxyType(self._by_user.get(user, {}))
-
-    def users_who_rated(self, item: str) -> Mapping[str, float]:
-        return MappingProxyType(self._by_item.get(item, {}))
 
     def user_mean(self, user: str) -> float:
         row = self._by_user.get(user)

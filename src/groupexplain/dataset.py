@@ -66,19 +66,16 @@ class Dataset:
         return self.items[item_id]
 
 
-def _require(mapping: Mapping, key: str, kind: type, where: str):
-    if key not in mapping:
-        raise MalformedDatasetError(f"{where}: missing required section {key!r}")
-    value = mapping[key]
-    if not isinstance(value, kind):
-        raise MalformedDatasetError(
-            f"{where}: section {key!r} must be a {kind.__name__}"
-        )
-    return value
+_TOP = "dataset"
+_REQUIRED = object()
+_ITEM_WEIGHTS = ("category_weights", "feature_sentiments", "dimension_contributions")
 
 
-def _optional(mapping: Mapping, key: str, kind: type, where: str, default):
+def _section(mapping: Mapping, key: str, kind: type, where: str, default=_REQUIRED):
+    """``mapping[key]`` checked to be a *kind*; *default* when absent, if given."""
     if key not in mapping:
+        if default is _REQUIRED:
+            raise MalformedDatasetError(f"{where}: missing required section {key!r}")
         return default
     value = mapping[key]
     if not isinstance(value, kind):
@@ -86,6 +83,19 @@ def _optional(mapping: Mapping, key: str, kind: type, where: str, default):
             f"{where}: section {key!r} must be a {kind.__name__}"
         )
     return value
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedDatasetError(f"{where}: must be an object")
+    return value
+
+
+def _objects(raw: Mapping, key: str):
+    """(where, entry) for each object of the optional list section *key*."""
+    for index, entry in enumerate(_section(raw, key, list, _TOP, [])):
+        where = f"{key}[{index}]"
+        yield where, _object(entry, where)
 
 
 def _reject_constant(path, constant: str):
@@ -108,6 +118,13 @@ def _number(value, where: str) -> float:
         raise InvalidValueError(f"{where}: integer too large for a float") from None
 
 
+def _rating(value, where: str) -> float:
+    number = _number(value, where)
+    if not RATING_MIN <= number <= RATING_MAX:
+        raise InvalidValueError(f"{where}: rating {number} outside [0, 5]")
+    return number
+
+
 def _unit_weights(raw, where: str) -> dict[str, float]:
     if not isinstance(raw, dict):
         raise MalformedDatasetError(f"{where}: expected an object")
@@ -120,30 +137,48 @@ def _unit_weights(raw, where: str) -> dict[str, float]:
     return weights
 
 
-def _check_user(user, known: set[str], where: str) -> str:
-    if not isinstance(user, str):
-        raise MalformedDatasetError(f"{where}: user id must be a string")
-    if user not in known:
-        raise UnresolvedIdError(f"{where}: unknown user {user!r}")
-    return user
+def _known(ident, known, noun: str, where: str) -> str:
+    if not isinstance(ident, str):
+        raise MalformedDatasetError(f"{where}: {noun} id must be a string")
+    if ident not in known:
+        raise UnresolvedIdError(f"{where}: unknown {noun} {ident!r}")
+    return ident
 
 
-def _check_item(item, known: set[str], where: str) -> str:
-    if not isinstance(item, str):
-        raise MalformedDatasetError(f"{where}: item id must be a string")
-    if item not in known:
-        raise UnresolvedIdError(f"{where}: unknown item {item!r}")
-    return item
+def _weights_by_id(raw: Mapping, known, noun: str, where: str):
+    """{id: unit weights}, each id one of *known*."""
+    by_id: dict[str, dict[str, float]] = {}
+    for ident, weights in raw.items():
+        spot = f"{where}[{ident}]"
+        _known(ident, known, noun, spot)
+        by_id[ident] = _unit_weights(weights, spot)
+    return by_id
+
+
+def _identified(raw: Mapping, key: str, noun: str):
+    """(where, entry, id) for each object of *key*; ids must be unique."""
+    seen: set[str] = set()
+    for where, entry in _objects(raw, key):
+        ident = _section(entry, "id", str, where)
+        if ident in seen:
+            raise InvalidValueError(f"{where}: duplicate {noun} id {ident!r}")
+        seen.add(ident)
+        yield where, entry, ident
+
+
+def _importance(entry: Mapping, where: str, known_users) -> dict[str, float]:
+    importance = _unit_weights(entry.get("importance", {}), f"{where}.importance")
+    for user in importance:
+        _known(user, known_users, "user", f"{where}.importance")
+    return importance
 
 
 def _predicate_fields(entry: dict, where: str) -> tuple[str, str, object]:
-    attribute = _require(entry, "attribute", str, where)
-    operator = _require(entry, "operator", str, where)
+    attribute = _section(entry, "attribute", str, where)
+    operator = _section(entry, "operator", str, where)
     if operator not in OPERATORS:
         raise InvalidValueError(f"{where}: unknown operator {operator!r}")
-    if "bound" not in entry:
-        raise MalformedDatasetError(f"{where}: missing required section 'bound'")
-    bound = _finite(entry["bound"], f"{where}.bound")
+    bound = _finite(_section(entry, "bound", object, where), f"{where}.bound")
     if operator in ("<=", ">=") and (
         isinstance(bound, bool) or not isinstance(bound, (int, float))
     ):
@@ -157,173 +192,110 @@ def load_dataset(path: str | Path) -> Dataset:
     """Parse and validate one dataset file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedDatasetError(f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text, parse_constant=lambda c: _reject_constant(path, c))
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, digit limit, nesting
         raise MalformedDatasetError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedDatasetError(f"{path}: top level must be an object")
 
-    where = "dataset"
-    scale = _optional(raw, "scale", dict, where, {"min": 0, "max": 5})
+    scale = _section(raw, "scale", dict, _TOP, {"min": 0, "max": 5})
     if (
         _number(scale.get("min", 0), "scale.min") != RATING_MIN
         or _number(scale.get("max", 5), "scale.max") != RATING_MAX
     ):
         raise InvalidValueError("scale: only the 0..5 rating scale is supported")
 
-    raw_users = _require(raw, "users", list, where)
-    users: list[str] = []
-    for user in raw_users:
+    users = _section(raw, "users", list, _TOP)
+    known_users: set[str] = set()
+    for user in users:
         if not isinstance(user, str):
             raise MalformedDatasetError("users: ids must be strings")
-        if user in users:
+        if user in known_users:
             raise InvalidValueError(f"users: duplicate id {user!r}")
-        users.append(user)
-    known_users = set(users)
+        known_users.add(user)
 
-    raw_items = _require(raw, "items", dict, where)
     items: dict[str, Item] = {}
-    for item_id, entry in raw_items.items():
-        if not isinstance(entry, dict):
-            raise MalformedDatasetError(f"items[{item_id}]: must be an object")
-        attributes = _optional(entry, "attributes", dict, f"items[{item_id}]", {})
+    for item_id, entry in _section(raw, "items", dict, _TOP).items():
+        spot = f"items[{item_id}]"
+        attributes = _section(_object(entry, spot), "attributes", dict, spot, {})
         for name, value in attributes.items():
-            _finite(value, f"items[{item_id}].attributes.{name}")
-        items[item_id] = Item(
-            id=item_id,
-            attributes=dict(attributes),
-            category_weights=_unit_weights(
-                entry.get("category_weights", {}), f"items[{item_id}].category_weights"
-            ),
-            feature_sentiments=_unit_weights(
-                entry.get("feature_sentiments", {}),
-                f"items[{item_id}].feature_sentiments",
-            ),
-            dimension_contributions=_unit_weights(
-                entry.get("dimension_contributions", {}),
-                f"items[{item_id}].dimension_contributions",
-            ),
-        )
-    known_items = set(items)
+            _finite(value, f"{spot}.attributes.{name}")
+        weights = {
+            name: _unit_weights(entry.get(name, {}), f"{spot}.{name}")
+            for name in _ITEM_WEIGHTS
+        }
+        items[item_id] = Item(id=item_id, attributes=dict(attributes), **weights)
 
-    raw_ratings = _optional(raw, "ratings", list, where, [])
     triples: list[tuple[str, str, float]] = []
-    for index, row in enumerate(raw_ratings):
+    for index, row in enumerate(_section(raw, "ratings", list, _TOP, [])):
         spot = f"ratings[{index}]"
         if not isinstance(row, list) or len(row) != 3:
             raise MalformedDatasetError(f"{spot}: expected [user, item, value]")
-        user = _check_user(row[0], known_users, spot)
-        item = _check_item(row[1], known_items, spot)
-        value = _number(row[2], spot)
-        if not RATING_MIN <= value <= RATING_MAX:
-            raise InvalidValueError(f"{spot}: rating {value} outside [0, 5]")
-        triples.append((user, item, value))
+        triples.append(
+            (
+                _known(row[0], known_users, "user", spot),
+                _known(row[1], items, "item", spot),
+                _rating(row[2], spot),
+            )
+        )
     matrix = RatingsMatrix(triples)
 
-    raw_tags = _optional(raw, "tags", dict, where, {})
+    raw_tags = _section(raw, "tags", dict, _TOP, {})
     for item_id, tag_counts in raw_tags.items():
         spot = f"tags[{item_id}]"
-        _check_item(item_id, known_items, spot)
-        if not isinstance(tag_counts, dict):
-            raise MalformedDatasetError(f"{spot}: must be an object")
+        _known(item_id, items, "item", spot)
+        _object(tag_counts, spot)
     tags = TagApplications(raw_tags)
 
-    raw_groups = _optional(raw, "groups", dict, where, {})
     groups: dict[str, Group] = {}
-    for group_id, members in raw_groups.items():
+    for group_id, members in _section(raw, "groups", dict, _TOP, {}).items():
         spot = f"groups[{group_id}]"
         if not isinstance(members, list) or not members:
             raise InvalidValueError(f"{spot}: needs a non-empty member list")
-        checked = tuple(_check_user(m, known_users, spot) for m in members)
+        checked = tuple(_known(m, known_users, "user", spot) for m in members)
         groups[group_id] = Group(id=group_id, members=checked)
 
-    raw_ucw = _optional(raw, "user_category_weights", dict, where, {})
-    user_category_weights = {
-        _check_user(user, known_users, f"user_category_weights[{user}]"): _unit_weights(
-            weights, f"user_category_weights[{user}]"
+    weights_by_id = {
+        key: _weights_by_id(_section(raw, key, dict, _TOP, {}), known, noun, key)
+        for key, known, noun in (
+            ("user_category_weights", known_users, "user"),
+            ("group_sentiments", groups, "group"),
+            ("member_sentiments", known_users, "user"),
         )
-        for user, weights in raw_ucw.items()
     }
 
-    raw_gs = _optional(raw, "group_sentiments", dict, where, {})
-    group_sentiments = {}
-    for group_id, sentiments in raw_gs.items():
-        spot = f"group_sentiments[{group_id}]"
-        if group_id not in groups:
-            raise UnresolvedIdError(f"{spot}: unknown group {group_id!r}")
-        group_sentiments[group_id] = _unit_weights(sentiments, spot)
-
-    raw_ms = _optional(raw, "member_sentiments", dict, where, {})
-    member_sentiments = {
-        _check_user(user, known_users, f"member_sentiments[{user}]"): _unit_weights(
-            sentiments, f"member_sentiments[{user}]"
+    requirements = [
+        Requirement(
+            ident,
+            *_predicate_fields(entry, spot),
+            _importance(entry, spot, known_users),
         )
-        for user, sentiments in raw_ms.items()
-    }
-
-    raw_reqs = _optional(raw, "requirements", list, where, [])
-    requirements: list[Requirement] = []
-    for index, entry in enumerate(raw_reqs):
-        spot = f"requirements[{index}]"
-        if not isinstance(entry, dict):
-            raise MalformedDatasetError(f"{spot}: must be an object")
-        req_id = _require(entry, "id", str, spot)
-        if any(r.id == req_id for r in requirements):
-            raise InvalidValueError(f"{spot}: duplicate requirement id {req_id!r}")
-        attribute, operator, bound = _predicate_fields(entry, spot)
-        importance = _unit_weights(
-            entry.get("importance", {}), f"{spot}.importance"
+        for spot, entry, ident in _identified(raw, "requirements", "requirement")
+    ]
+    dimensions = [
+        InterestDimension(ident, _importance(entry, spot, known_users))
+        for spot, entry, ident in _identified(raw, "dimensions", "dimension")
+    ]
+    critiques = [
+        Critique(
+            _known(_section(entry, "author", str, spot), known_users, "user", spot),
+            *_predicate_fields(entry, spot),
         )
-        for user in importance:
-            _check_user(user, known_users, f"{spot}.importance")
-        requirements.append(
-            Requirement(
-                id=req_id,
-                attribute=attribute,
-                operator=operator,
-                bound=bound,
-                importance=importance,
-            )
-        )
+        for spot, entry in _objects(raw, "critiques")
+    ]
 
-    raw_dims = _optional(raw, "dimensions", list, where, [])
-    dimensions: list[InterestDimension] = []
-    for index, entry in enumerate(raw_dims):
-        spot = f"dimensions[{index}]"
-        if not isinstance(entry, dict):
-            raise MalformedDatasetError(f"{spot}: must be an object")
-        dim_id = _require(entry, "id", str, spot)
-        if any(d.id == dim_id for d in dimensions):
-            raise InvalidValueError(f"{spot}: duplicate dimension id {dim_id!r}")
-        importance = _unit_weights(entry.get("importance", {}), f"{spot}.importance")
-        for user in importance:
-            _check_user(user, known_users, f"{spot}.importance")
-        dimensions.append(InterestDimension(id=dim_id, importance=importance))
-
-    raw_critiques = _optional(raw, "critiques", list, where, [])
-    critiques: list[Critique] = []
-    for index, entry in enumerate(raw_critiques):
-        spot = f"critiques[{index}]"
-        if not isinstance(entry, dict):
-            raise MalformedDatasetError(f"{spot}: must be an object")
-        author = _check_user(_require(entry, "author", str, spot), known_users, spot)
-        attribute, operator, bound = _predicate_fields(entry, spot)
-        critiques.append(
-            Critique(author=author, attribute=attribute, operator=operator, bound=bound)
-        )
-
-    raw_history = _optional(raw, "decision_history", dict, where, None)
+    raw_history = _section(raw, "decision_history", dict, _TOP, None)
     decision_history = None
     fairness_weights: dict[str, dict[str, float]] = {}
     if raw_history is not None:
-        counts_raw = _require(raw_history, "counts", dict, "decision_history")
+        counts = _section(raw_history, "counts", dict, "decision_history")
         records: dict[str, tuple[int, int]] = {}
-        for user, pair in counts_raw.items():
+        for user, pair in counts.items():
             spot = f"decision_history.counts[{user}]"
-            _check_user(user, known_users, spot)
+            _known(user, known_users, "user", spot)
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
@@ -332,28 +304,21 @@ def load_dataset(path: str | Path) -> Dataset:
                 raise MalformedDatasetError(f"{spot}: expected [supported, decisions]")
             records[user] = tuple(pair)
         decision_history = DecisionHistory(records=records)
-        weights_raw = _optional(raw_history, "weights", dict, "decision_history", {})
-        for user, weights in weights_raw.items():
-            spot = f"decision_history.weights[{user}]"
-            _check_user(user, known_users, spot)
-            fairness_weights[user] = _unit_weights(weights, spot)
+        fairness_weights = _weights_by_id(
+            _section(raw_history, "weights", dict, "decision_history", {}),
+            known_users,
+            "user",
+            "decision_history.weights",
+        )
 
-    raw_ngr = _optional(raw, "neighbor_group_ratings", dict, where, {})
+    raw_ngr = _section(raw, "neighbor_group_ratings", dict, _TOP, {})
     neighbor_group_ratings: dict[str, dict[str, float]] = {}
     for gp_id, per_item in raw_ngr.items():
         spot = f"neighbor_group_ratings[{gp_id}]"
-        if not isinstance(per_item, dict):
-            raise MalformedDatasetError(f"{spot}: must be an object")
-        row: dict[str, float] = {}
-        for item_id, value in per_item.items():
-            _check_item(item_id, known_items, f"{spot}.{item_id}")
-            number = _number(value, f"{spot}.{item_id}")
-            if not RATING_MIN <= number <= RATING_MAX:
-                raise InvalidValueError(
-                    f"{spot}.{item_id}: rating {number} outside [0, 5]"
-                )
-            row[item_id] = number
-        neighbor_group_ratings[gp_id] = row
+        ratings = neighbor_group_ratings[gp_id] = {}
+        for item_id, value in _object(per_item, spot).items():
+            _known(item_id, items, "item", f"{spot}.{item_id}")
+            ratings[item_id] = _rating(value, f"{spot}.{item_id}")
 
     return Dataset(
         users=tuple(users),
@@ -361,9 +326,7 @@ def load_dataset(path: str | Path) -> Dataset:
         matrix=matrix,
         tags=tags,
         groups=groups,
-        user_category_weights=user_category_weights,
-        group_sentiments=group_sentiments,
-        member_sentiments=member_sentiments,
+        **weights_by_id,
         requirements=requirements,
         dimensions=dimensions,
         critiques=critiques,

@@ -54,11 +54,7 @@ def display_trunc(value: float, places: int = 2) -> float:
 def fmt_num(value: float) -> str:
     """Format a number for verbal templates: 2 decimals, one trailing zero dropped."""
     text = f"{display_round(value):.2f}"
-    if text.endswith("0") and not text.endswith(".00"):
-        return text[:-1]
-    if text.endswith(".00"):
-        return text[:-1]
-    return text
+    return text[:-1] if text.endswith("0") else text
 
 
 def join_names(names: Sequence[str]) -> str:

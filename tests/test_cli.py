@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from groupexplain import cb
 from groupexplain.cli import (
     EXIT_COMPUTE,
     EXIT_DATASET,
@@ -104,6 +105,19 @@ class TestTextOutput:
         lines = out.splitlines()
         assert lines[0].endswith("interested in category cat2")
         assert lines[1:] == ["cat2: 0.28", "cat4: 0.03", "cat3: 0.02", "cat1: 0.01"]
+
+    def test_tags_compute_each_member_preference_once(self, capsys, monkeypatch):
+        calls = []
+        original = cb.tag_preference
+
+        def counting(*args):
+            calls.append(args[2:])
+            return original(*args)
+
+        monkeypatch.setattr(cb, "tag_preference", counting)
+        assert run(capsys, "explain-cb", "--mode", "tags")[0] == EXIT_OK
+        # 4 tags x 3 members of g1, named privacy
+        assert len(calls) == 12 and len(set(calls)) == 12
 
     def test_tag_table(self, capsys):
         code, out, _ = run(capsys, "explain-cb", "--mode", "tags")
@@ -283,6 +297,35 @@ class TestExitCodes:
         code, out, err = run(capsys, "relax", "--data", str(path))
         assert code == EXIT_DATASET and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 200_000],
+        ids=["not-utf8", "over-nested"],
+    )
+    def test_unreadable_json_is_malformed(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "relax", "--data", str(path))
+        assert code == EXIT_DATASET and out == ""
+        assert err.startswith("error: malformed-dataset") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["explain-cb", "--mode", "opinion", "--item", "t1", "--threshold", "nan"],
+             "--threshold"),
+            (["explain-cb", "--mode", "tags", "--threshold=-inf"], "--threshold"),
+            (["relax", "--group", "g9"], "--group"),
+            (["explain-cb", "--mode", "tags", "--item", "zz9"], "--item"),
+        ],
+        ids=["nan-threshold", "neg-inf-threshold", "relax-group", "tags-item"],
+    )
+    def test_unused_or_non_finite_argument(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert named in err
 
     def test_no_prediction_basis(self, capsys):
         # x13 is rated by u1 only; no neighbor of any member rated it

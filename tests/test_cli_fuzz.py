@@ -1,0 +1,112 @@
+"""Fuzz the CLI failure contract with mutated copies of the bundled dataset.
+
+Each example replaces, deletes or adds values at a few random JSON paths of
+the bundled file and runs every (subcommand, mode) row of the CLI table on
+the result, each with a drawn format and privacy. Whatever the data, the
+CLI exits 0, 2, 3 or 4; a failure writes exactly one stderr line and a
+success none; ``--format json`` output is strict JSON.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupexplain.cli import _TABLE, main
+from groupexplain.dataset import builtin_dataset_path
+from groupexplain.render import PRIVACIES
+
+BUNDLED = json.loads(builtin_dataset_path().read_text(encoding="utf-8"))
+KNOWN_IDS = sorted(
+    {*BUNDLED["users"], *BUNDLED["items"], *BUNDLED["groups"]}
+    | {entry["id"] for entry in BUNDLED["requirements"] + BUNDLED["dimensions"]}
+    | set(BUNDLED["neighbor_group_ratings"])
+)
+KEYS = KNOWN_IDS + ["zz9", "ghost", "id", "bound", "importance", "counts", "weights"]
+ITEMS = sorted(BUNDLED["items"]) + ["zz9"]
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([1e308, 10**30, -1, 0, 0.5, 3, 5.5]),
+    st.text(max_size=4),
+    st.sampled_from(KEYS),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, (dict, list)):
+        children = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in children:
+            yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_datasets(draw):
+    doc = json.loads(json.dumps(BUNDLED))
+    for _ in range(draw(st.integers(1, 2))):
+        if not doc:
+            break
+        section = draw(st.sampled_from(sorted(doc)))
+        path = (section,) + draw(st.sampled_from(list(_paths(doc[section]))))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        last = path[-1]
+        action = draw(st.sampled_from(["replace", "delete", "delete", "add"]))
+        target = parent[last]
+        if action == "delete":
+            del parent[last]
+        elif action == "add" and isinstance(target, dict):
+            target[draw(st.sampled_from(KEYS))] = draw(values)
+        elif action == "add" and isinstance(target, list):
+            target.insert(draw(st.integers(0, len(target))), draw(values))
+        else:
+            parent[last] = draw(values)
+    return doc
+
+
+def _reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.fixture(scope="module")
+def data_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "data.json"
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=mutated_datasets(), draws=st.data())
+def test_every_mode_keeps_the_failure_contract(data_path, doc, draws):
+    data_path.write_text(json.dumps(doc), encoding="utf-8")
+    for (command, mode), row in _TABLE.items():
+        fmt = draws.draw(st.sampled_from(["text", "json", "svg"]))
+        argv = [command, "--data", str(data_path), "--format", fmt]
+        argv += ["--privacy", draws.draw(st.sampled_from(PRIVACIES))]
+        if mode is not None:
+            argv += ["--mode", mode]
+        if row.item:
+            argv += ["--item", draws.draw(st.sampled_from(ITEMS))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), argv
+        if code == 0:
+            assert err.getvalue() == "", argv
+            if fmt == "json":
+                json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            assert err.getvalue().count("\n") == 1, argv
+            assert err.getvalue().endswith("\n"), argv
