@@ -18,14 +18,17 @@ from .core import (
     aggregate,
     categorize_rating,
     knn_neighbors,
-    predict_rating,
     RatingBucket,
+    _mean,
+    _nearest,
+    _predict,
+    _similarities,
+    _similarity,
 )
 from .errors import (
     EmptyGroupSetError,
     MissingRatingError,
     NoPredictionBasisError,
-    UnknownUserError,
 )
 from .render import Explanation, PRIVACY_NAMED, render_explanation
 
@@ -183,13 +186,29 @@ def influential_items(
     recomputed; delta is the mean absolute shift over members that still
     have a prediction. Removals that strip a member of any basis are
     flagged basis-destroying rather than treated as errors.
+
+    The matrix is never copied. Each member's similarities to all other
+    users are computed once; removing an item then re-scores only the pairs
+    in which both users rated it (exactly, with ``pearson`` on the
+    remaining co-rated items; a pair left with fewer than two drops out),
+    re-ranks only the neighbors of members who rated it, and recomputes
+    only the means of users who rated it. The result equals removing the
+    item with ``RatingsMatrix.without_item`` and calling ``predict_rating``
+    for each member, bit for bit.
     """
-    base: dict[str, float] = {}
+    rows = {user: matrix.items_rated_by(user) for user in matrix.users()}
+    means = {user: _mean(row) for user, row in rows.items()}
+    base = {}  # member -> (prediction, similarity map, nearest neighbors)
     for member in group.members:
-        try:
-            base[member] = predict_rating(matrix, member, target, k)
-        except (NoPredictionBasisError, UnknownUserError):
+        if member not in rows:
             continue
+        scored = _similarities(matrix, member)
+        nearest = _nearest(scored, k)
+        try:
+            before = _predict(matrix, member, target, nearest, means.__getitem__)
+        except NoPredictionBasisError:
+            continue
+        base[member] = (before, scored, nearest)
     if not base:
         raise NoPredictionBasisError(
             f"no member of {group.id!r} has a prediction for {target!r}"
@@ -198,19 +217,36 @@ def influential_items(
         {
             item
             for member in group.members
-            for item in matrix.items_rated_by(member)
+            for item in rows.get(member, ())
             if item != target
         }
     )
     results = []
     for candidate in candidates:
-        reduced = matrix.without_item(candidate)
+
+        def mean(user: str) -> float:
+            row = rows[user]
+            return _mean(row, candidate) if candidate in row else means[user]
+
         deltas = []
         destroying = False
-        for member, before in base.items():
+        # A member with a prediction has a neighbor, hence two ratings, so
+        # no removal leaves a member without ratings.
+        for member, (before, scored, nearest) in base.items():
+            own = rows[member]
+            if candidate in own:
+                rescored = dict(scored)
+                for other in scored:
+                    if candidate in rows[other]:
+                        sim = _similarity(own, rows[other], candidate)
+                        if sim is None:
+                            del rescored[other]
+                        else:
+                            rescored[other] = sim
+                nearest = _nearest(rescored, k)
             try:
-                after = predict_rating(reduced, member, target, k)
-            except (NoPredictionBasisError, UnknownUserError):
+                after = _predict(matrix, member, target, nearest, mean)
+            except NoPredictionBasisError:
                 destroying = True
                 continue
             deltas.append(abs(after - before))

@@ -457,23 +457,25 @@ class _Mode:
 
     ``_run`` resolves the group and the item when the row asks for them and
     calls ``run(dataset, args, group, item)``, with None for the others.
+    ``flags`` names the mode flags (keys of ``_FLAGS``) the row reads.
     """
 
     run: Callable[..., CommandResult]
     group: bool = True
     item: bool = True
+    flags: tuple[str, ...] = ()
 
 
 # Subcommands without a --mode flag have the mode None.
 _TABLE: dict[tuple[str, str | None], _Mode] = {
-    ("explain-cf", "aggregation"): _Mode(_cf_aggregation),
-    ("explain-cf", "histogram"): _Mode(_cf_histogram),
+    ("explain-cf", "aggregation"): _Mode(_cf_aggregation, flags=("--strategy", "--k")),
+    ("explain-cf", "histogram"): _Mode(_cf_histogram, flags=("--k", "--nn-mode")),
     ("explain-cf", "group-histogram"): _Mode(_cf_group_histogram),
     ("explain-cf", "spider"): _Mode(_cf_spider),
-    ("explain-cf", "influence"): _Mode(_cf_influence),
+    ("explain-cf", "influence"): _Mode(_cf_influence, flags=("--k",)),
     ("explain-cb", "category"): _Mode(_cb_category),
-    ("explain-cb", "opinion"): _Mode(_cb_opinion),
-    ("explain-cb", "tags"): _Mode(_cb_tags, item=False),
+    ("explain-cb", "opinion"): _Mode(_cb_opinion, flags=("--threshold",)),
+    ("explain-cb", "tags"): _Mode(_cb_tags, item=False, flags=("--threshold",)),
     ("explain-constraint", "requirements"): _Mode(_constraint_requirements, item=False),
     ("explain-constraint", "maut"): _Mode(_constraint_maut),
     ("explain-critique", None): _Mode(_critique),
@@ -511,16 +513,31 @@ def _finite_number(text: str) -> float:
     return value
 
 
+# Mode flags: argparse settings and the value a row that reads the flag
+# gets when it is not given. A subcommand has the flags its rows read.
+_FLAGS = {
+    "--strategy": (
+        dict(choices=[s.value for s in AggregationStrategy]),
+        AggregationStrategy.AVG.value,
+    ),
+    "--k": (dict(type=_neighbor_count), 2),
+    "--nn-mode": (
+        dict(choices=[cf.NN_MODE_UNION, cf.NN_MODE_INTERSECTION]),
+        cf.NN_MODE_UNION,
+    ),
+    "--threshold": (dict(type=_finite_number), 0.4),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="groupexplain",
         description="Explain group recommendations across four paradigms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
     for command, help_text in _HELP.items():
         rows = {mode: row for (cmd, mode), row in _TABLE.items() if cmd == command}
-        p = parsers[command] = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--data", default=None, help="dataset file (JSON)")
         if any(row.group for row in rows.values()):
             p.add_argument("--group", default=None, help="group id (default: first)")
@@ -533,21 +550,29 @@ def build_parser() -> argparse.ArgumentParser:
         modes = [mode for mode in rows if mode is not None]
         if modes:
             p.add_argument("--mode", choices=modes, default=modes[0])
-
-    p_cf = parsers["explain-cf"]
-    strategies = [s.value for s in AggregationStrategy]
-    p_cf.add_argument("--strategy", choices=strategies, default=strategies[0])
-    p_cf.add_argument("--k", type=_neighbor_count, default=2)
-    nn_modes = [cf.NN_MODE_UNION, cf.NN_MODE_INTERSECTION]
-    p_cf.add_argument("--nn-mode", choices=nn_modes, default=nn_modes[0])
-    parsers["explain-cb"].add_argument("--threshold", type=_finite_number, default=0.4)
+        read = {flag for row in rows.values() for flag in row.flags}
+        for flag, (settings, _) in _FLAGS.items():
+            if flag in read:  # None tells _run the flag was not given
+                p.add_argument(flag, default=None, **settings)
     return parser
+
+
+def _apply_flags(row: _Mode, args) -> None:
+    """Reject mode flags the row does not read; default the ones it does."""
+    for flag, (_, default) in _FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if flag in row.flags:
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        elif getattr(args, dest, None) is not None:
+            raise _CliUsageError(f"{flag} is not used by this mode")
 
 
 def _run(dataset: Dataset, args) -> CommandResult:
     """Resolve what the row asks for, run it and head its payload."""
     mode = getattr(args, "mode", None)
     row = _TABLE[(args.command, mode)]
+    _apply_flags(row, args)
     header = dict(command=args.command, privacy=args.privacy)
     if mode is not None:
         header.update(mode=mode)

@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateVarianceError,
@@ -128,7 +128,7 @@ class RatingsMatrix:
         row = self._by_user.get(user)
         if not row:
             raise UnknownUserError(f"no ratings for user {user!r}")
-        return math.fsum(row.values()) / len(row)
+        return _mean(row)
 
     def co_rated(self, a: str, b: str) -> tuple[str, ...]:
         """Items rated by both users, ascending."""
@@ -204,6 +204,74 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return sxy / spread
 
 
+def _mean(row: Mapping[str, float], without: str | None = None) -> float:
+    """Mean of a rating row, leaving out the rating of *without*."""
+    values = [value for item, value in row.items() if item != without]
+    return math.fsum(values) / len(values)
+
+
+def _similarity(
+    own: Mapping[str, float], other: Mapping[str, float], without: str | None = None
+) -> float | None:
+    """Pearson over the items both rows rate, leaving out *without*.
+
+    None when fewer than two such items remain: the pair is not eligible
+    as neighbors. A degenerate pair scores 0.0 and stays eligible.
+    """
+    common = own.keys() & other.keys()
+    common.discard(without)
+    if len(common) < 2:
+        return None
+    common = sorted(common)
+    try:
+        return pearson([own[i] for i in common], [other[i] for i in common])
+    except DegenerateVarianceError:
+        return 0.0
+
+
+def _similarities(matrix: RatingsMatrix, user: str) -> dict[str, float]:
+    """Every other user eligible as *user*'s neighbor, with their similarity."""
+    if not matrix.has_user(user):
+        raise UnknownUserError(f"user {user!r} has no ratings")
+    own = matrix.items_rated_by(user)
+    scored: dict[str, float] = {}
+    for other in matrix.users():
+        if other != user:
+            sim = _similarity(own, matrix.items_rated_by(other))
+            if sim is not None:
+                scored[other] = sim
+    return scored
+
+
+def _nearest(scored: Mapping[str, float], k: int) -> list[tuple[str, float]]:
+    """The k most similar users; ties by ascending user id."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return sorted(scored.items(), key=lambda pair: (-pair[1], pair[0]))[:k]
+
+
+def _predict(
+    matrix: RatingsMatrix,
+    user: str,
+    item: str,
+    neighbors: Sequence[tuple[str, float]],
+    mean: Callable[[str], float],
+) -> float:
+    """The clamped mean-centred prediction from ranked (neighbor, sim) pairs.
+
+    *mean* gives a user's mean rating; ratings of *item* come from *matrix*.
+    """
+    raters = [(v, sim) for v, sim in neighbors if matrix.get(v, item) is not None]
+    if not raters:
+        raise NoPredictionBasisError(
+            f"no neighbor of {user!r} rated item {item!r}"
+        )
+    numerator = math.fsum(sim * (matrix.get(v, item) - mean(v)) for v, sim in raters)
+    denominator = math.fsum(abs(sim) for _, sim in raters)
+    deviation = numerator / denominator if denominator > 0.0 else 0.0
+    return min(RATING_MAX, max(RATING_MIN, mean(user) + deviation))
+
+
 def knn_neighbors(
     matrix: RatingsMatrix, user: str, k: int = 2
 ) -> list[tuple[str, float]]:
@@ -213,26 +281,7 @@ def knn_neighbors(
     degenerate variance get similarity 0.0 and stay eligible. Sorted by
     similarity descending, ties by ascending user id.
     """
-    if not matrix.has_user(user):
-        raise UnknownUserError(f"user {user!r} has no ratings")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    scored: list[tuple[str, float]] = []
-    own = matrix.items_rated_by(user)
-    for other in matrix.users():
-        if other == user:
-            continue
-        common = matrix.co_rated(user, other)
-        if len(common) < 2:
-            continue
-        other_row = matrix.items_rated_by(other)
-        try:
-            sim = pearson([own[i] for i in common], [other_row[i] for i in common])
-        except DegenerateVarianceError:
-            sim = 0.0
-        scored.append((other, sim))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    return _nearest(_similarities(matrix, user), k)
 
 
 def predict_rating(matrix: RatingsMatrix, user: str, item: str, k: int = 2) -> float:
@@ -245,17 +294,7 @@ def predict_rating(matrix: RatingsMatrix, user: str, item: str, k: int = 2) -> f
     deviation term is 0.
     """
     neighbors = knn_neighbors(matrix, user, k)
-    raters = [(v, sim) for v, sim in neighbors if matrix.get(v, item) is not None]
-    if not raters:
-        raise NoPredictionBasisError(
-            f"no neighbor of {user!r} rated item {item!r}"
-        )
-    numerator = math.fsum(
-        sim * (matrix.get(v, item) - matrix.user_mean(v)) for v, sim in raters
-    )
-    denominator = math.fsum(abs(sim) for _, sim in raters)
-    deviation = numerator / denominator if denominator > 0.0 else 0.0
-    return min(RATING_MAX, max(RATING_MIN, matrix.user_mean(user) + deviation))
+    return _predict(matrix, user, item, neighbors, matrix.user_mean)
 
 
 #: Comparison operators usable in requirements and critiques.

@@ -1,7 +1,10 @@
 """Collaborative explanations: histograms, aggregation texts, influence."""
 
+import random
+
 import pytest
 
+from groupexplain import core
 from groupexplain import (
     AggregationStrategy,
     Group,
@@ -11,12 +14,14 @@ from groupexplain import (
     group_rating_histogram,
     influential_items,
     nn_rating_histogram,
+    predict_rating,
 )
 from groupexplain.cf import SOURCE_MEMBER_NEIGHBORS, SOURCE_NEIGHBOR_GROUPS
 from groupexplain.errors import (
     EmptyGroupSetError,
     MissingRatingError,
     NoPredictionBasisError,
+    UnknownUserError,
 )
 
 # expected bucket counts per item over the six assigned neighbors
@@ -180,3 +185,65 @@ class TestInfluence:
         matrix = RatingsMatrix([("a", "i1", 3.0), ("b", "i2", 2.0)])
         with pytest.raises(NoPredictionBasisError):
             influential_items(matrix, Group("g", ("a", "b")), "i2", k=2)
+
+
+def _generated_case():
+    rng = random.Random(7)
+    users = [f"u{n:02d}" for n in range(40)]
+    ratings = [
+        (u, f"i{i:02d}", rng.randrange(11) / 2)
+        for u in users
+        for i in range(30)
+        if rng.random() < 0.35
+    ]
+    return RatingsMatrix(ratings), Group("g", tuple(users[:4])), "i00"
+
+
+class TestInfluenceWork:
+    """influential_items recomputes only what a removed item touches."""
+
+    @pytest.fixture(params=["builtin", "generated"])
+    def case(self, request, dataset, g1):
+        if request.param == "builtin":
+            return dataset.matrix, g1, "t1"
+        return _generated_case()
+
+    @staticmethod
+    def pearson_bound(matrix, group, target):
+        """Pearson calls allowed: members x (users - 1), plus, per removed
+        item c, (#members with a prediction who rated c) x (#other users
+        who rated c)."""
+        users = matrix.users()
+        predicted = []
+        for member in group.members:
+            try:
+                predict_rating(matrix, member, target, 2)
+                predicted.append(member)
+            except (NoPredictionBasisError, UnknownUserError):
+                pass
+        bound = len(group.members) * (len(users) - 1)
+        rated = {i for m in group.members for i in matrix.items_rated_by(m)}
+        for item in rated - {target}:
+            raters = [u for u in users if matrix.get(u, item) is not None]
+            bound += sum(m in raters for m in predicted) * (len(raters) - 1)
+        return bound
+
+    def test_no_matrix_copies_and_bounded_pearson_calls(self, case, monkeypatch):
+        matrix, group, target = case
+        bound = self.pearson_bound(matrix, group, target)
+        builds, pearsons = [], []
+        init, pearson = core.RatingsMatrix.__init__, core.pearson
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_pearson(*args):
+            pearsons.append(1)
+            return pearson(*args)
+
+        monkeypatch.setattr(core.RatingsMatrix, "__init__", counting_init)
+        monkeypatch.setattr(core, "pearson", counting_pearson)
+        assert influential_items(matrix, group, target, k=2)
+        assert len(builds) == 0
+        assert 0 < len(pearsons) <= bound

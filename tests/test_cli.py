@@ -327,6 +327,48 @@ class TestExitCodes:
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert named in err
 
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["explain-cf", "--mode", "spider", "--strategy", "lms"], "--strategy"),
+            (["explain-cf", "--mode", "group-histogram", "--k", "7",
+              "--nn-mode", "intersection"], "--k"),
+            (["explain-cb", "--mode", "category", "--threshold", "0.9"], "--threshold"),
+            (["explain-cf", "--mode", "aggregation", "--nn-mode", "union"], "--nn-mode"),
+            (["explain-cf", "--mode", "histogram", "--strategy", "avg"], "--strategy"),
+            (["explain-cf", "--mode", "influence", "--strategy", "mpl"], "--strategy"),
+        ],
+        ids=[
+            "spider-strategy", "group-histogram-k", "category-threshold",
+            "aggregation-nn-mode", "histogram-strategy", "influence-strategy",
+        ],
+    )
+    def test_flag_not_read_by_mode(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv, "--item", "t1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"usage error: {named} is not used by this mode\n"
+
+    @pytest.mark.parametrize(
+        "argv,flag,default",
+        [
+            (["explain-cf", "--mode", "aggregation", "--item", "t1"], "--strategy", "avg"),
+            (["explain-cf", "--mode", "aggregation", "--item", "t1"], "--k", "2"),
+            (["explain-cf", "--mode", "histogram", "--item", "t1"], "--k", "2"),
+            (["explain-cf", "--mode", "histogram", "--item", "t1"], "--nn-mode", "union"),
+            (["explain-cf", "--mode", "influence", "--item", "t1"], "--k", "2"),
+            (["explain-cb", "--mode", "opinion", "--item", "t1"], "--threshold", "0.4"),
+            (["explain-cb", "--mode", "tags"], "--threshold", "0.4"),
+        ],
+        ids=[
+            "aggregation-strategy", "aggregation-k", "histogram-k", "histogram-nn-mode",
+            "influence-k", "opinion-threshold", "tags-threshold",
+        ],
+    )
+    def test_flag_read_by_mode_defaults(self, capsys, argv, flag, default):
+        plain = run(capsys, *argv, "--format", "json")
+        assert plain[0] == EXIT_OK
+        assert run(capsys, *argv, "--format", "json", flag, default) == plain
+
     def test_no_prediction_basis(self, capsys):
         # x13 is rated by u1 only; no neighbor of any member rated it
         code, _, err = run(capsys, "explain-cf", "--item", "x13")

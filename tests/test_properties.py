@@ -1,7 +1,9 @@
 """Property suites: invariants that must hold on randomized inputs.
 
-Eight suites, 200 examples each. The relaxation suite checks the
-implementation against a brute-force subset enumeration written here.
+Nine suites, 200 examples each. The relaxation suite checks the
+implementation against a brute-force subset enumeration written here, the
+influence suite against the leave-one-out definition (a reduced copy of
+the matrix per removed item).
 """
 
 import math
@@ -16,7 +18,9 @@ from groupexplain import (
     DecisionHistory,
     Group,
     Item,
+    ItemInfluence,
     RatingBucket,
+    RatingsMatrix,
     Requirement,
     adapt_weights,
     aggregate,
@@ -24,10 +28,14 @@ from groupexplain import (
     categorize_rating,
     critique_explanation,
     critique_support,
+    influential_items,
+    knn_neighbors,
     pearson,
+    predict_rating,
     relaxation_proposals,
     tag_cloud,
 )
+from groupexplain.errors import NoPredictionBasisError, UnknownUserError
 
 RUNS = settings(max_examples=200, deadline=None)
 
@@ -154,6 +162,134 @@ def test_relaxation_matches_brute_force(instance):
     )
     expected = [] if satisfiable else brute_force_relaxations(requirements, items)
     assert [(p.removed, p.survivors) for p in proposals] == expected
+
+
+def leave_one_out(matrix, group, target, k):
+    """Independent oracle: ``influential_items`` by its definition.
+
+    Each candidate item is removed with ``without_item`` and every member's
+    prediction is recomputed from scratch on the reduced copy.
+    """
+
+    def predictions(ratings):
+        found = {}
+        for member in group.members:
+            try:
+                found[member] = predict_rating(ratings, member, target, k)
+            except (NoPredictionBasisError, UnknownUserError):
+                pass
+        return found
+
+    base = predictions(matrix)
+    if not base:
+        return None
+    rated = {i for member in group.members for i in matrix.items_rated_by(member)}
+    results = []
+    for candidate in sorted(rated - {target}):
+        after = predictions(matrix.without_item(candidate))
+        deltas = [abs(after[m] - before) for m, before in base.items() if m in after]
+        delta = math.fsum(deltas) / len(deltas) if deltas else 0.0
+        results.append(ItemInfluence(candidate, delta, len(deltas) < len(base)))
+    results.sort(key=lambda r: (-r.delta, r.item))
+    return results
+
+
+def assert_influence_is_leave_one_out(ratings, members, target, k):
+    matrix = RatingsMatrix(ratings)
+    group = Group("g", members)
+    expected = leave_one_out(matrix, group, target, k)
+    if expected is None:
+        with pytest.raises(NoPredictionBasisError):
+            influential_items(matrix, group, target, k)
+        return
+    # exact: same order, deltas equal with ==, same flags
+    assert influential_items(matrix, group, target, k) == expected
+
+
+rating_values = st.one_of(
+    st.integers(0, 10).map(lambda n: n / 2), st.floats(0.0, 5.0)
+)
+
+
+@st.composite
+def influence_instances(draw):
+    users = [f"u{n}" for n in range(draw(st.integers(2, 7)))]
+    items = [f"i{n}" for n in range(draw(st.integers(2, 6)))]
+    ratings = [
+        (u, i, draw(rating_values)) for u in users for i in items if draw(st.booleans())
+    ]
+    # "nobody" is a member without ratings, as is any user who drew none
+    members = draw(
+        st.lists(st.sampled_from(users + ["nobody"]), min_size=1, max_size=4, unique=True)
+    )
+    return ratings, tuple(members), draw(st.sampled_from(items)), draw(st.integers(1, 3))
+
+
+@given(instance=influence_instances())
+@RUNS
+def test_influence_matches_leave_one_out(instance):
+    assert_influence_is_leave_one_out(*instance)
+
+
+def _rows(**rows):
+    return [(u, i, v) for u, row in rows.items() for i, v in row.items()]
+
+
+# Situations the incremental scan must get exactly right, each checked
+# to hold before the comparison.
+FORCED = {
+    # m's only rating is a candidate; m has no prediction at all
+    "only-rating-is-candidate": (
+        _rows(
+            a=dict(i1=1.0, i2=3.0, i3=5.0),
+            b=dict(i1=2.0, i2=3.0, i3=4.0, t=4.0),
+            c=dict(i1=5.0, i2=1.0, i3=2.0, t=1.0),
+            m=dict(i4=2.0),
+        ),
+        ("a", "m"), "t", 2,
+        lambda matrix: dict(matrix.items_rated_by("m")) == {"i4": 2.0},
+    ),
+    # removing i1 leaves a and b one co-rated item, so b stops being a neighbor
+    "one-co-rated-item-left": (
+        _rows(
+            a=dict(i1=1.0, i2=4.0, i3=2.0),
+            b=dict(i1=2.0, i2=5.0, t=3.0),
+            c=dict(i1=1.0, i2=3.0, i3=2.0, t=1.0),
+        ),
+        ("a",), "t", 1,
+        lambda matrix: matrix.co_rated("a", "b") == ("i1", "i2")
+        and knn_neighbors(matrix, "a", 1)[0][0] == "b",
+    ),
+    # without i1, a's co-rated ratings are constant: similarities become 0.0
+    "constant-after-removal": (
+        _rows(
+            a=dict(i1=1.0, i2=2.0, i3=2.0),
+            b=dict(i1=5.0, i2=3.0, i3=4.0, t=4.0),
+            c=dict(i1=3.0, i2=1.0, i3=2.0, t=2.0),
+        ),
+        ("a",), "t", 2,
+        lambda matrix: all(sim != 0.0 for _, sim in knn_neighbors(matrix, "a", 2)),
+    ),
+    # b and c are equally similar to a; the lower id wins the one slot
+    "tied-similarities": (
+        _rows(
+            a=dict(i1=1.0, i2=3.0, i3=5.0),
+            b=dict(i1=2.0, i2=3.0, i3=4.0, t=5.0),
+            c=dict(i1=2.0, i2=3.0, i3=4.0, t=1.0),
+            d=dict(i1=0.0, i2=3.0, i3=4.5, t=3.0),
+        ),
+        ("a",), "t", 1,
+        lambda matrix: knn_neighbors(matrix, "a", 2)[0][1]
+        == knn_neighbors(matrix, "a", 2)[1][1],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FORCED.values(), ids=FORCED.keys())
+def test_influence_forced_cases(case):
+    ratings, members, target, k, holds = case
+    assert holds(RatingsMatrix(ratings))
+    assert_influence_is_leave_one_out(ratings, members, target, k)
 
 
 @given(
