@@ -13,8 +13,8 @@ from groupexplain import (
     group_rating_histogram,
     influential_items,
     load_builtin,
+    member_predictions,
     nn_rating_histogram,
-    predict_rating,
 )
 
 
@@ -24,7 +24,8 @@ def main() -> None:
     item = "t1"
 
     print(f"== Predicted ratings for {item} ==")
-    scores = {m: predict_rating(ds.matrix, m, item) for m in group.members}
+    taking_part = member_predictions(ds.matrix, group, item)
+    scores = {m: p.prediction for m, p in taking_part.items()}
     for member, score in scores.items():
         print(f"  {member}: {score:.3f}")
 

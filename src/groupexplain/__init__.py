@@ -24,11 +24,13 @@ from .cb import (
 from .cf import (
     HistogramCounts,
     ItemInfluence,
+    MemberPrediction,
     NeighborAssignment,
     RatingHistogram,
     aggregation_explanation,
     group_rating_histogram,
     influential_items,
+    member_predictions,
     nn_rating_histogram,
 )
 from .constraint import (
@@ -95,6 +97,7 @@ __all__ = [
     "InterestDimension",
     "Item",
     "ItemInfluence",
+    "MemberPrediction",
     "NeighborAssignment",
     "RatingBucket",
     "RatingHistogram",
@@ -128,6 +131,7 @@ __all__ = [
     "load_dataset",
     "maut_relevance",
     "mean_importance",
+    "member_predictions",
     "nn_rating_histogram",
     "opinion_relevance",
     "opinion_relevance_per_member",

@@ -17,7 +17,6 @@ from .core import (
     RatingsMatrix,
     aggregate,
     categorize_rating,
-    knn_neighbors,
     RatingBucket,
     _mean,
     _nearest,
@@ -29,6 +28,7 @@ from .errors import (
     EmptyGroupSetError,
     MissingRatingError,
     NoPredictionBasisError,
+    UnknownUserError,
 )
 from .render import Explanation, PRIVACY_NAMED, render_explanation
 
@@ -58,6 +58,47 @@ class RatingHistogram:
     source: str
 
 
+class MemberPrediction(NamedTuple):
+    """One member's similarity map, k nearest neighbors and prediction."""
+
+    similarities: dict[str, float]
+    neighbors: list[tuple[str, float]]
+    prediction: float | None
+
+
+def member_predictions(
+    matrix: RatingsMatrix, group: Group, item: str | None, k: int = 2
+) -> dict[str, MemberPrediction]:
+    """The members who take part in a CF explanation, in group order.
+
+    Members without ratings never take part. Without an *item* the others
+    do, with prediction None; with one, only those whose k nearest
+    neighbors include a rater of it, with ``predict_rating``'s prediction.
+    Raises unknown-user, or no-prediction-basis given an item, when no one
+    takes part. Each member's similarity map is computed once.
+    """
+    found = {}
+    for member in group.members:
+        if not matrix.has_user(member):
+            continue
+        scored = _similarities(matrix, member)
+        nearest = _nearest(scored, k)
+        prediction = None
+        if item is not None:
+            try:
+                prediction = _predict(matrix, member, item, nearest, matrix.user_mean)
+            except NoPredictionBasisError:
+                continue
+        found[member] = MemberPrediction(scored, nearest, prediction)
+    if not found and item is None:
+        raise UnknownUserError(f"no member of {group.id!r} has ratings")
+    if not found:
+        raise NoPredictionBasisError(
+            f"no member of {group.id!r} has a prediction for {item!r}"
+        )
+    return found
+
+
 @dataclass(frozen=True)
 class NeighborAssignment:
     """Per-member nearest-neighbor lists plus the set-combination mode."""
@@ -77,10 +118,9 @@ class NeighborAssignment:
         k: int = 2,
         mode: str = NN_MODE_UNION,
     ) -> "NeighborAssignment":
-        lists = {
-            member: tuple(v for v, _ in knn_neighbors(matrix, member, k))
-            for member in group.members
-        }
+        """The neighbor lists of the members with ratings."""
+        taking_part = member_predictions(matrix, group, None, k)
+        lists = {m: tuple(v for v, _ in p.neighbors) for m, p in taking_part.items()}
         return cls(neighbors=lists, mode=mode)
 
     def effective_users(self) -> tuple[str, ...]:
@@ -88,22 +128,14 @@ class NeighborAssignment:
         sets = [set(lst) for lst in self.neighbors.values()]
         if not sets:
             return ()
-        if self.mode == NN_MODE_UNION:
-            merged = set().union(*sets)
-        else:
-            merged = set.intersection(*sets)
-        return tuple(sorted(merged))
+        combine = set.union if self.mode == NN_MODE_UNION else set.intersection
+        return tuple(sorted(combine(*sets)))
 
 
 def _bucket_counts(ratings: Sequence[float]) -> HistogramCounts:
-    tally = {RatingBucket.BAD: 0, RatingBucket.NEUTRAL: 0, RatingBucket.GOOD: 0}
-    for value in ratings:
-        tally[categorize_rating(value)] += 1
-    return HistogramCounts(
-        bad=tally[RatingBucket.BAD],
-        neutral=tally[RatingBucket.NEUTRAL],
-        good=tally[RatingBucket.GOOD],
-    )
+    buckets = [categorize_rating(value) for value in ratings]
+    # RatingBucket declares bad, neutral, good: the order of the fields
+    return HistogramCounts(*(buckets.count(bucket) for bucket in RatingBucket))
 
 
 def nn_rating_histogram(
@@ -182,47 +214,26 @@ def influential_items(
     """Rank rated items by how much their removal moves the group prediction.
 
     For each item some member rated (except the target) the whole rating
-    column is removed and every member's prediction for the target is
-    recomputed; delta is the mean absolute shift over members that still
-    have a prediction. Removals that strip a member of any basis are
-    flagged basis-destroying rather than treated as errors.
+    column is removed and the prediction of each member taking part
+    (``member_predictions``) is recomputed; delta is the mean absolute shift
+    over members that still have a prediction. Removals that strip a member
+    of any basis are flagged basis-destroying rather than treated as errors.
 
     The matrix is never copied. Each member's similarities to all other
     users are computed once; removing an item then re-scores only the pairs
     in which both users rated it (exactly, with ``pearson`` on the
     remaining co-rated items; a pair left with fewer than two drops out),
     re-ranks only the neighbors of members who rated it, and recomputes
-    only the means of users who rated it. The result equals removing the
-    item with ``RatingsMatrix.without_item`` and calling ``predict_rating``
-    for each member, bit for bit.
+    only the means of users who rated it. The result equals rebuilding the
+    matrix without the item's ratings and calling ``predict_rating`` for
+    each member, bit for bit.
     """
+    base = member_predictions(matrix, group, target, k)
     rows = {user: matrix.items_rated_by(user) for user in matrix.users()}
     means = {user: _mean(row) for user, row in rows.items()}
-    base = {}  # member -> (prediction, similarity map, nearest neighbors)
-    for member in group.members:
-        if member not in rows:
-            continue
-        scored = _similarities(matrix, member)
-        nearest = _nearest(scored, k)
-        try:
-            before = _predict(matrix, member, target, nearest, means.__getitem__)
-        except NoPredictionBasisError:
-            continue
-        base[member] = (before, scored, nearest)
-    if not base:
-        raise NoPredictionBasisError(
-            f"no member of {group.id!r} has a prediction for {target!r}"
-        )
-    candidates = sorted(
-        {
-            item
-            for member in group.members
-            for item in rows.get(member, ())
-            if item != target
-        }
-    )
+    rated = {item for member in group.members for item in rows.get(member, ())}
     results = []
-    for candidate in candidates:
+    for candidate in sorted(rated - {target}):
 
         def mean(user: str) -> float:
             row = rows[user]
@@ -232,7 +243,7 @@ def influential_items(
         destroying = False
         # A member with a prediction has a neighbor, hence two ratings, so
         # no removal leaves a member without ratings.
-        for member, (before, scored, nearest) in base.items():
+        for member, (scored, nearest, before) in base.items():
             own = rows[member]
             if candidate in own:
                 rescored = dict(scored)

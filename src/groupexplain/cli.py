@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import cb, cf, constraint, critique, svg
-from .core import AggregationStrategy, Group, Item, aggregate, predict_rating
+from .core import AggregationStrategy, Group, Item, aggregate
 from .dataset import Dataset, builtin_dataset_path, load_dataset
 from .errors import (
     DATASET_ERRORS,
@@ -103,31 +103,29 @@ def _resolve_group(dataset: Dataset, args) -> Group:
 
 
 def _cf_aggregation(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
-    scores = {
-        member: predict_rating(dataset.matrix, member, item.id, args.k)
-        for member in group.members
-    }
+    taking_part = cf.member_predictions(dataset.matrix, group, item.id, args.k)
+    scores = {member: p.prediction for member, p in taking_part.items()}
     strategy = AggregationStrategy.parse(args.strategy)
     explanation = cf.aggregation_explanation(item.id, scores, strategy, args.privacy)
-    value, contributors = aggregate(scores, strategy)
+    slots = explanation.slots
     ordered = sorted(scores.items())
     payload = dict(
         strategy=strategy.value,
-        score=_r2(value),
+        score=_r2(slots["score"]),
         explanation=explanation.text,
         template=explanation.template_id,
     )
     lines = [explanation.text]
     if args.privacy == PRIVACY_NAMED:
         payload.update(
-            scores={m: _r2(s) for m, s in ordered}, contributors=list(contributors)
+            scores={m: _r2(s) for m, s in ordered}, contributors=list(slots["users"])
         )
         lines += [f"{m}: {fmt_num(s)}" for m, s in ordered]
         series = tuple(ordered)
     else:
-        payload.update(contributor_count=len(contributors), member_count=len(scores))
+        payload.update(contributor_count=slots["count"], member_count=slots["total"])
         series = _anonymous_labels(ordered)
-    lines.append(f"group score ({strategy.value}): {fmt_num(value)}")
+    lines.append(f"group score ({strategy.value}): {fmt_num(slots['score'])}")
     return CommandResult(lines, payload, _bar(series, "score", max=5.0))
 
 

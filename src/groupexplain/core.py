@@ -130,21 +130,6 @@ class RatingsMatrix:
             raise UnknownUserError(f"no ratings for user {user!r}")
         return _mean(row)
 
-    def co_rated(self, a: str, b: str) -> tuple[str, ...]:
-        """Items rated by both users, ascending."""
-        row_a = self._by_user.get(a, {})
-        row_b = self._by_user.get(b, {})
-        return tuple(sorted(row_a.keys() & row_b.keys()))
-
-    def without_item(self, item: str) -> "RatingsMatrix":
-        """A copy with every rating of *item* removed."""
-        return RatingsMatrix(
-            (u, i, r)
-            for u, row in self._by_user.items()
-            for i, r in row.items()
-            if i != item
-        )
-
 
 def categorize_rating(rating: float) -> RatingBucket:
     """Place a rating into the bad / neutral / good bucket."""

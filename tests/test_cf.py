@@ -55,6 +55,13 @@ class TestNeighborHistogram:
             "nn11", "nn12", "nn21", "nn22", "nn31", "nn32",
         )
 
+    def test_assignment_leaves_out_members_without_ratings(self, dataset, g1):
+        plain = NeighborAssignment.from_knn(dataset.matrix, g1, k=2)
+        more = Group("g9", g1.members + ("nobody",))
+        assert NeighborAssignment.from_knn(dataset.matrix, more, k=2) == plain
+        with pytest.raises(UnknownUserError):
+            NeighborAssignment.from_knn(dataset.matrix, Group("g0", ("nobody",)), k=2)
+
     @pytest.mark.parametrize("item", sorted(NEIGHBOR_BUCKETS))
     def test_bucket_counts(self, dataset, g1, item):
         assignment = NeighborAssignment.from_knn(dataset.matrix, g1, k=2)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from groupexplain import cb
+from groupexplain import cb, predict_rating
 from groupexplain.cli import (
     EXIT_COMPUTE,
     EXIT_DATASET,
@@ -13,6 +13,8 @@ from groupexplain.cli import (
     EXIT_USAGE,
     main,
 )
+from groupexplain.dataset import builtin_dataset_path
+from groupexplain.render import display_round
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -381,6 +383,46 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
+
+
+class TestMemberRule:
+    """Who takes part in a CF explanation: members with a prediction."""
+
+    def test_aggregation_over_the_members_with_a_prediction(self, capsys, dataset):
+        # on x11 only u1 has a neighbor who rated it; u2 and u3 are left out
+        value = predict_rating(dataset.matrix, "u1", "x11", 2)
+        argv = ["explain-cf", "--item", "x11", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["scores"] == {"u1": display_round(value, 2)}
+        assert payload["score"] == display_round(value, 2)
+        assert payload["contributors"] == ["u1"]
+        code, out, _ = run(capsys, *argv, "--privacy", "anonymous")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert (payload["contributor_count"], payload["member_count"]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "mode,error",
+        [
+            ("aggregation", "no-prediction-basis"),
+            ("histogram", "unknown-user"),
+            ("influence", "no-prediction-basis"),
+        ],
+    )
+    def test_no_member_with_ratings(self, capsys, tmp_path, mode, error):
+        doc = json.loads(builtin_dataset_path().read_text(encoding="utf-8"))
+        doc["users"] += ["nobody", "none"]
+        doc["groups"]["g0"] = ["nobody", "none"]
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(
+            capsys, "explain-cf", "--data", str(path), "--group", "g0",
+            "--mode", mode, "--item", "t1",
+        )
+        assert code == EXIT_COMPUTE and out == ""
+        assert err.startswith(f"error: {error}: no member of 'g0' ")
 
 
 def test_custom_data_file(capsys, tmp_path):

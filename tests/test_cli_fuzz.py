@@ -5,6 +5,9 @@ the bundled file and runs every (subcommand, mode) row of the CLI table on
 the result, each with a drawn format and privacy. Whatever the data, the
 CLI exits 0, 2, 3 or 4; a failure writes exactly one stderr line and a
 success none; ``--format json`` output is strict JSON.
+
+A second property adds a member without ratings to a group: no
+``explain-cf`` mode may change its exit code or its output for it.
 """
 
 import contextlib
@@ -110,3 +113,49 @@ def test_every_mode_keeps_the_failure_contract(data_path, doc, draws):
         else:
             assert err.getvalue().count("\n") == 1, argv
             assert err.getvalue().endswith("\n"), argv
+
+
+RATED_USERS = sorted({row[0] for row in BUNDLED["ratings"]})
+CF_MODES = [(mode, row) for (cmd, mode), row in _TABLE.items() if cmd == "explain-cf"]
+FLAG_VALUES = {
+    "--k": st.sampled_from(["1", "2", "3"]),
+    "--strategy": st.sampled_from(["avg", "lms", "mpl"]),
+    "--nn-mode": st.sampled_from(["union", "intersection"]),
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    members=st.lists(st.sampled_from(RATED_USERS), min_size=1, max_size=4, unique=True),
+    draws=st.data(),
+)
+def test_member_without_ratings_changes_no_cf_output(data_path, members, draws):
+    at = draws.draw(st.integers(0, len(members)))
+    doc = json.loads(json.dumps(BUNDLED))
+    doc["users"].append("nobody")
+    doc["groups"].update(base=members, more=members[:at] + ["nobody"] + members[at:])
+    data_path.write_text(json.dumps(doc), encoding="utf-8")
+    item = draws.draw(st.sampled_from(sorted(BUNDLED["items"])))
+    for mode, row in CF_MODES:
+        flags = [x for flag in row.flags for x in (flag, draws.draw(FLAG_VALUES[flag]))]
+        for privacy in PRIVACIES:
+            for fmt in ("text", "json", "svg"):
+                argv = ["explain-cf", "--data", str(data_path), "--mode", mode,
+                        "--item", item, "--privacy", privacy, "--format", fmt, *flags]
+                code, out = _run([*argv, "--group", "base"])
+                more_code, more_out = _run([*argv, "--group", "more"])
+                assert code in (0, 4) and more_code == code, argv
+                if fmt == "json" and code == 0:
+                    payload, more_payload = json.loads(out), json.loads(more_out)
+                    assert payload.pop("group") == "base"
+                    assert more_payload.pop("group") == "more"
+                    assert more_payload == payload, argv
+                else:
+                    assert more_out == out, argv

@@ -29,6 +29,7 @@ from groupexplain.errors import (
     RatingOutOfRangeError,
     UnknownUserError,
 )
+from helpers import co_rated, without_item
 
 
 @pytest.fixture()
@@ -144,12 +145,12 @@ class TestRatingsMatrix:
     def test_lookup(self, four_users):
         assert four_users.get("a", "i1") == 4.0
         assert four_users.get("a", "i4") is None
-        assert four_users.co_rated("a", "b") == ("i1", "i2", "i3")
+        assert co_rated(four_users, "a", "b") == ("i1", "i2", "i3")
         assert four_users.user_mean("a") == pytest.approx(4.0)
         assert len(four_users) == 15
 
     def test_without_item(self, four_users):
-        reduced = four_users.without_item("i1")
+        reduced = without_item(four_users, "i1")
         assert reduced.get("a", "i1") is None
         assert reduced.get("a", "i2") == 3.0
         assert len(reduced) == 11

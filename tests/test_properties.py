@@ -1,6 +1,6 @@
 """Property suites: invariants that must hold on randomized inputs.
 
-Nine suites, 200 examples each. The relaxation suite checks the
+Ten suites, 200 examples each. The relaxation suite checks the
 implementation against a brute-force subset enumeration written here, the
 influence suite against the leave-one-out definition (a reduced copy of
 the matrix per removed item).
@@ -30,12 +30,14 @@ from groupexplain import (
     critique_support,
     influential_items,
     knn_neighbors,
+    member_predictions,
     pearson,
     predict_rating,
     relaxation_proposals,
     tag_cloud,
 )
 from groupexplain.errors import NoPredictionBasisError, UnknownUserError
+from helpers import co_rated, without_item
 
 RUNS = settings(max_examples=200, deadline=None)
 
@@ -167,7 +169,8 @@ def test_relaxation_matches_brute_force(instance):
 def leave_one_out(matrix, group, target, k):
     """Independent oracle: ``influential_items`` by its definition.
 
-    Each candidate item is removed with ``without_item`` and every member's
+    Each candidate item is removed with ``without_item`` (a rebuilt copy of
+    the matrix, not the library's incremental scan) and every member's
     prediction is recomputed from scratch on the reduced copy.
     """
 
@@ -186,7 +189,7 @@ def leave_one_out(matrix, group, target, k):
     rated = {i for member in group.members for i in matrix.items_rated_by(member)}
     results = []
     for candidate in sorted(rated - {target}):
-        after = predictions(matrix.without_item(candidate))
+        after = predictions(without_item(matrix, candidate))
         deltas = [abs(after[m] - before) for m, before in base.items() if m in after]
         delta = math.fsum(deltas) / len(deltas) if deltas else 0.0
         results.append(ItemInfluence(candidate, delta, len(deltas) < len(base)))
@@ -231,6 +234,37 @@ def test_influence_matches_leave_one_out(instance):
     assert_influence_is_leave_one_out(*instance)
 
 
+@given(instance=influence_instances())
+@RUNS
+def test_member_predictions_follow_predict_rating(instance):
+    ratings, members, target, k = instance
+    matrix, group = RatingsMatrix(ratings), Group("g", members)
+    expected = {}
+    for member in members:
+        try:
+            expected[member] = predict_rating(matrix, member, target, k)
+        except (NoPredictionBasisError, UnknownUserError):
+            pass
+    if expected:
+        taking_part = member_predictions(matrix, group, target, k)
+        # group order, predictions equal with ==
+        assert [(m, p.prediction) for m, p in taking_part.items()] == list(
+            expected.items()
+        )
+    else:
+        with pytest.raises(NoPredictionBasisError):
+            member_predictions(matrix, group, target, k)
+    rated = [member for member in members if matrix.has_user(member)]
+    if rated:
+        taking_part = member_predictions(matrix, group, None, k)
+        assert [(m, p.neighbors, p.prediction) for m, p in taking_part.items()] == [
+            (m, knn_neighbors(matrix, m, k), None) for m in rated
+        ]
+    else:
+        with pytest.raises(UnknownUserError):
+            member_predictions(matrix, group, None, k)
+
+
 def _rows(**rows):
     return [(u, i, v) for u, row in rows.items() for i, v in row.items()]
 
@@ -257,7 +291,7 @@ FORCED = {
             c=dict(i1=1.0, i2=3.0, i3=2.0, t=1.0),
         ),
         ("a",), "t", 1,
-        lambda matrix: matrix.co_rated("a", "b") == ("i1", "i2")
+        lambda matrix: co_rated(matrix, "a", "b") == ("i1", "i2")
         and knn_neighbors(matrix, "a", 1)[0][0] == "b",
     ),
     # without i1, a's co-rated ratings are constant: similarities become 0.0
