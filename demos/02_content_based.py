@@ -28,7 +28,7 @@ def main() -> None:
         print(f"  {category}: {relevance:.2f}")
     best = ranked[0][0]
     explanation = render_explanation(
-        "cb", "cb-category", "named", {"item": item.id, "category": best}
+        "cb-category", "named", {"item": item.id, "category": best}
     )
     print(f"  -> {explanation.text}")
 

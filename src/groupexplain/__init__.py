@@ -71,11 +71,7 @@ from .errors import GroupExplainError
 from .render import (
     ChartData,
     Explanation,
-    TemplateCatalog,
-    default_catalog,
-    fairness_chart,
     histogram_chart,
-    importance_chart,
     render_explanation,
     spider_chart,
     tag_cloud,
@@ -106,7 +102,6 @@ __all__ = [
     "Requirement",
     "SupportMatrix",
     "TagApplications",
-    "TemplateCatalog",
     "adapt_weights",
     "aggregate",
     "aggregation_explanation",
@@ -116,15 +111,12 @@ __all__ = [
     "causally_relevant",
     "critique_explanation",
     "critique_support",
-    "default_catalog",
-    "fairness_chart",
     "fairness_degree",
     "group_fairness",
     "group_rating_histogram",
     "group_tag_preference",
     "group_tag_relevance",
     "histogram_chart",
-    "importance_chart",
     "influential_items",
     "knn_neighbors",
     "load_builtin",

@@ -191,12 +191,7 @@ def aggregation_explanation(
     }
     if privacy == PRIVACY_NAMED:
         slots["users"] = tuple(contributors)
-    return render_explanation(
-        paradigm="collaborative",
-        template_id=f"cf-{strategy.value}",
-        privacy=privacy,
-        slots=slots,
-    )
+    return render_explanation(f"cf-{strategy.value}", privacy, slots)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,8 @@ from .render import (
     PRIVACY_NAMED,
     display_round,
     display_trunc,
-    fairness_chart,
     fmt_num,
     histogram_chart,
-    importance_chart,
     render_explanation,
     spider_chart,
     tag_cloud,
@@ -121,7 +119,7 @@ def _cf_aggregation(dataset: Dataset, args, group: Group, item: Item) -> Command
             scores={m: _r2(s) for m, s in ordered}, contributors=list(slots["users"])
         )
         lines += [f"{m}: {fmt_num(s)}" for m, s in ordered]
-        series = tuple(ordered)
+        series = ordered
     else:
         payload.update(contributor_count=slots["count"], member_count=slots["total"])
         series = _anonymous_labels(ordered)
@@ -132,11 +130,9 @@ def _cf_aggregation(dataset: Dataset, args, group: Group, item: Item) -> Command
 def _histogram_result(args, histogram, template_id: str, **body) -> CommandResult:
     counts = histogram.counts._asdict()
     explanation = render_explanation(
-        "collaborative", template_id, args.privacy, dict(item=histogram.item)
+        template_id, args.privacy, dict(item=histogram.item)
     )
-    counts_line = render_explanation(
-        "collaborative", "cf-histogram-counts", args.privacy, counts
-    )
+    counts_line = render_explanation("cf-histogram-counts", args.privacy, counts)
     payload = dict(
         source=histogram.source, histogram=counts, explanation=explanation.text, **body
     )
@@ -182,7 +178,7 @@ def _cf_spider(dataset: Dataset, args, group: Group, item: Item) -> CommandResul
     ratings = _neighbor_group_row(dataset, item)
     chart = spider_chart(ratings, item.id)
     explanation = render_explanation(
-        "collaborative", "cf-group-histogram", args.privacy, dict(item=item.id)
+        "cf-group-histogram", args.privacy, dict(item=item.id)
     )
     ordered = sorted(ratings.items())
     payload = dict(
@@ -197,7 +193,6 @@ def _cf_influence(dataset: Dataset, args, group: Group, item: Item) -> CommandRe
     if results:
         top = results[0]
         explanation = render_explanation(
-            "collaborative",
             "cf-influence",
             args.privacy,
             dict(influencer=top.item, item=item.id, delta=top.delta),
@@ -223,7 +218,7 @@ def _cb_category(dataset: Dataset, args, group: Group, item: Item) -> CommandRes
         raise MissingWeightError(f"item {item.id!r} carries no category weights")
     top = ranked[0][0]
     explanation = render_explanation(
-        "content-based", "cb-category", args.privacy, dict(item=item.id, category=top)
+        "cb-category", args.privacy, dict(item=item.id, category=top)
     )
     payload = dict(
         top=top,
@@ -241,7 +236,6 @@ def _cb_opinion(dataset: Dataset, args, group: Group, item: Item) -> CommandResu
         raise MissingFeatureError(f"group {group.id!r} has no sentiment profile")
     pros, cons = cb.pros_cons(profile, item, threshold=args.threshold)
     explanation = render_explanation(
-        "content-based",
         "cb-opinion",
         args.privacy,
         dict(item=item.id, pros=[f for f, _ in pros], cons=[f for f, _ in cons]),
@@ -271,9 +265,7 @@ def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
     favored = [tag for tag, pref, _ in rows if pref >= args.threshold]
     if not favored and rows:
         favored = [rows[0][0]]
-    explanation = render_explanation(
-        "content-based", "cb-tags", args.privacy, dict(tags=favored)
-    )
+    explanation = render_explanation("cb-tags", args.privacy, dict(tags=favored))
     member_likes = None
     if args.privacy == PRIVACY_NAMED:
         member_likes = {tag: likers[tag] for tag, _, _ in rows if likers[tag]}
@@ -332,7 +324,7 @@ def _constraint_requirements(
     if ranking:
         top = ranking[0][0]
         explanation = render_explanation(
-            "constraint", "constraint-requirement", args.privacy, dict(requirement=top)
+            "constraint-requirement", args.privacy, dict(requirement=top)
         )
         payload.update(top=top, explanation=explanation.text)
         lines.append(explanation.text)
@@ -351,7 +343,7 @@ def _constraint_maut(dataset: Dataset, args, group: Group, item: Item) -> Comman
         raise MissingWeightError("dataset defines no interest dimensions")
     top = ranking[0][0]
     explanation = render_explanation(
-        "constraint", "constraint-maut", args.privacy, dict(item=item.id, dimension=top)
+        "constraint-maut", args.privacy, dict(item=item.id, dimension=top)
     )
     means = {
         dim.id: constraint.mean_importance(group, dim) for dim in dataset.dimensions
@@ -362,9 +354,8 @@ def _constraint_maut(dataset: Dataset, args, group: Group, item: Item) -> Comman
         importance_means={d: _r2(v) for d, v in sorted(means.items())},
         explanation=explanation.text,
     )
-    return CommandResult(
-        _listing(explanation.text, ranking), payload, importance_chart(means)
-    )
+    chart = _bar(sorted(means.items()), "importance")
+    return CommandResult(_listing(explanation.text, ranking), payload, chart)
 
 
 def _critique(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
@@ -403,7 +394,7 @@ def _fairness_adapt(dataset: Dataset, args, group: Group, item: None) -> Command
     else:
         slots = dict(count=len(upgraded), total=len(group.members))
         template = "constraint-fairness"
-    explanation = render_explanation("constraint", template, args.privacy, slots)
+    explanation = render_explanation(template, args.privacy, slots)
     payload = dict(mean_fairness=_r2(mean), explanation=explanation.text)
     lines = [explanation.text, f"mean fairness: {fmt_num(mean)}"]
     ordered = sorted(fairness.items())
@@ -417,11 +408,11 @@ def _fairness_adapt(dataset: Dataset, args, group: Group, item: None) -> Command
             upgraded=upgraded,
         )
         lines += [f"{m}: fairness {fmt_num(f)}" for m, f in ordered]
-        chart = fairness_chart(history)
+        series = ordered
     else:
         payload.update(upgraded_count=len(upgraded), member_count=len(group.members))
-        chart = _bar(_anonymous_labels(ordered), "fairness", max=1.0)
-    return CommandResult(lines, payload, chart)
+        series = _anonymous_labels(ordered)
+    return CommandResult(lines, payload, _bar(series, "fairness", max=1.0))
 
 
 def _relax(dataset: Dataset, args, group: None, item: None) -> CommandResult:
@@ -430,13 +421,12 @@ def _relax(dataset: Dataset, args, group: None, item: None) -> CommandResult:
     )
     lines = [
         render_explanation(
-            "constraint",
             "relax-proposal",
             args.privacy,
             dict(requirements=list(p.removed), items=list(p.survivors)),
         ).text
         for p in proposals
-    ] or [render_explanation("constraint", "relax-none", args.privacy, {}).text]
+    ] or [render_explanation("relax-none", args.privacy, {}).text]
     payload = dict(
         proposals=[
             dict(remove=list(p.removed), survivors=list(p.survivors))

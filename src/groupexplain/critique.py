@@ -130,16 +130,7 @@ def critique_explanation(
                 else:
                     slots["satisfied_count"] = len(satisfied)
                     slots["total"] = len(satisfied) + len(unsatisfied)
-            sentence = render_explanation(
-                paradigm="critiquing",
-                template_id=template,
-                privacy=privacy,
-                slots=slots,
-            )
-            sentences.append(sentence.text)
+            sentences.append(render_explanation(template, privacy, slots).text)
     return render_explanation(
-        paradigm="critiquing",
-        template_id="critique-summary",
-        privacy=privacy,
-        slots={"item": item.id, "sentences": " ".join(sentences)},
+        "critique-summary", privacy, {"item": item.id, "sentences": " ".join(sentences)}
     )

@@ -1,8 +1,11 @@
 """Presentation layer: verbal templates, display rounding and chart data.
 
-Templates live in a plain-text catalog (one ``template-id: text`` line
-each); slot markers look like ``{slot}``. Charts are returned as neutral
-ChartData records that the SVG backend (or any other frontend) can draw.
+Templates live in the packaged ``templates/catalog.txt`` (one
+``template-id: text`` line each); slot markers look like ``{slot}``.
+``render_explanation`` is the one way to fill a template. Charts are
+neutral ChartData records that the SVG backend (or any other frontend) can
+draw. Bar charts have no builder here: the caller builds them from the
+values it prints.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
+from functools import cache
 from importlib import resources
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -24,7 +28,6 @@ from .errors import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cf import RatingHistogram
-    from .constraint import DecisionHistory
 
 PRIVACY_NAMED = "named"
 PRIVACY_ANONYMOUS = "anonymous"
@@ -33,22 +36,25 @@ PRIVACIES = (PRIVACY_NAMED, PRIVACY_ANONYMOUS)
 _SLOT = re.compile(r"\{([a-z0-9_]+)\}")
 
 
-def _snap(value: float) -> Decimal:
+def _quantize(value: float, places: int, rounding: str) -> float:
+    # from 2**52 up a float has no fraction left to round, and quantizing
+    # it could need more than Decimal's 28 digits (1e26 at 2 places)
+    if abs(value) >= 2.0**52:
+        return float(value)
     # 12-decimal snap so binary noise (0.1*0.35 = 0.03499...96) cannot
     # straddle a rounding boundary; real data never needs that precision
-    return Decimal(repr(round(value, 12)))
+    snapped = Decimal(repr(round(value, 12)))
+    return float(snapped.quantize(Decimal(1).scaleb(-places), rounding=rounding))
 
 
 def display_round(value: float, places: int = 2) -> float:
     """Round for display, halves away from zero. Internal math never uses this."""
-    quantum = Decimal(1).scaleb(-places)
-    return float(_snap(value).quantize(quantum, rounding=ROUND_HALF_UP))
+    return _quantize(value, places, ROUND_HALF_UP)
 
 
 def display_trunc(value: float, places: int = 2) -> float:
     """Truncate toward zero, used only for critique support display (2/3 -> 0.66)."""
-    quantum = Decimal(1).scaleb(-places)
-    return float(_snap(value).quantize(quantum, rounding=ROUND_DOWN))
+    return _quantize(value, places, ROUND_DOWN)
 
 
 def fmt_num(value: float) -> str:
@@ -82,104 +88,72 @@ def format_slot(value: object) -> str:
     return str(value)
 
 
-class TemplateCatalog:
+def _parse_catalog(text: str) -> dict[str, str]:
     """Id -> template text, parsed from ``id: text`` lines."""
-
-    def __init__(self, templates: Mapping[str, str]):
-        self._templates = dict(templates)
-
-    @classmethod
-    def from_text(cls, text: str) -> "TemplateCatalog":
-        templates: dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ": " not in line:
-                raise ValueError(f"catalog line {lineno} is not 'id: text'")
-            template_id, body = line.split(": ", 1)
-            templates[template_id.strip()] = body
-        return cls(templates)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._templates))
-
-    def resolve(self, template_id: str, privacy: str) -> str:
-        """Prefer the privacy-specific variant, fall back to the bare id."""
-        candidate = f"{template_id}-{privacy}"
-        if candidate in self._templates:
-            return candidate
-        if template_id in self._templates:
-            return template_id
-        raise UnknownTemplateError(f"no template {template_id!r} in catalog")
-
-    def render(self, template_id: str, slots: Mapping[str, object]) -> str:
-        if template_id not in self._templates:
-            raise UnknownTemplateError(f"no template {template_id!r} in catalog")
-        template = self._templates[template_id]
-        text = template
-        for marker in set(_SLOT.findall(template)):
-            if marker not in slots:
-                raise MissingSlotError(
-                    f"template {template_id!r} needs slot {marker!r}"
-                )
-            text = text.replace("{" + marker + "}", format_slot(slots[marker]))
-        leftover = _SLOT.search(text)
-        if leftover:  # a slot value smuggled a marker in
-            raise MissingSlotError(
-                f"template {template_id!r} left marker {leftover.group(0)!r} unfilled"
-            )
-        return text
+    templates: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ": " not in line:
+            raise ValueError(f"catalog line {lineno} is not 'id: text'")
+        template_id, body = line.split(": ", 1)
+        templates[template_id.strip()] = body
+    return templates
 
 
-_default_catalog: TemplateCatalog | None = None
-
-
-def default_catalog() -> TemplateCatalog:
-    global _default_catalog
-    if _default_catalog is None:
-        text = (
-            resources.files("groupexplain")
-            .joinpath("templates/catalog.txt")
-            .read_text(encoding="utf-8")
-        )
-        _default_catalog = TemplateCatalog.from_text(text)
-    return _default_catalog
+@cache
+def _catalog() -> dict[str, str]:
+    text = (
+        resources.files("groupexplain")
+        .joinpath("templates/catalog.txt")
+        .read_text(encoding="utf-8")
+    )
+    return _parse_catalog(text)
 
 
 @dataclass(frozen=True)
 class Explanation:
-    """A rendered verbal explanation plus the payload it came from."""
+    """A rendered verbal explanation plus the slots it was filled from."""
 
-    paradigm: str
     template_id: str
-    privacy: str
     slots: Mapping[str, object]
     text: str
 
 
 def render_explanation(
-    paradigm: str,
-    template_id: str,
-    privacy: str,
-    slots: Mapping[str, object],
+    template_id: str, privacy: str, slots: Mapping[str, object]
 ) -> Explanation:
     """Fill a template of the packaged catalog and wrap the result.
 
     ``template_id`` may be a base id; the privacy-specific variant
     (``<id>-named`` / ``<id>-anonymous``) wins when the catalog has one.
+    Every marker is filled in one pass, so a slot value is never scanned
+    for markers of its own; one that carries a marker is rejected.
     """
     if privacy not in PRIVACIES:
         raise ValueError(f"privacy must be one of {PRIVACIES}, got {privacy!r}")
-    catalog = default_catalog()
-    resolved = catalog.resolve(template_id, privacy)
-    text = catalog.render(resolved, slots)
+    templates = _catalog()
+    resolved = f"{template_id}-{privacy}"
+    if resolved not in templates:
+        resolved = template_id
+    if resolved not in templates:
+        raise UnknownTemplateError(f"no template {template_id!r} in catalog")
+
+    def fill(match: re.Match) -> str:
+        marker = match.group(1)
+        if marker not in slots:
+            raise MissingSlotError(f"template {resolved!r} needs slot {marker!r}")
+        return format_slot(slots[marker])
+
+    text = _SLOT.sub(fill, templates[resolved])
+    leftover = _SLOT.search(text)
+    if leftover:  # a slot value smuggled a marker in
+        raise MissingSlotError(
+            f"template {resolved!r} left marker {leftover.group(0)!r} unfilled"
+        )
     return Explanation(
-        paradigm=paradigm,
-        template_id=resolved,
-        privacy=privacy,
-        slots=MappingProxyType(dict(slots)),
-        text=text,
+        template_id=resolved, slots=MappingProxyType(dict(slots)), text=text
     )
 
 
@@ -241,25 +215,3 @@ def tag_cloud(
             tag: tuple(sorted(member_likes[tag])) for tag in sorted(member_likes)
         }
     return ChartData(kind="tag-cloud", series=series, meta=meta)
-
-
-def importance_chart(dimension_values: Mapping[str, float]) -> ChartData:
-    """One bar per interest dimension; values are the caller's group means."""
-    series = tuple(
-        (dim, float(dimension_values[dim])) for dim in sorted(dimension_values)
-    )
-    return ChartData(kind="bar", series=series, meta={"value-axis": "importance"})
-
-
-def fairness_chart(history: "DecisionHistory") -> ChartData:
-    """One bar per member with that member's fairness degree."""
-    from .constraint import fairness_degree  # local import, no cycle
-
-    series = tuple(
-        (user, fairness_degree(history, user)) for user in sorted(history.users())
-    )
-    return ChartData(
-        kind="bar",
-        series=series,
-        meta={"value-axis": "fairness", "max": 1.0},
-    )

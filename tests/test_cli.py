@@ -1,6 +1,10 @@
 """CLI end to end: text output, golden JSON/SVG comparison, exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,7 @@ from groupexplain.dataset import builtin_dataset_path
 from groupexplain.render import display_round
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 # Every subcommand appears at least once; outputs are committed verbatim.
 GOLDEN_CASES = [
@@ -423,6 +428,85 @@ class TestMemberRule:
         )
         assert code == EXIT_COMPUTE and out == ""
         assert err.startswith(f"error: {error}: no member of 'g0' ")
+
+
+def _bundled_doc() -> dict:
+    return json.loads(builtin_dataset_path().read_text(encoding="utf-8"))
+
+
+def _write(tmp_path, text: str) -> str:
+    path = tmp_path / "data.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _bars(svg_text: str) -> list[tuple[str, float]]:
+    """(label, value) per bar: each bar is a rect, a value text, a label text."""
+    texts = re.findall(r'font-size="12">([^<]*)</text>', svg_text)
+    assert len(texts) == 2 * svg_text.count("<rect ")
+    return [(label, float(value)) for value, label in zip(texts[::2], texts[1::2])]
+
+
+class TestPresentation:
+    """Charts show what the text and JSON show; templates fill the same way."""
+
+    @pytest.mark.parametrize("privacy", ["named", "anonymous"])
+    def test_fairness_chart_draws_the_group(self, capsys, tmp_path, privacy):
+        doc = _bundled_doc()
+        doc["users"].append("x9")  # in the decision history, not in g1
+        doc["decision_history"]["counts"]["x9"] = [1, 4]
+        path = _write(tmp_path, json.dumps(doc))
+        argv = ["fairness-adapt", "--data", path, "--privacy", privacy]
+        code, out, _ = run(capsys, *argv, "--format", "svg")
+        assert code == EXIT_OK
+        code, text, _ = run(capsys, "fairness-adapt", "--data", path, "--format", "json")
+        fairness = json.loads(text)["fairness"]
+        assert sorted(fairness) == ["u1", "u2", "u3"]
+        labels = list(fairness)
+        if privacy == "anonymous":
+            labels = ["member-1", "member-2", "member-3"]
+        assert _bars(out) == list(zip(labels, fairness.values()))
+
+    def test_maut_chart_draws_importance_means(self, capsys):
+        argv = ["explain-constraint", "--mode", "maut", "--item", "t1"]
+        code, out, _ = run(capsys, *argv, "--format", "svg")
+        assert code == EXIT_OK
+        code, text, _ = run(capsys, *argv, "--format", "json")
+        means = json.loads(text)["importance_means"]
+        bars = _bars(out)
+        assert [label for label, _ in bars] == list(means)
+        assert {label: display_round(v) for label, v in bars} == means
+
+    def test_marker_in_a_slot_fails_the_same_way_on_every_run(self, tmp_path):
+        # item t1 renamed to a marker of the template it fills
+        text = builtin_dataset_path().read_text(encoding="utf-8")
+        path = _write(tmp_path, text.replace('"t1"', '"{category}"'))
+        argv = ["explain-cb", "--mode", "category", "--item", "{category}"]
+        seen = set()
+        for seed in range(8):
+            result = subprocess.run(
+                [sys.executable, "-m", "groupexplain.cli", *argv, "--data", path],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env={**os.environ, "PYTHONPATH": str(SRC_DIR),
+                     "PYTHONHASHSEED": str(seed)},
+            )
+            seen.add((result.returncode, result.stdout, result.stderr))
+        assert seen == {(
+            EXIT_COMPUTE,
+            "",
+            "error: missing-slot: template 'cb-category-named' "
+            "left marker '{category}' unfilled\n",
+        )}
+
+    def test_huge_attribute_value_formats(self, capsys, tmp_path):
+        doc = _bundled_doc()
+        doc["items"]["t1"]["attributes"]["price"] = 1e30
+        path = _write(tmp_path, json.dumps(doc))
+        code, out, err = run(capsys, "explain-critique", "--data", path, "--item", "t1")
+        assert code == EXIT_OK and err == ""
+        assert "(1000000000000000019884624838656.0)" in out
 
 
 def test_custom_data_file(capsys, tmp_path):

@@ -1,15 +1,12 @@
 """Rendering: rounding rules, templates, charts, SVG determinism."""
 
-import math
+from dataclasses import fields
 
 import pytest
 
 from groupexplain import (
-    DecisionHistory,
-    TemplateCatalog,
-    fairness_chart,
+    Explanation,
     histogram_chart,
-    importance_chart,
     render_explanation,
     render_svg,
     spider_chart,
@@ -23,6 +20,7 @@ from groupexplain.errors import (
     WeightOutOfRangeError,
 )
 from groupexplain.render import (
+    _parse_catalog,
     display_round,
     display_trunc,
     fmt_num,
@@ -56,6 +54,20 @@ class TestRounding:
         assert fmt_num(0.0) == "0.0"
         assert fmt_num(2.675) == "2.68"
 
+    @pytest.mark.parametrize("value", [1e26, -1e26, 1e300, 2.0**53])
+    def test_floats_past_decimal_precision(self, value):
+        # these have no fraction left; quantizing them would need > 28 digits
+        assert display_round(value) == value
+        assert display_round(value, 4) == value
+        assert display_trunc(value) == value
+        assert fmt_num(value) == f"{value:.1f}"
+
+    def test_largest_float_under_the_guard_is_unchanged(self):
+        value = 2.0**52 - 0.5
+        assert display_round(value) == value
+        assert display_trunc(value) == value
+        assert fmt_num(value) == "4503599627370495.5"
+
     def test_join_names(self):
         assert join_names([]) == "none"
         assert join_names(["a"]) == "a"
@@ -73,37 +85,42 @@ class TestRounding:
 
 class TestTemplates:
     def test_catalog_parsing(self):
-        catalog = TemplateCatalog.from_text(
+        templates = _parse_catalog(
             "# comment\n\nplain: hello {name}\nwith-colon: a: b {x}\n"
         )
-        assert catalog.ids() == ("plain", "with-colon")
-        assert catalog.render("plain", {"name": "world"}) == "hello world"
-        assert catalog.render("with-colon", {"x": 1}) == "a: b 1"
+        assert templates == {"plain": "hello {name}", "with-colon": "a: b {x}"}
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):
-            TemplateCatalog.from_text("no-separator-here\n")
+            _parse_catalog("no-separator-here\n")
 
     def test_unknown_template(self):
-        catalog = TemplateCatalog.from_text("a: b\n")
         with pytest.raises(UnknownTemplateError):
-            catalog.render("zzz", {})
-        with pytest.raises(UnknownTemplateError):
-            catalog.resolve("zzz", "named")
+            render_explanation("zzz", "named", {})
 
     def test_missing_slot(self):
-        catalog = TemplateCatalog.from_text("a: hello {name}\n")
         with pytest.raises(MissingSlotError):
-            catalog.render("a", {})
+            render_explanation("cb-tags", "named", {})
 
     def test_slot_value_cannot_smuggle_markers(self):
-        catalog = TemplateCatalog.from_text("a: hello {name}\n")
         with pytest.raises(MissingSlotError):
-            catalog.render("a", {"name": "{oops}"})
+            render_explanation("cb-tags", "named", {"tags": "{oops}"})
+
+    def test_smuggled_marker_is_not_filled(self):
+        # even when the smuggled marker names a slot that is given
+        with pytest.raises(MissingSlotError) as raised:
+            render_explanation(
+                "cb-category", "named", {"item": "{category}", "category": "cat2"}
+            )
+        assert raised.value.message == (
+            "template 'cb-category-named' left marker '{category}' unfilled"
+        )
+
+    def test_explanation_fields(self):
+        assert [f.name for f in fields(Explanation)] == ["template_id", "slots", "text"]
 
     def test_privacy_variant_resolution(self):
         named = render_explanation(
-            "content-based",
             "cb-category",
             "named",
             {"item": "t1", "category": "cat2"},
@@ -113,7 +130,6 @@ class TestTemplates:
             "interested in category cat2"
         )
         anonymous = render_explanation(
-            "content-based",
             "cb-category",
             "anonymous",
             {"item": "t1", "category": "cat2"},
@@ -127,7 +143,6 @@ class TestTemplates:
 
     def test_bare_id_fallback(self):
         explanation = render_explanation(
-            "content-based",
             "cb-tags",
             "anonymous",
             {"tags": ["beach"]},
@@ -137,11 +152,10 @@ class TestTemplates:
 
     def test_bad_privacy(self):
         with pytest.raises(ValueError):
-            render_explanation("x", "cb-tags", "secret", {"tags": []})
+            render_explanation("cb-tags", "secret", {"tags": []})
 
     def test_no_marker_survives(self):
         explanation = render_explanation(
-            "collaborative",
             "cf-nn-histogram",
             "named",
             {"item": "t1"},
@@ -184,26 +198,6 @@ class TestCharts:
         assert named.meta["members"] == {"a": ("u1", "u2")}
         anonymous = tag_cloud({"a": 0.5}, likes, privacy="anonymous")
         assert "members" not in anonymous.meta
-
-    def test_importance_chart_values(self):
-        # group means of the three per-member importance columns
-        importances = {
-            "dim1": (0.1, 0.3, 0.1),
-            "dim2": (0.6, 0.5, 0.3),
-            "dim3": (0.3, 0.2, 0.6),
-        }
-        means = {d: math.fsum(v) / len(v) for d, v in importances.items()}
-        chart = importance_chart(means)
-        assert chart.kind == "bar"
-        values = dict(chart.series)
-        assert values["dim1"] == pytest.approx(0.16666666666666666)
-        assert values["dim2"] == pytest.approx(0.46666666666666673)
-        assert values["dim3"] == pytest.approx(0.3666666666666667)
-
-    def test_fairness_chart(self):
-        history = DecisionHistory(records={"u1": (2, 4), "u2": (3, 4), "u3": (4, 4)})
-        chart = fairness_chart(history)
-        assert chart.series == (("u1", 0.5), ("u2", 0.75), ("u3", 1.0))
 
 
 class TestSvg:
