@@ -80,8 +80,7 @@ def _listing(first: str, pairs) -> list[str]:
     return [first] + [f"{label}: {fmt_num(value)}" for label, value in pairs]
 
 
-def _bar(series, axis: str, **meta) -> ChartData:
-    meta = {"value-axis": axis, **meta}
+def _bar(series, **meta) -> ChartData:
     return ChartData(kind="bar", series=tuple(series), meta=meta)
 
 
@@ -124,7 +123,7 @@ def _cf_aggregation(dataset: Dataset, args, group: Group, item: Item) -> Command
         payload.update(contributor_count=slots["count"], member_count=slots["total"])
         series = _anonymous_labels(ordered)
     lines.append(f"group score ({strategy.value}): {fmt_num(slots['score'])}")
-    return CommandResult(lines, payload, _bar(series, "score", max=5.0))
+    return CommandResult(lines, payload, _bar(series, max=5.0))
 
 
 def _histogram_result(args, histogram, template_id: str, **body) -> CommandResult:
@@ -205,7 +204,7 @@ def _cf_influence(dataset: Dataset, args, group: Group, item: Item) -> CommandRe
         dict(item=r.item, delta=_r2(r.delta), basis_destroying=r.basis_destroying)
         for r in results
     ]
-    chart = _bar(((r.item, r.delta) for r in results[:10]), "delta")
+    chart = _bar(((r.item, r.delta) for r in results[:10]))
     return CommandResult(lines, dict(ranking=ranking), chart)
 
 
@@ -225,9 +224,7 @@ def _cb_category(dataset: Dataset, args, group: Group, item: Item) -> CommandRes
         ranking=[dict(category=c, relevance=_r2(er)) for c, er in ranked],
         explanation=explanation.text,
     )
-    return CommandResult(
-        _listing(explanation.text, ranked), payload, _bar(ranked, "relevance")
-    )
+    return CommandResult(_listing(explanation.text, ranked), payload, _bar(ranked))
 
 
 def _cb_opinion(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
@@ -247,9 +244,7 @@ def _cb_opinion(dataset: Dataset, args, group: Group, item: Item) -> CommandResu
         cons=[dict(feature=f, relevance=_r2(er)) for f, er in cons],
         explanation=explanation.text,
     )
-    return CommandResult(
-        _listing(explanation.text, merged), payload, _bar(merged, "relevance")
-    )
+    return CommandResult(_listing(explanation.text, merged), payload, _bar(merged))
 
 
 def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
@@ -331,7 +326,7 @@ def _constraint_requirements(
     for rid, rel in ranking:
         suffix = " (causally relevant)" if causal[rid] else ""
         lines.append(f"{rid}: {fmt_num(rel)}{suffix}")
-    return CommandResult(lines, payload, _bar(ranking, "relevance"))
+    return CommandResult(lines, payload, _bar(ranking))
 
 
 def _constraint_maut(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
@@ -354,29 +349,25 @@ def _constraint_maut(dataset: Dataset, args, group: Group, item: Item) -> Comman
         importance_means={d: _r2(v) for d, v in sorted(means.items())},
         explanation=explanation.text,
     )
-    chart = _bar(sorted(means.items()), "importance")
+    chart = _bar(sorted(means.items()))
     return CommandResult(_listing(explanation.text, ranking), payload, chart)
 
 
 def _critique(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
     critiques = [c for c in dataset.critiques if c.author in group.members]
-    explanation = critique.critique_explanation(critiques, item, privacy=args.privacy)
-    supports = [
-        (attribute, critique.critique_support(critiques, attribute, item))
-        for attribute in critique.attribute_order(critiques)
-    ]
-    shown = [(a, display_trunc(s)) for a, s in supports]
+    result = critique.support_matrix(critiques, item)
+    explanation = critique.summary_explanation(result, item, args.privacy)
+    shown = [(a, display_trunc(s)) for a, s in result.supports.items()]
     payload = dict(
         supports=[dict(attribute=a, support=s) for a, s in shown],
         explanation=explanation.text,
     )
     if args.privacy == PRIVACY_NAMED:
         matrix: dict[str, dict[str, bool]] = {}
-        cells = critique.support_matrix(critiques, item).cells
-        for (author, attribute), satisfied in cells.items():
+        for (author, attribute), satisfied in result.cells.items():
             matrix.setdefault(author, {})[attribute] = satisfied
         payload.update(matrix=matrix)
-    chart = _bar(supports, "support", max=1.0)
+    chart = _bar(result.supports.items(), max=1.0)
     return CommandResult(_listing(explanation.text, shown), payload, chart)
 
 
@@ -412,7 +403,7 @@ def _fairness_adapt(dataset: Dataset, args, group: Group, item: None) -> Command
     else:
         payload.update(upgraded_count=len(upgraded), member_count=len(group.members))
         series = _anonymous_labels(ordered)
-    return CommandResult(lines, payload, _bar(series, "fairness", max=1.0))
+    return CommandResult(lines, payload, _bar(series, max=1.0))
 
 
 def _relax(dataset: Dataset, args, group: None, item: None) -> CommandResult:

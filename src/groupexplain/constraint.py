@@ -11,11 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import Group, Item, satisfies
+from .core import Group, Item, _attribute_holds
 from .errors import (
     EmptyCatalogError,
     InvalidValueError,
-    MissingAttributeError,
     MissingImportanceError,
     MissingWeightError,
     UnknownUserError,
@@ -31,12 +30,7 @@ class Requirement:
     bound: object
     importance: Mapping[str, float]
 
-    def matches(self, item: Item) -> bool:
-        if self.attribute not in item.attributes:
-            raise MissingAttributeError(
-                f"item {item.id!r} lacks attribute {self.attribute!r}"
-            )
-        return satisfies(item.attributes[self.attribute], self.operator, self.bound)
+    matches = _attribute_holds
 
 
 @dataclass(frozen=True)
@@ -63,9 +57,6 @@ class DecisionHistory:
                 raise InvalidValueError(
                     f"user {user!r}: supported count {supported} outside [0, {decisions}]"
                 )
-
-    def users(self) -> tuple[str, ...]:
-        return tuple(sorted(self.records))
 
 
 def requirement_relevance(group: Group, requirement: Requirement) -> float:

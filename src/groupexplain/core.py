@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyGroupError,
     InvalidValueError,
+    MissingAttributeError,
     NoPredictionBasisError,
     RatingOutOfRangeError,
     UnknownUserError,
@@ -299,3 +300,12 @@ def satisfies(value: object, operator: str, bound: object) -> bool:
     if operator == "<=":
         return value <= bound  # type: ignore[operator]
     return value >= bound  # type: ignore[operator]
+
+
+def _attribute_holds(self, item: Item) -> bool:
+    """Body of ``Requirement.matches`` and ``Critique.satisfied_by`` (one call each)."""
+    if self.attribute not in item.attributes:
+        raise MissingAttributeError(
+            f"item {item.id!r} lacks attribute {self.attribute!r}"
+        )
+    return satisfies(item.attributes[self.attribute], self.operator, self.bound)

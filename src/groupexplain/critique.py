@@ -1,9 +1,13 @@
 """Critiquing-based explanations.
 
 Members state critiques over item attributes (price <= 750, resolution
->= 20, ...); support of an attribute for an item is the share of its
-critiques the item satisfies. The verbal summary groups attributes into
-unanimous, partially supported and unsupported.
+>= 20, ...). ``support_matrix`` checks each critique once; every view reads
+that result. The support of an attribute is the share of its critiques the
+item satisfies. A member is satisfied on an attribute (a matrix cell) when
+the item satisfies every critique that member stated on it. The summary
+puts an attribute in the unanimous band (support 1.0), the none band
+(support 0.0) or the partial band, whose sentence names or counts the
+members with a true cell.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import Item, satisfies
-from .errors import MissingAttributeError, NoCritiquesError
+from .core import Item, _attribute_holds
+from .errors import NoCritiquesError
 from .render import Explanation, PRIVACY_NAMED, render_explanation
 
 
@@ -25,12 +29,7 @@ class Critique:
     operator: str
     bound: object
 
-    def satisfied_by(self, item: Item) -> bool:
-        if self.attribute not in item.attributes:
-            raise MissingAttributeError(
-                f"item {item.id!r} lacks attribute {self.attribute!r}"
-            )
-        return satisfies(item.attributes[self.attribute], self.operator, self.bound)
+    satisfied_by = _attribute_holds
 
 
 def attribute_order(critiques: Sequence[Critique]) -> tuple[str, ...]:
@@ -48,35 +47,78 @@ def critique_support(
     on_attribute = [c for c in critiques if c.attribute == attribute]
     if not on_attribute:
         raise NoCritiquesError(f"no critiques on attribute {attribute!r}")
-    satisfied = sum(1 for c in on_attribute if c.satisfied_by(item))
-    return satisfied / len(on_attribute)
+    return support_matrix(on_attribute, item).supports[attribute]
 
 
 @dataclass(frozen=True)
 class SupportMatrix:
-    """Per (author, attribute) satisfaction for one item.
+    """Per (author, attribute) satisfaction and per attribute support, one item.
 
     Cells exist only for pairs that actually have a critique; rows and
-    columns are sorted ascending.
+    columns are sorted ascending. ``supports`` keeps the attributes in
+    first-appearance order.
     """
 
     rows: tuple[str, ...]
     columns: tuple[str, ...]
     cells: Mapping[tuple[str, str], bool]
+    supports: Mapping[str, float]
 
 
 def support_matrix(critiques: Sequence[Critique], item: Item) -> SupportMatrix:
+    """Check every critique once: attribute by attribute, in list order."""
     if not critiques:
         raise NoCritiquesError("no critiques given")
     cells: dict[tuple[str, str], bool] = {}
-    for critique in critiques:
-        key = (critique.author, critique.attribute)
-        verdict = critique.satisfied_by(item)
-        # an author restating an attribute must be satisfied on all counts
-        cells[key] = cells.get(key, True) and verdict
+    supports: dict[str, float] = {}
+    for attribute in attribute_order(critiques):
+        on_attribute = [c for c in critiques if c.attribute == attribute]
+        verdicts = [(c.author, c.satisfied_by(item)) for c in on_attribute]
+        supports[attribute] = sum(v for _, v in verdicts) / len(verdicts)
+        for author, verdict in verdicts:
+            # an author restating an attribute must be satisfied on all counts
+            key = (author, attribute)
+            cells[key] = cells.get(key, True) and verdict
     rows = tuple(sorted({author for author, _ in cells}))
-    columns = tuple(sorted({attribute for _, attribute in cells}))
-    return SupportMatrix(rows=rows, columns=columns, cells=cells)
+    columns = tuple(sorted(supports))
+    return SupportMatrix(rows=rows, columns=columns, cells=cells, supports=supports)
+
+
+def summary_explanation(matrix: SupportMatrix, item: Item, privacy: str) -> Explanation:
+    """Sentence-per-attribute summary of a support matrix for its item.
+
+    Unanimously satisfied attributes come first, then partially satisfied
+    ones, then unsupported ones; inside each band the attributes keep
+    their first-appearance order.
+    """
+    bands: dict[str, list[str]] = {"unanimous": [], "partial": [], "none": []}
+    for attribute, support in matrix.supports.items():
+        band = {1.0: "unanimous", 0.0: "none"}.get(support, "partial")
+        bands[band].append(attribute)
+    sentences = []
+    for band, attributes in bands.items():
+        for attribute in attributes:
+            slots: dict[str, object] = {
+                "attribute": attribute,
+                "item": item.id,
+                "value": item.attributes[attribute],
+            }
+            if band == "partial":
+                cells = sorted(
+                    (a, v) for (a, attr), v in matrix.cells.items() if attr == attribute
+                )
+                satisfied = tuple(author for author, v in cells if v)
+                if privacy == PRIVACY_NAMED:
+                    slots["satisfied"] = satisfied
+                    slots["unsatisfied"] = tuple(author for author, v in cells if not v)
+                else:
+                    slots["satisfied_count"] = len(satisfied)
+                    slots["total"] = len(cells)
+            template = f"critique-{band}"
+            sentences.append(render_explanation(template, privacy, slots).text)
+    return render_explanation(
+        "critique-summary", privacy, {"item": item.id, "sentences": " ".join(sentences)}
+    )
 
 
 def critique_explanation(
@@ -84,53 +126,5 @@ def critique_explanation(
     item: Item,
     privacy: str = PRIVACY_NAMED,
 ) -> Explanation:
-    """Sentence-per-attribute summary of how the item meets the critiques.
-
-    Unanimously satisfied attributes come first, then partially satisfied
-    ones, then unsupported ones; inside each band the attributes keep
-    their first-appearance order.
-    """
-    if not critiques:
-        raise NoCritiquesError("no critiques given")
-    bands: dict[str, list[str]] = {"unanimous": [], "partial": [], "none": []}
-    details: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    for attribute in attribute_order(critiques):
-        on_attribute = [c for c in critiques if c.attribute == attribute]
-        satisfied = sorted(
-            {c.author for c in on_attribute if c.satisfied_by(item)}
-        )
-        unsatisfied = sorted(
-            {c.author for c in on_attribute} - set(satisfied)
-        )
-        details[attribute] = (tuple(satisfied), tuple(unsatisfied))
-        if not unsatisfied:
-            bands["unanimous"].append(attribute)
-        elif satisfied:
-            bands["partial"].append(attribute)
-        else:
-            bands["none"].append(attribute)
-    sentences = []
-    for band in ("unanimous", "partial", "none"):
-        for attribute in bands[band]:
-            satisfied, unsatisfied = details[attribute]
-            slots: dict[str, object] = {
-                "attribute": attribute,
-                "item": item.id,
-                "value": item.attributes[attribute],
-            }
-            if band == "unanimous":
-                template = "critique-unanimous"
-            elif band == "none":
-                template = "critique-none"
-            else:
-                template = "critique-partial"
-                if privacy == PRIVACY_NAMED:
-                    slots["satisfied"] = satisfied
-                    slots["unsatisfied"] = unsatisfied
-                else:
-                    slots["satisfied_count"] = len(satisfied)
-                    slots["total"] = len(satisfied) + len(unsatisfied)
-            sentences.append(render_explanation(template, privacy, slots).text)
-    return render_explanation(
-        "critique-summary", privacy, {"item": item.id, "sentences": " ".join(sentences)}
-    )
+    """The verbal summary of how the item meets the critiques."""
+    return summary_explanation(support_matrix(critiques, item), item, privacy)

@@ -176,7 +176,7 @@ def histogram_chart(histogram: "RatingHistogram") -> ChartData:
             ("neutral", float(counts.neutral)),
             ("good", float(counts.good)),
         ),
-        meta={"item": histogram.item, "source": histogram.source},
+        meta={"item": histogram.item},
     )
 
 
@@ -190,7 +190,7 @@ def spider_chart(group_ratings: Mapping[str, float], item: str) -> ChartData:
     return ChartData(
         kind="spider",
         series=series,
-        meta={"item": item, "value-axis": "rating", "max": RATING_MAX},
+        meta={"item": item, "max": RATING_MAX},
     )
 
 
@@ -209,7 +209,7 @@ def tag_cloud(
     series = tuple(
         (tag, 1.0 + 2.0 * tag_weights[tag]) for tag in sorted(tag_weights)
     )
-    meta: dict[str, object] = {"scale": "font", "weights": dict(sorted(tag_weights.items()))}
+    meta: dict[str, object] = {}
     if privacy == PRIVACY_NAMED and member_likes:
         meta["members"] = {
             tag: tuple(sorted(member_likes[tag])) for tag in sorted(member_likes)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from groupexplain import cb, predict_rating
+from groupexplain import Critique, cb, predict_rating
 from groupexplain.cli import (
     EXIT_COMPUTE,
     EXIT_DATASET,
@@ -507,6 +507,98 @@ class TestPresentation:
         code, out, err = run(capsys, "explain-critique", "--data", path, "--item", "t1")
         assert code == EXIT_OK and err == ""
         assert "(1000000000000000019884624838656.0)" in out
+
+
+
+def _critiques_path(tmp_path, critiques) -> str:
+    """The bundled dataset with its critiques list replaced."""
+    doc = _bundled_doc()
+    doc["critiques"] = critiques
+    return _write(tmp_path, json.dumps(doc))
+
+
+def _with_extra_critique(tmp_path, **critique) -> str:
+    return _critiques_path(tmp_path, _bundled_doc()["critiques"] + [critique])
+
+
+class TestCritiqueRule:
+    """Sentence, matrix and support of one request agree: a member is
+    satisfied on an attribute when every critique they stated on it is met."""
+
+    def test_restated_critique_is_partial(self, capsys, tmp_path):
+        # u3 now asks resolution >= 20 (met) as well as >= 25 (not met)
+        path = _with_extra_critique(
+            tmp_path, author="u3", attribute="resolution", operator=">=", bound=20
+        )
+        argv = ["explain-critique", "--data", path, "--item", "t1"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        assert (
+            "the resolution of item t1 (24) satisfies the requirements of "
+            "u1 and u2, however, u3 has to accept minor drawbacks"
+        ) in out
+        assert "resolution: 0.75" in out.splitlines()
+        code, out, _ = run(capsys, *argv, "--privacy", "anonymous")
+        assert code == EXIT_OK
+        assert (
+            "the resolution of item t1 (24) satisfies the requirements of "
+            "2 of 3 group members"
+        ) in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert {"attribute": "resolution", "support": 0.75} in payload["supports"]
+        assert payload["matrix"]["u3"]["resolution"] is False
+
+    def test_support_without_a_satisfied_member(self, capsys, tmp_path):
+        # u2 adds weight <= 1: one weight critique of four is met, but no
+        # member has all of theirs met
+        path = _with_extra_critique(
+            tmp_path, author="u2", attribute="weight", operator="<=", bound=1
+        )
+        argv = ["explain-critique", "--data", path, "--item", "t1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert (
+            "the weight of item t1 (1.5) satisfies the requirements of none, "
+            "however, u1, u2, and u3 has to accept minor drawbacks"
+        ) in out
+        assert "weight: 0.25" in out.splitlines()
+        code, out, _ = run(capsys, *argv, "--privacy", "anonymous")
+        assert (
+            "the weight of item t1 (1.5) satisfies the requirements of "
+            "0 of 3 group members"
+        ) in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert not any(row["weight"] for row in json.loads(out)["matrix"].values())
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "svg"])
+    @pytest.mark.parametrize("privacy", ["named", "anonymous"])
+    def test_each_critique_is_checked_once(self, capsys, monkeypatch, privacy, fmt):
+        calls = []
+        original = Critique.satisfied_by
+
+        def counting(critique, item):
+            calls.append(critique)
+            return original(critique, item)
+
+        monkeypatch.setattr(Critique, "satisfied_by", counting)
+        argv = ["explain-critique", "--item", "t1", "--privacy", privacy]
+        assert run(capsys, *argv, "--format", fmt)[0] == EXIT_OK
+        # the 12 bundled critiques, each once
+        assert len(calls) == 12 and len(set(calls)) == 12
+
+    def test_first_error_in_attribute_order(self, capsys, tmp_path):
+        # exchangeable_lens comes first, so u3's non-numeric comparison is
+        # reached before u2's critique on an attribute t1 lacks
+        path = _critiques_path(tmp_path, [
+            dict(author="u1", attribute="exchangeable_lens", operator="=", bound=True),
+            dict(author="u2", attribute="zoom", operator="<=", bound=5),
+            dict(author="u3", attribute="exchangeable_lens", operator="<=", bound=1),
+        ])
+        code, out, err = run(capsys, "explain-critique", "--data", path, "--item", "t1")
+        assert code == EXIT_DATASET and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: invalid-value: ")
 
 
 def test_custom_data_file(capsys, tmp_path):

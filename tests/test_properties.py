@@ -1,9 +1,10 @@
 """Property suites: invariants that must hold on randomized inputs.
 
-Ten suites, 200 examples each. The relaxation suite checks the
+Eleven suites, 200 examples each. The relaxation suite checks the
 implementation against a brute-force subset enumeration written here, the
 influence suite against the leave-one-out definition (a reduced copy of
-the matrix per removed item).
+the matrix per removed item), the critique suite against a count of each
+critique by hand.
 """
 
 import math
@@ -34,6 +35,7 @@ from groupexplain import (
     pearson,
     predict_rating,
     relaxation_proposals,
+    support_matrix,
     tag_cloud,
 )
 from groupexplain.errors import NoPredictionBasisError, UnknownUserError
@@ -381,6 +383,97 @@ def test_critique_support_monotone(scenario):
     )
     assert critique_support(critiques + [satisfied_extra], "a", item) >= before
     assert critique_support(critiques + [violated_extra], "a", item) <= before
+
+
+@st.composite
+def restated_critiques(draw):
+    """Critiques over 1-3 attributes from 3 authors, who may repeat themselves."""
+    attributes = draw(
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)
+    )
+    item = Item(id="itm", attributes={a: draw(st.integers(0, 10)) for a in attributes})
+    critiques = draw(st.lists(
+        st.builds(
+            Critique,
+            author=st.sampled_from(["m1", "m2", "m3"]),
+            attribute=st.sampled_from(attributes),
+            operator=st.sampled_from(["<=", ">=", "="]),
+            bound=st.integers(0, 10),
+        ),
+        min_size=1,
+        max_size=10,
+    ))
+    return item, critiques
+
+
+def _met(critique, item):
+    value = item.attributes[critique.attribute]
+    if critique.operator == "<=":
+        return value <= critique.bound
+    if critique.operator == ">=":
+        return value >= critique.bound
+    return value == critique.bound
+
+
+def _names(names):
+    if len(names) < 3:
+        return " and ".join(names) or "none"
+    return ", ".join(names[:-1]) + ", and " + names[-1]
+
+
+@given(instance=restated_critiques())
+@RUNS
+def test_critique_views_match_brute_force(instance):
+    item, critiques = instance
+    order = list(dict.fromkeys(c.attribute for c in critiques))
+    supports, cells, sentences = {}, {}, {"named": [], "anonymous": []}
+    bands = {"unanimous": [], "partial": [], "none": []}
+    for attribute in order:
+        mine = [c for c in critiques if c.attribute == attribute]
+        met = [_met(c, item) for c in mine]
+        supports[attribute] = sum(met) / len(met)
+        for author in {c.author for c in mine}:
+            cells[author, attribute] = all(
+                ok for c, ok in zip(mine, met) if c.author == author
+            )
+        if all(met):
+            bands["unanimous"].append(attribute)
+        elif any(met):
+            bands["partial"].append(attribute)
+        else:
+            bands["none"].append(attribute)
+    for band, attributes in bands.items():
+        for attribute in attributes:
+            head = f"the {attribute} of item itm ({item.attributes[attribute]})"
+            if band == "unanimous":
+                tail = ["is clearly within the limits specified by the group members"] * 2
+            elif band == "none":
+                tail = ["does not satisfy any critique stated within the group"] * 2
+            else:
+                mine = sorted(
+                    (a, ok) for (a, attr), ok in cells.items() if attr == attribute
+                )
+                yes = [a for a, ok in mine if ok]
+                no = [a for a, ok in mine if not ok]
+                tail = [
+                    f"satisfies the requirements of {_names(yes)}, however, "
+                    f"{_names(no)} has to accept minor drawbacks",
+                    f"satisfies the requirements of {len(yes)} of {len(mine)} "
+                    "group members",
+                ]
+            sentences["named"].append(f"{head} {tail[0]}")
+            sentences["anonymous"].append(f"{head} {tail[1]}")
+
+    matrix = support_matrix(critiques, item)
+    assert dict(matrix.cells) == cells
+    assert list(matrix.supports.items()) == list(supports.items())
+    assert matrix.rows == tuple(sorted({c.author for c in critiques}))
+    assert matrix.columns == tuple(sorted(order))
+    for attribute in order:
+        assert critique_support(critiques, attribute, item) == supports[attribute]
+    for privacy, expected in sentences.items():
+        text = critique_explanation(critiques, item, privacy=privacy).text
+        assert text == " ".join(expected)
 
 
 @given(
