@@ -9,7 +9,7 @@ strongly the tag correlates with the user's ratings).
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .core import AggregationStrategy, Group, Item, RatingsMatrix, aggregate, pearson
 from .errors import (

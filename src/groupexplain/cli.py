@@ -287,7 +287,7 @@ def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
 # -------------------------------------------------------- explain-constraint
 
 
-def _constraint_catalog(dataset: Dataset) -> list:
+def _constrained_items(dataset: Dataset) -> list:
     """Items that carry every attribute the requirement set talks about."""
     needed = {req.attribute for req in dataset.requirements}
     return [
@@ -300,7 +300,7 @@ def _constraint_catalog(dataset: Dataset) -> list:
 def _constraint_requirements(
     dataset: Dataset, args, group: Group, item: None
 ) -> CommandResult:
-    catalog = _constraint_catalog(dataset)
+    catalog = _constrained_items(dataset)
     ranking = _by_value(
         (req.id, constraint.requirement_relevance(group, req))
         for req in dataset.requirements
@@ -408,7 +408,7 @@ def _fairness_adapt(dataset: Dataset, args, group: Group, item: None) -> Command
 
 def _relax(dataset: Dataset, args, group: None, item: None) -> CommandResult:
     proposals = constraint.relaxation_proposals(
-        dataset.requirements, _constraint_catalog(dataset)
+        dataset.requirements, _constrained_items(dataset)
     )
     lines = [
         render_explanation(

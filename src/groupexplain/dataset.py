@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
@@ -126,10 +125,8 @@ def _rating(value, where: str) -> float:
 
 
 def _unit_weights(raw, where: str) -> dict[str, float]:
-    if not isinstance(raw, dict):
-        raise MalformedDatasetError(f"{where}: expected an object")
     weights: dict[str, float] = {}
-    for key, value in raw.items():
+    for key, value in _object(raw, where).items():
         number = _number(value, f"{where}.{key}")
         if not 0.0 <= number <= 1.0:
             raise InvalidValueError(f"{where}.{key}: {number} outside [0, 1]")
@@ -338,9 +335,7 @@ def load_dataset(path: str | Path) -> Dataset:
 
 def builtin_dataset_path() -> Path:
     """Path of the bundled worked-example dataset."""
-    return Path(
-        str(resources.files("groupexplain").joinpath("data/worked_examples.json"))
-    )
+    return Path(__file__).with_name("data") / "worked_examples.json"
 
 
 def load_builtin() -> Dataset:

@@ -1,7 +1,7 @@
 """Presentation layer: verbal templates, display rounding and chart data.
 
-Templates live in the packaged ``templates/catalog.txt`` (one
-``template-id: text`` line each); slot markers look like ``{slot}``.
+Templates are the ``_TEMPLATES`` table below, one per line, so an output
+sentence greps to its template; slot markers look like ``{slot}``.
 ``render_explanation`` is the one way to fill a template. Charts are
 neutral ChartData records that the SVG backend (or any other frontend) can
 draw. Bar charts have no builder here: the caller builds them from the
@@ -13,8 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
-from functools import cache
-from importlib import resources
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -44,7 +42,10 @@ def _quantize(value: float, places: int, rounding: str) -> float:
     # 12-decimal snap so binary noise (0.1*0.35 = 0.03499...96) cannot
     # straddle a rounding boundary; real data never needs that precision
     snapped = Decimal(repr(round(value, 12)))
-    return float(snapped.quantize(Decimal(1).scaleb(-places), rounding=rounding))
+    rounded = float(snapped.quantize(Decimal(1).scaleb(-places), rounding=rounding))
+    # a negative value that rounds to zero quantizes to -0.0; adding 0.0
+    # makes it +0.0, so text and JSON print 0.0, not -0.0
+    return rounded + 0.0
 
 
 def display_round(value: float, places: int = 2) -> float:
@@ -77,10 +78,6 @@ def join_names(names: Sequence[str]) -> str:
 def format_slot(value: object) -> str:
     if isinstance(value, bool):
         return "y" if value else "n"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return fmt_num(value)
     if isinstance(value, (list, tuple)):
@@ -88,28 +85,36 @@ def format_slot(value: object) -> str:
     return str(value)
 
 
-def _parse_catalog(text: str) -> dict[str, str]:
-    """Id -> template text, parsed from ``id: text`` lines."""
-    templates: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ": " not in line:
-            raise ValueError(f"catalog line {lineno} is not 'id: text'")
-        template_id, body = line.split(": ", 1)
-        templates[template_id.strip()] = body
-    return templates
-
-
-@cache
-def _catalog() -> dict[str, str]:
-    text = (
-        resources.files("groupexplain")
-        .joinpath("templates/catalog.txt")
-        .read_text(encoding="utf-8")
-    )
-    return _parse_catalog(text)
+# Id -> text. Ids ending in -named / -anonymous are privacy variants of
+# the same base id.
+_TEMPLATES = {
+    "cf-avg-named": "item {item} is most similar to the ratings of users {users}",
+    "cf-avg-anonymous": "item {item} is most similar to the ratings of all {total} group members",
+    "cf-lms-named": "item {item} has a group score of {score} due to the (lowest) rating determined for user {users}",
+    "cf-lms-anonymous": "item {item} is recommended because it avoids misery within the group",
+    "cf-mpl-named": "item {item} has a group score of {score} due to the (highest) rating determined for user {users}",
+    "cf-mpl-anonymous": "item {item} has a group score of {score} due to the (highest) rating determined for {count} of {total} group members",
+    "cf-nn-histogram": "users similar to members of this group rated item {item} as follows",
+    "cf-group-histogram": "groups similar to the current group rated item {item} as follows",
+    "cf-histogram-counts": "bad: {bad}, neutral: {neutral}, good: {good}",
+    "cf-influence": "removing item {influencer} changes the group prediction for item {item} the most (average shift {delta})",
+    "cb-category-named": "item {item} is recommended since each group member is interested in category {category}",
+    "cb-category-anonymous": "item {item} is recommended since the group as a whole is interested in category {category}",
+    "cb-opinion": "item {item} is recommended because the group appreciates {pros}; potential drawbacks: {cons}",
+    "cb-tags": "this group values items tagged {tags}",
+    "constraint-requirement": "requirement {requirement} is considered important by the whole group",
+    "constraint-maut": "item {item} is recommended since it supports {dimension}, the dimension most valued by the group",
+    "constraint-fairness-named": "the interest dimensions favored by user {users} have been given more consideration since {users} was at a disadvantage in previous decisions",
+    "constraint-fairness-anonymous": "the interest dimensions favored by {count} of {total} group members have been given more consideration to compensate for previous decisions",
+    "constraint-fairness-balanced": "all group members were treated equally in previous decisions; no weights were adapted",
+    "relax-proposal": "no item satisfies all current requirements; relaxing {requirements} makes {items} available",
+    "relax-none": "the current requirements already allow a recommendation; no relaxation is needed",
+    "critique-summary": "{sentences}",
+    "critique-unanimous": "the {attribute} of item {item} ({value}) is clearly within the limits specified by the group members",
+    "critique-partial-named": "the {attribute} of item {item} ({value}) satisfies the requirements of {satisfied}, however, {unsatisfied} has to accept minor drawbacks",
+    "critique-partial-anonymous": "the {attribute} of item {item} ({value}) satisfies the requirements of {satisfied_count} of {total} group members",
+    "critique-none": "the {attribute} of item {item} ({value}) does not satisfy any critique stated within the group",
+}
 
 
 @dataclass(frozen=True)
@@ -124,20 +129,19 @@ class Explanation:
 def render_explanation(
     template_id: str, privacy: str, slots: Mapping[str, object]
 ) -> Explanation:
-    """Fill a template of the packaged catalog and wrap the result.
+    """Fill one of the ``_TEMPLATES`` and wrap the result.
 
     ``template_id`` may be a base id; the privacy-specific variant
-    (``<id>-named`` / ``<id>-anonymous``) wins when the catalog has one.
+    (``<id>-named`` / ``<id>-anonymous``) wins when there is one.
     Every marker is filled in one pass, so a slot value is never scanned
     for markers of its own; one that carries a marker is rejected.
     """
     if privacy not in PRIVACIES:
         raise ValueError(f"privacy must be one of {PRIVACIES}, got {privacy!r}")
-    templates = _catalog()
     resolved = f"{template_id}-{privacy}"
-    if resolved not in templates:
+    if resolved not in _TEMPLATES:
         resolved = template_id
-    if resolved not in templates:
+    if resolved not in _TEMPLATES:
         raise UnknownTemplateError(f"no template {template_id!r} in catalog")
 
     def fill(match: re.Match) -> str:
@@ -146,7 +150,7 @@ def render_explanation(
             raise MissingSlotError(f"template {resolved!r} needs slot {marker!r}")
         return format_slot(slots[marker])
 
-    text = _SLOT.sub(fill, templates[resolved])
+    text = _SLOT.sub(fill, _TEMPLATES[resolved])
     leftover = _SLOT.search(text)
     if leftover:  # a slot value smuggled a marker in
         raise MissingSlotError(

@@ -80,7 +80,81 @@ def test_golden_outputs_byte_stable(capsys, golden, argv):
     assert first == expected
 
 
+def _balanced_history(doc):
+    doc["decision_history"]["counts"] = {u: [8, 8] for u in ("u1", "u2", "u3")}
+
+
+def _without_price_cap(doc):
+    doc["requirements"] = doc["requirements"][1:]
+
+
+def _unmet_price_critiques(doc):
+    doc["critiques"] = [
+        {"author": u, "attribute": "price", "operator": "<=", "bound": 100}
+        for u in ("u1", "u2", "u3")
+    ]
+
+
+# The template sentences no golden pins: argv, dataset edit, first line.
+TEMPLATE_SENTENCES = {
+    "cf-avg-anonymous": (
+        ["explain-cf", "--mode", "aggregation", "--strategy", "avg",
+         "--item", "t1", "--privacy", "anonymous"],
+        None,
+        "item t1 is most similar to the ratings of all 3 group members",
+    ),
+    "cf-influence": (
+        ["explain-cf", "--mode", "influence", "--item", "t1"],
+        None,
+        "removing item x23 changes the group prediction for item t1 "
+        "the most (average shift 0.33)",
+    ),
+    "cb-category-anonymous": (
+        ["explain-cb", "--mode", "category", "--item", "t1",
+         "--privacy", "anonymous"],
+        None,
+        "item t1 is recommended since the group as a whole is interested "
+        "in category cat2",
+    ),
+    "constraint-fairness-anonymous": (
+        ["fairness-adapt", "--privacy", "anonymous"],
+        None,
+        "the interest dimensions favored by 1 of 3 group members have been "
+        "given more consideration to compensate for previous decisions",
+    ),
+    "constraint-fairness-balanced": (
+        ["fairness-adapt"],
+        _balanced_history,
+        "all group members were treated equally in previous decisions; "
+        "no weights were adapted",
+    ),
+    "relax-none": (
+        ["relax"],
+        _without_price_cap,
+        "the current requirements already allow a recommendation; "
+        "no relaxation is needed",
+    ),
+    "critique-none": (
+        ["explain-critique", "--item", "t1"],
+        _unmet_price_critiques,
+        "the price of item t1 (299) does not satisfy any critique stated "
+        "within the group",
+    ),
+}
+
+
 class TestTextOutput:
+    @pytest.mark.parametrize("template", list(TEMPLATE_SENTENCES))
+    def test_template_sentence(self, capsys, tmp_path, template):
+        argv, edit, expected = TEMPLATE_SENTENCES[template]
+        if edit is not None:
+            doc = _bundled_doc()
+            edit(doc)
+            argv = [*argv, "--data", _write(tmp_path, json.dumps(doc))]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines()[0] == expected
+
     def test_lms_names_the_miserable_member(self, capsys):
         code, out, _ = run(
             capsys, "explain-cf", "--mode", "aggregation",
@@ -132,6 +206,29 @@ class TestTextOutput:
         lines = out.splitlines()
         assert lines[0] == "this group values items tagged city-tours"
         assert lines[1] == "city-tours: preference 0.42, relevance 0.86"
+
+    def test_relevance_that_rounds_to_zero_prints_unsigned(self, capsys, tmp_path):
+        doc = _bundled_doc()
+        doc["tags"] = {
+            "x11": {"city-tours": 1, "museums": 4},
+            "x12": {"city-tours": 4, "beach": 3},
+            "x13": {"hiking": 6, "city-tours": 8},
+            "x21": {"beach": 0, "hiking": 3},
+            "x22": {"city-tours": 8, "museums": 7},
+            "x23": {"city-tours": 9, "beach": 0},
+            "x31": {"hiking": 0, "city-tours": 9},
+            "x32": {"museums": 3, "beach": 4},
+            "x33": {"city-tours": 3, "hiking": 2, "beach": 4},
+        }
+        path = _write(tmp_path, json.dumps(doc))
+        argv = ["explain-cb", "--mode", "tags", "--privacy", "anonymous", "--data", path]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        # beach's raw relevance is about -0.000366
+        assert "beach: preference 0.16, relevance 0.0" in out.splitlines()
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        assert '"relevance": 0.0,' in out and "-0.0," not in out
 
     def test_critique_supports(self, capsys):
         code, out, _ = run(capsys, "explain-critique", "--item", "t1")
@@ -629,3 +726,37 @@ def test_custom_data_file(capsys, tmp_path):
         "the current requirements already allow a recommendation; "
         "no relaxation is needed\n"
     )
+
+
+# Records every path given to io.open (pathlib reads go through it), then
+# runs one request; the last stdout line is the JSON list of those paths.
+_OPEN_SPY = """
+import contextlib, io, json, sys
+real_open, opened = io.open, []
+def spy(file, *args, **kwargs):
+    opened.append(str(file))
+    return real_open(file, *args, **kwargs)
+io.open = spy
+from groupexplain.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, opened]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["relax"], ["explain-critique", "--item", "t1", "--format", "svg"]],
+    ids=["relax", "critique-svg"],
+)
+def test_request_opens_only_its_dataset(tmp_path, argv):
+    path = _write(tmp_path, builtin_dataset_path().read_text(encoding="utf-8"))
+    result = subprocess.run(
+        [sys.executable, "-c", _OPEN_SPY, *argv, "--data", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [EXIT_OK, [path]]

@@ -120,6 +120,14 @@ def test_rating_row_shape(tmp_path):
         load_dataset(write(tmp_path, variant(ratings=[["u1", "t1", "high"]])))
 
 
+def test_non_object_weights(tmp_path):
+    data = variant()
+    data["items"]["t1"]["category_weights"] = [0.5]
+    with pytest.raises(MalformedDatasetError) as raised:
+        load_dataset(write(tmp_path, data))
+    assert raised.value.message == "items[t1].category_weights: must be an object"
+
+
 def test_unsupported_scale(tmp_path):
     with pytest.raises(InvalidValueError):
         load_dataset(write(tmp_path, variant(scale={"min": 1, "max": 10})))

@@ -1,5 +1,6 @@
 """Rendering: rounding rules, templates, charts, SVG determinism."""
 
+import math
 from dataclasses import fields
 
 import pytest
@@ -20,7 +21,6 @@ from groupexplain.errors import (
     WeightOutOfRangeError,
 )
 from groupexplain.render import (
-    _parse_catalog,
     display_round,
     display_trunc,
     fmt_num,
@@ -68,6 +68,13 @@ class TestRounding:
         assert display_trunc(value) == value
         assert fmt_num(value) == "4503599627370495.5"
 
+    @pytest.mark.parametrize("value", [-1e-17, -0.004, -0.0])
+    def test_rounds_to_positive_zero(self, value):
+        # -0.0 == 0.0, so the sign is read with copysign
+        for rounded in (display_round(value), display_trunc(value)):
+            assert rounded == 0.0 and math.copysign(1.0, rounded) == 1.0
+        assert fmt_num(value) == "0.0"
+
     def test_join_names(self):
         assert join_names([]) == "none"
         assert join_names(["a"]) == "a"
@@ -84,16 +91,6 @@ class TestRounding:
 
 
 class TestTemplates:
-    def test_catalog_parsing(self):
-        templates = _parse_catalog(
-            "# comment\n\nplain: hello {name}\nwith-colon: a: b {x}\n"
-        )
-        assert templates == {"plain": "hello {name}", "with-colon": "a: b {x}"}
-
-    def test_malformed_line(self):
-        with pytest.raises(ValueError):
-            _parse_catalog("no-separator-here\n")
-
     def test_unknown_template(self):
         with pytest.raises(UnknownTemplateError):
             render_explanation("zzz", "named", {})
