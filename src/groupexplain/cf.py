@@ -8,10 +8,11 @@ explaining a prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
+    NN_MODE_INTERSECTION,
+    NN_MODE_UNION,
     AggregationStrategy,
     Group,
     RatingsMatrix,
@@ -35,9 +36,6 @@ from .render import Explanation, PRIVACY_NAMED, render_explanation
 SOURCE_MEMBER_NEIGHBORS = "member-neighbors"
 SOURCE_NEIGHBOR_GROUPS = "neighbor-groups"
 
-NN_MODE_UNION = "union"
-NN_MODE_INTERSECTION = "intersection"
-
 
 class HistogramCounts(NamedTuple):
     bad: int
@@ -49,8 +47,7 @@ class HistogramCounts(NamedTuple):
         return self.bad + self.neutral + self.good
 
 
-@dataclass(frozen=True)
-class RatingHistogram:
+class RatingHistogram(NamedTuple):
     """Bucketed rating counts for one item from one source population."""
 
     item: str
@@ -99,16 +96,19 @@ def member_predictions(
     return found
 
 
-@dataclass(frozen=True)
-class NeighborAssignment:
+class NeighborAssignment(
+    NamedTuple("NeighborAssignment", [("neighbors", Mapping), ("mode", str)])
+):
     """Per-member nearest-neighbor lists plus the set-combination mode."""
 
-    neighbors: Mapping[str, tuple[str, ...]]
-    mode: str = NN_MODE_UNION
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in (NN_MODE_UNION, NN_MODE_INTERSECTION):
-            raise ValueError(f"unknown neighbor mode {self.mode!r}")
+    def __new__(
+        cls, neighbors: Mapping[str, tuple[str, ...]], mode: str = NN_MODE_UNION
+    ):
+        if mode not in (NN_MODE_UNION, NN_MODE_INTERSECTION):
+            raise ValueError(f"unknown neighbor mode {mode!r}")
+        return super().__new__(cls, neighbors, mode)
 
     @classmethod
     def from_knn(
@@ -194,8 +194,7 @@ def aggregation_explanation(
     return render_explanation(f"cf-{strategy.value}", privacy, slots)
 
 
-@dataclass(frozen=True)
-class ItemInfluence:
+class ItemInfluence(NamedTuple):
     """Result of removing one item: mean absolute prediction shift."""
 
     item: str

@@ -5,7 +5,9 @@ requirement relaxation. Every subcommand reads a dataset (bundled worked
 examples by default), computes through the library and emits text, JSON
 or SVG. Exit codes: 0 ok, 2 usage, 3 dataset problem, 4 computation
 problem. Each (subcommand, mode) pair is one row of ``_TABLE``, which
-also gives the parser its ``--mode`` choices.
+also gives the parser its ``--mode`` choices. The CF rows import ``cf``
+and ``_emit`` imports ``svg`` when they run, so a process loads neither
+unless its request uses it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from . import cb, cf, constraint, critique, svg
-from .core import AggregationStrategy, Group, Item, aggregate
+from . import cb, constraint, critique
+from .core import (
+    NN_MODE_INTERSECTION,
+    NN_MODE_UNION,
+    AggregationStrategy,
+    Group,
+    Item,
+    aggregate,
+)
 from .dataset import Dataset, builtin_dataset_path, load_dataset
 from .errors import (
     DATASET_ERRORS,
@@ -60,8 +68,7 @@ class _Parser(argparse.ArgumentParser):
         raise _CliUsageError(message)
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     lines: list[str]
     payload: dict
     chart: ChartData | None = None
@@ -100,6 +107,8 @@ def _resolve_group(dataset: Dataset, args) -> Group:
 
 
 def _cf_aggregation(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
+    from . import cf
+
     taking_part = cf.member_predictions(dataset.matrix, group, item.id, args.k)
     scores = {member: p.prediction for member, p in taking_part.items()}
     strategy = AggregationStrategy.parse(args.strategy)
@@ -141,6 +150,8 @@ def _histogram_result(args, histogram, template_id: str, **body) -> CommandResul
 
 
 def _cf_histogram(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
+    from . import cf
+
     assignment = cf.NeighborAssignment.from_knn(
         dataset.matrix, group, k=args.k, mode=args.nn_mode
     )
@@ -166,6 +177,8 @@ def _neighbor_group_row(dataset: Dataset, item: Item) -> dict[str, float]:
 def _cf_group_histogram(
     dataset: Dataset, args, group: Group, item: Item
 ) -> CommandResult:
+    from . import cf
+
     ratings = _neighbor_group_row(dataset, item)
     histogram = cf.group_rating_histogram(ratings, item.id)
     return _histogram_result(
@@ -187,6 +200,8 @@ def _cf_spider(dataset: Dataset, args, group: Group, item: Item) -> CommandResul
 
 
 def _cf_influence(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
+    from . import cf
+
     results = cf.influential_items(dataset.matrix, group, item.id, k=args.k)
     lines = []
     if results:
@@ -430,8 +445,7 @@ def _relax(dataset: Dataset, args, group: None, item: None) -> CommandResult:
 # ---------------------------------------------------------------------- glue
 
 
-@dataclass(frozen=True)
-class _Mode:
+class _Mode(NamedTuple):
     """One (subcommand, mode) row.
 
     ``_run`` resolves the group and the item when the row asks for them and
@@ -501,8 +515,8 @@ _FLAGS = {
     ),
     "--k": (dict(type=_neighbor_count), 2),
     "--nn-mode": (
-        dict(choices=[cf.NN_MODE_UNION, cf.NN_MODE_INTERSECTION]),
-        cf.NN_MODE_UNION,
+        dict(choices=[NN_MODE_UNION, NN_MODE_INTERSECTION]),
+        NN_MODE_UNION,
     ),
     "--threshold": (dict(type=_finite_number), 0.4),
 }
@@ -578,6 +592,8 @@ def _emit(result: CommandResult, args) -> str:
         return json.dumps(result.payload, indent=2, sort_keys=True) + "\n"
     if result.chart is None:
         raise _CliUsageError(f"{args.command} has no chart; --format svg unsupported")
+    from . import svg
+
     return svg.render_svg(result.chart)
 
 

@@ -8,10 +8,9 @@ minimal relaxations when the requirements filter everything away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .core import Group, Item, _attribute_holds
+from .core import Frozen, Group, Item, _attribute_holds
 from .errors import (
     EmptyCatalogError,
     InvalidValueError,
@@ -20,35 +19,39 @@ from .errors import (
     UnknownUserError,
 )
 
-@dataclass(frozen=True)
-class Requirement:
+
+class Requirement(Frozen):
     """A group requirement over one item attribute, e.g. price <= 250."""
 
-    id: str
-    attribute: str
-    operator: str
-    bound: object
-    importance: Mapping[str, float]
+    __slots__ = ("id", "attribute", "operator", "bound", "importance")
+
+    def __init__(
+        self,
+        id: str,
+        attribute: str,
+        operator: str,
+        bound: object,
+        importance: Mapping[str, float],
+    ):
+        self._set(id, attribute, operator, bound, importance)
 
     matches = _attribute_holds
 
 
-@dataclass(frozen=True)
-class InterestDimension:
+class InterestDimension(NamedTuple):
     """A MAUT interest dimension with per-user importance weights."""
 
     id: str
     importance: Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class DecisionHistory:
+class DecisionHistory(NamedTuple("DecisionHistory", [("records", Mapping)])):
     """Per-user (supported, decisions) counts over past group choices."""
 
-    records: Mapping[str, tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for user, (supported, decisions) in self.records.items():
+    def __new__(cls, records: Mapping[str, tuple[int, int]]):
+        for user, (supported, decisions) in records.items():
             if decisions < 1:
                 raise InvalidValueError(
                     f"user {user!r}: decision count must be positive"
@@ -57,6 +60,7 @@ class DecisionHistory:
                 raise InvalidValueError(
                     f"user {user!r}: supported count {supported} outside [0, {decisions}]"
                 )
+        return super().__new__(cls, records)
 
 
 def requirement_relevance(group: Group, requirement: Requirement) -> float:
@@ -150,8 +154,7 @@ def adapt_weights(
     return adapted
 
 
-@dataclass(frozen=True)
-class RelaxationProposal:
+class RelaxationProposal(NamedTuple):
     """A subset-minimal set of requirements whose removal restores items."""
 
     removed: tuple[str, ...]

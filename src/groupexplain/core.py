@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegenerateVarianceError,
@@ -30,6 +29,11 @@ RATING_MAX = 5.0
 # Bucket edges: bad = [0, 2], neutral = (2, 3.5], good = (3.5, 5].
 BAD_UPPER = 2.0
 NEUTRAL_UPPER = 3.5
+
+# How a neighbor histogram combines the members' neighbor sets
+# (``cf.NeighborAssignment``, the CLI's ``--nn-mode``).
+NN_MODE_UNION = "union"
+NN_MODE_INTERSECTION = "intersection"
 
 
 class RatingBucket(enum.Enum):
@@ -53,34 +57,89 @@ class AggregationStrategy(enum.Enum):
             raise InvalidValueError(f"unknown aggregation strategy {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Group:
-    id: str
-    members: tuple[str, ...]
+class Frozen:
+    """Base of the immutable records whose fields are read on hot paths.
 
-    def __post_init__(self):
-        if not self.members:
-            raise EmptyGroupError(f"group {self.id!r} has no members")
-        if len(set(self.members)) != len(self.members):
-            raise InvalidValueError(f"group {self.id!r} lists a member twice")
+    A subclass lists its fields in ``__slots__`` and stores them with
+    ``_set`` in that order. Equality, hash and repr go by the fields, and
+    assigning or deleting a field raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class Item:
+class Group(NamedTuple("Group", [("id", str), ("members", tuple)])):
+    """A group id and its members: at least one, none listed twice."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, members: tuple[str, ...]):
+        if not members:
+            raise EmptyGroupError(f"group {id!r} has no members")
+        if len(set(members)) != len(members):
+            raise InvalidValueError(f"group {id!r} lists a member twice")
+        return super().__new__(cls, id, members)
+
+
+class Item(Frozen):
     """A catalog item plus the per-paradigm annotations attached to it.
 
     attributes hold raw values (price, resolution, ...); the three weight
     maps carry values in [0, 1] and may each be empty when a paradigm does
-    not apply to the item.
+    not apply to the item. A map not given is a new empty dict.
     """
 
-    id: str
-    attributes: Mapping[str, object] = field(default_factory=dict)
-    category_weights: Mapping[str, float] = field(default_factory=dict)
-    feature_sentiments: Mapping[str, float] = field(default_factory=dict)
-    dimension_contributions: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = (
+        "id",
+        "attributes",
+        "category_weights",
+        "feature_sentiments",
+        "dimension_contributions",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        id: str,
+        attributes: Mapping[str, object] | None = None,
+        category_weights: Mapping[str, float] | None = None,
+        feature_sentiments: Mapping[str, float] | None = None,
+        dimension_contributions: Mapping[str, float] | None = None,
+    ):
+        self._set(
+            id,
+            {} if attributes is None else attributes,
+            {} if category_weights is None else category_weights,
+            {} if feature_sentiments is None else feature_sentiments,
+            {} if dimension_contributions is None else dimension_contributions,
+        )
         for label, weights in (
             ("category weight", self.category_weights),
             ("feature sentiment", self.feature_sentiments),

@@ -12,22 +12,20 @@ members with a true cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .core import Item, _attribute_holds
+from .core import Frozen, Item, _attribute_holds
 from .errors import NoCritiquesError
 from .render import Explanation, PRIVACY_NAMED, render_explanation
 
 
-@dataclass(frozen=True)
-class Critique:
+class Critique(Frozen):
     """One member's unit critique on a single item attribute."""
 
-    author: str
-    attribute: str
-    operator: str
-    bound: object
+    __slots__ = ("author", "attribute", "operator", "bound")
+
+    def __init__(self, author: str, attribute: str, operator: str, bound: object):
+        self._set(author, attribute, operator, bound)
 
     satisfied_by = _attribute_holds
 
@@ -50,8 +48,7 @@ def critique_support(
     return support_matrix(on_attribute, item).supports[attribute]
 
 
-@dataclass(frozen=True)
-class SupportMatrix:
+class SupportMatrix(NamedTuple):
     """Per (author, attribute) satisfaction and per attribute support, one item.
 
     Cells exist only for pairs that actually have a critique; rows and

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .cb import TagApplications
 from .constraint import DecisionHistory, InterestDimension, Requirement
@@ -37,22 +36,65 @@ from .errors import (
 )
 
 
-@dataclass
-class Dataset:
-    users: tuple[str, ...]
-    items: dict[str, Item]
-    matrix: RatingsMatrix
-    tags: TagApplications
-    groups: dict[str, Group]
-    user_category_weights: dict[str, dict[str, float]] = field(default_factory=dict)
-    group_sentiments: dict[str, dict[str, float]] = field(default_factory=dict)
-    member_sentiments: dict[str, dict[str, float]] = field(default_factory=dict)
-    requirements: list[Requirement] = field(default_factory=list)
-    dimensions: list[InterestDimension] = field(default_factory=list)
-    critiques: list[Critique] = field(default_factory=list)
-    decision_history: DecisionHistory | None = None
-    fairness_weights: dict[str, dict[str, float]] = field(default_factory=dict)
-    neighbor_group_ratings: dict[str, dict[str, float]] = field(default_factory=dict)
+class Dataset(
+    NamedTuple(
+        "Dataset",
+        [
+            ("users", tuple),
+            ("items", dict),
+            ("matrix", RatingsMatrix),
+            ("tags", TagApplications),
+            ("groups", dict),
+            ("user_category_weights", dict),
+            ("group_sentiments", dict),
+            ("member_sentiments", dict),
+            ("requirements", list),
+            ("dimensions", list),
+            ("critiques", list),
+            ("decision_history", object),
+            ("fairness_weights", dict),
+            ("neighbor_group_ratings", dict),
+        ],
+    )
+):
+    """Every section of one dataset; an optional section not given is empty."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        users: tuple[str, ...],
+        items: dict[str, Item],
+        matrix: RatingsMatrix,
+        tags: TagApplications,
+        groups: dict[str, Group],
+        user_category_weights: dict[str, dict[str, float]] | None = None,
+        group_sentiments: dict[str, dict[str, float]] | None = None,
+        member_sentiments: dict[str, dict[str, float]] | None = None,
+        requirements: list[Requirement] | None = None,
+        dimensions: list[InterestDimension] | None = None,
+        critiques: list[Critique] | None = None,
+        decision_history: DecisionHistory | None = None,
+        fairness_weights: dict[str, dict[str, float]] | None = None,
+        neighbor_group_ratings: dict[str, dict[str, float]] | None = None,
+    ):
+        return super().__new__(
+            cls,
+            users,
+            items,
+            matrix,
+            tags,
+            groups,
+            {} if user_category_weights is None else user_category_weights,
+            {} if group_sentiments is None else group_sentiments,
+            {} if member_sentiments is None else member_sentiments,
+            [] if requirements is None else requirements,
+            [] if dimensions is None else dimensions,
+            [] if critiques is None else critiques,
+            decision_history,
+            {} if fairness_weights is None else fairness_weights,
+            {} if neighbor_group_ratings is None else neighbor_group_ratings,
+        )
 
     def group(self, group_id: str) -> Group:
         if group_id not in self.groups:
@@ -142,6 +184,17 @@ def _known(ident, known, noun: str, where: str) -> str:
     return ident
 
 
+def _rating_row(row, where: str, known_users, items) -> tuple[str, str, float]:
+    """One ``ratings`` row checked field by field, in error precedence order."""
+    if not isinstance(row, list) or len(row) != 3:
+        raise MalformedDatasetError(f"{where}: expected [user, item, value]")
+    return (
+        _known(row[0], known_users, "user", where),
+        _known(row[1], items, "item", where),
+        _rating(row[2], where),
+    )
+
+
 def _weights_by_id(raw: Mapping, known, noun: str, where: str):
     """{id: unit weights}, each id one of *known*."""
     by_id: dict[str, dict[str, float]] = {}
@@ -228,16 +281,22 @@ def load_dataset(path: str | Path) -> Dataset:
 
     triples: list[tuple[str, str, float]] = []
     for index, row in enumerate(_section(raw, "ratings", list, _TOP, [])):
-        spot = f"ratings[{index}]"
-        if not isinstance(row, list) or len(row) != 3:
-            raise MalformedDatasetError(f"{spot}: expected [user, item, value]")
-        triples.append(
-            (
-                _known(row[0], known_users, "user", spot),
-                _known(row[1], items, "item", spot),
-                _rating(row[2], spot),
-            )
-        )
+        # A valid row passes these inline checks (json.loads makes exact
+        # str, int and float); any other row goes to _rating_row, which
+        # raises its error, so the location is built only then.
+        if type(row) is list and len(row) == 3:
+            user, item, value = row
+            if (
+                type(user) is str
+                and user in known_users
+                and type(item) is str
+                and item in items
+                and (type(value) is float or type(value) is int)
+                and RATING_MIN <= value <= RATING_MAX
+            ):
+                triples.append((user, item, value))
+                continue
+        triples.append(_rating_row(row, f"ratings[{index}]", known_users, items))
     matrix = RatingsMatrix(triples)
 
     raw_tags = _section(raw, "tags", dict, _TOP, {})

@@ -11,10 +11,9 @@ values it prints.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .core import RATING_MAX
 from .errors import (
@@ -117,8 +116,7 @@ _TEMPLATES = {
 }
 
 
-@dataclass(frozen=True)
-class Explanation:
+class Explanation(NamedTuple):
     """A rendered verbal explanation plus the slots it was filled from."""
 
     template_id: str
@@ -161,13 +159,23 @@ def render_explanation(
     )
 
 
-@dataclass(frozen=True)
-class ChartData:
-    """Frontend-neutral chart: kind, (label, value) series, metadata."""
+class ChartData(
+    NamedTuple("ChartData", [("kind", str), ("series", tuple), ("meta", Mapping)])
+):
+    """Frontend-neutral chart: kind, (label, value) series, metadata.
 
-    kind: str
-    series: tuple[tuple[str, float], ...]
-    meta: Mapping[str, object] = field(default_factory=dict)
+    The metadata not given is a new empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        series: tuple[tuple[str, float], ...],
+        meta: Mapping[str, object] | None = None,
+    ):
+        return super().__new__(cls, kind, series, {} if meta is None else meta)
 
 
 def histogram_chart(histogram: "RatingHistogram") -> ChartData:

@@ -4,14 +4,18 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupexplain import load_builtin, load_dataset
+from groupexplain import RatingsMatrix, load_builtin, load_dataset
 from groupexplain.dataset import builtin_dataset_path
 from groupexplain.errors import (
+    GroupExplainError,
     InvalidValueError,
     MalformedDatasetError,
     UnresolvedIdError,
 )
+from helpers import checked_ratings
 
 BASE = {
     "scale": {"min": 0, "max": 5},
@@ -266,3 +270,79 @@ class TestInvalidValues:
         data = variant(neighbor_group_ratings={"gp1": {"t1": 9.0}})
         with pytest.raises(InvalidValueError):
             load_dataset(write(tmp_path, data))
+
+
+# ------------------------------------------------- ratings rows vs reference
+
+BUNDLED = json.loads(builtin_dataset_path().read_text(encoding="utf-8"))
+# json.dumps cannot write an overflowing literal; this marker becomes one
+OVERFLOW = "<1e999>"
+
+ids = st.one_of(
+    st.sampled_from(BUNDLED["users"] + sorted(BUNDLED["items"])),
+    st.sampled_from(["ghost", "", "U1"]),
+    st.none(),
+    st.booleans(),
+    st.integers(-1, 3),
+    st.lists(st.sampled_from(BUNDLED["users"]), max_size=2),  # unhashable
+    st.just({"u1": 1}),
+)
+rating_values = st.one_of(
+    st.floats(0.0, 5.0),
+    st.integers(0, 5),
+    st.sampled_from(
+        [True, False, None, "3", "", 10**400, -(10**400), -1, -0.5, -0.0,
+         5.0000001, 5.5, 1e308, OVERFLOW, [3], {"v": 3}]
+    ),
+)
+
+
+@st.composite
+def rating_rows(draw):
+    """A valid row, one with one field replaced, or a list of values or a non-list."""
+    row = [
+        draw(st.sampled_from(BUNDLED["users"])),
+        draw(st.sampled_from(sorted(BUNDLED["items"]))),
+        draw(st.one_of(st.floats(0.0, 5.0), st.integers(0, 5))),
+    ]
+    change = draw(st.sampled_from(["none", "user", "item", "value", "shape"]))
+    if change == "user":
+        row[0] = draw(ids)
+    elif change == "item":
+        row[1] = draw(ids)
+    elif change == "value":
+        row[2] = draw(rating_values)
+    elif change == "shape":
+        row = draw(
+            st.one_of(
+                st.lists(rating_values, max_size=4),
+                st.sampled_from([None, "u1", 3, True, {"u1": "t1"}]),
+            )
+        )
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratings=st.lists(rating_rows(), max_size=8))
+def test_ratings_rows_match_the_reference_check(tmp_path_factory, ratings):
+    text = json.dumps({**BUNDLED, "ratings": ratings}).replace(f'"{OVERFLOW}"', "1e999")
+    path = tmp_path_factory.getbasetemp() / "ratings.json"
+    path.write_text(text, encoding="utf-8")
+    parsed = json.loads(text)["ratings"]  # what the loader sees (1e999 is inf)
+    try:
+        expected = RatingsMatrix(
+            checked_ratings(parsed, set(BUNDLED["users"]), BUNDLED["items"])
+        )
+    except GroupExplainError as exc:
+        expected = (type(exc), str(exc))
+    try:
+        got = load_dataset(path).matrix
+    except GroupExplainError as exc:
+        got = (type(exc), str(exc))
+    if isinstance(expected, RatingsMatrix):
+        assert isinstance(got, RatingsMatrix), got
+        assert {u: dict(got.items_rated_by(u)) for u in got.users()} == {
+            u: dict(expected.items_rated_by(u)) for u in expected.users()
+        }
+    else:
+        assert got == expected

@@ -11,3 +11,19 @@ def test_star_import_binds_every_exported_name():
 
 def test_no_duplicate_exports():
     assert len(set(groupexplain.__all__)) == len(groupexplain.__all__)
+
+
+def test_exports_read_the_module_attribute_each_time(monkeypatch):
+    from groupexplain import cf
+
+    assert groupexplain.influential_items is cf.influential_items
+    patched = object()
+    monkeypatch.setattr(cf, "influential_items", patched)
+    assert groupexplain.influential_items is patched
+    # a resolved name is never bound in the package, or a patch would miss it
+    assert "influential_items" not in vars(groupexplain)
+
+
+def test_modules_and_unknown_names():
+    assert groupexplain.svg.render_svg is groupexplain.render_svg
+    assert not hasattr(groupexplain, "no_such_name")

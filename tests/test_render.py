@@ -1,7 +1,6 @@
 """Rendering: rounding rules, templates, charts, SVG determinism."""
 
 import math
-from dataclasses import fields
 
 import pytest
 
@@ -114,7 +113,7 @@ class TestTemplates:
         )
 
     def test_explanation_fields(self):
-        assert [f.name for f in fields(Explanation)] == ["template_id", "slots", "text"]
+        assert Explanation._fields == ("template_id", "slots", "text")
 
     def test_privacy_variant_resolution(self):
         named = render_explanation(
