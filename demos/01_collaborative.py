@@ -47,10 +47,7 @@ def main() -> None:
         print(f"  {bucket:8s} {'#' * count} ({count})")
 
     print("\n== How did similar groups rate it? ==")
-    ratings = {
-        gp: row[item] for gp, row in ds.neighbor_group_ratings.items() if item in row
-    }
-    histogram = group_rating_histogram(ratings, item)
+    histogram = group_rating_histogram(ds.neighbor_group_row(item), item)
     for bucket, count in zip(("bad", "neutral", "good"), histogram.counts):
         print(f"  {bucket:8s} {'#' * count} ({count})")
 

@@ -11,9 +11,10 @@ from groupexplain import (
     Requirement,
     adapt_weights,
     causally_relevant,
+    constrained_items,
     fairness_degree,
     load_builtin,
-    maut_relevance,
+    rank_dimensions,
     relaxation_proposals,
     requirement_relevance,
 )
@@ -25,8 +26,7 @@ def main() -> None:
 
     print("== Which requirement argues for the recommendation? ==")
     # causal relevance only makes sense on items carrying the attributes
-    needed = {req.attribute for req in ds.requirements}
-    catalog = [i for i in ds.items.values() if needed <= set(i.attributes)]
+    catalog = constrained_items(ds.requirements, ds.items)
     for req in ds.requirements:
         relevance = requirement_relevance(group, req)
         causal = causally_relevant(req, catalog)
@@ -34,15 +34,12 @@ def main() -> None:
         print(f"  {req.id} ({req.attribute} {req.operator} {req.bound}): {relevance:.2f}{note}")
 
     print("\n== Which interest dimension argues for each item? ==")
-    dimensions = {d.id: d for d in ds.dimensions}
     for item_id in ("t1", "t2", "t3"):
-        item = ds.items[item_id]
-        scored = {
-            d: maut_relevance(group, dimensions[d], item) for d in dimensions
-        }
-        best = max(scored, key=scored.get)
-        cells = ", ".join(f"{d}={v:.2f}" for d, v in scored.items())
-        print(f"  {item_id}: {cells}  -> {best}")
+        # ranked by relevance, ties by id; the cells keep the dataset order
+        ranking = rank_dimensions(group, ds.dimensions, ds.items[item_id])
+        scored = {d: relevance for d, relevance, _ in ranking}
+        cells = ", ".join(f"{d.id}={scored[d.id]:.2f}" for d in ds.dimensions)
+        print(f"  {item_id}: {cells}  -> {ranking[0][0]}")
 
     print("\n== Minimal relaxations for an over-constrained query ==")
     # deliberately contradictory: no catalog item is both cheap and premium

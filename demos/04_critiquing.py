@@ -44,8 +44,7 @@ def main() -> None:
     print(f"  {anonymous.text}")
 
     print("\n== Spider chart of similar-group ratings (SVG) ==")
-    ratings = {gp: row["t1"] for gp, row in ds.neighbor_group_ratings.items() if "t1" in row}
-    svg = render_svg(spider_chart(ratings, "t1"))
+    svg = render_svg(spider_chart(ds.neighbor_group_row("t1"), "t1"))
     print(f"  {len(svg)} bytes, starts with: {svg.splitlines()[0]}")
 
 

@@ -49,10 +49,11 @@ _EXPORTS = {
         "Requirement",
         "adapt_weights",
         "causally_relevant",
+        "constrained_items",
         "fairness_degree",
         "group_fairness",
         "maut_relevance",
-        "mean_importance",
+        "rank_dimensions",
         "relaxation_proposals",
         "requirement_relevance",
     ),

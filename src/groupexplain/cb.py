@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .core import AggregationStrategy, Group, Item, RatingsMatrix, aggregate, pearson
+from .core import (
+    AggregationStrategy, Group, Item, RatingsMatrix, _ranked, aggregate, pearson
+)
 from .errors import (
     EmptyGroupError,
     InvalidValueError,
@@ -25,15 +27,6 @@ from .render import PRIVACY_ANONYMOUS, PRIVACY_NAMED
 UserCategoryWeights = Mapping[str, Mapping[str, float]]
 
 
-def _user_weight(weights: UserCategoryWeights, user: str, category: str) -> float:
-    per_user = weights.get(user)
-    if per_user is None or category not in per_user:
-        raise MissingWeightError(
-            f"user {user!r} has no weight for category {category!r}"
-        )
-    return per_user[category]
-
-
 def category_relevance(
     group: Group, weights: UserCategoryWeights, item: Item, category: str
 ) -> float:
@@ -42,11 +35,13 @@ def category_relevance(
         raise MissingWeightError(
             f"item {item.id!r} has no weight for category {category!r}"
         )
+    for member in group.members:
+        if category not in weights.get(member, {}):
+            raise MissingWeightError(
+                f"user {member!r} has no weight for category {category!r}"
+            )
     item_weight = item.category_weights[category]
-    total = math.fsum(
-        _user_weight(weights, member, category) * item_weight
-        for member in group.members
-    )
+    total = math.fsum(weights[m][category] * item_weight for m in group.members)
     return total / len(group.members)
 
 
@@ -54,12 +49,12 @@ def rank_categories(
     group: Group, weights: UserCategoryWeights, item: Item
 ) -> list[tuple[str, float]]:
     """All categories the item carries, by descending relevance, ties ascending."""
-    ranked = [
+    if not item.category_weights:
+        raise MissingWeightError(f"item {item.id!r} carries no category weights")
+    return _ranked(
         (category, category_relevance(group, weights, item, category))
         for category in sorted(item.category_weights)
-    ]
-    ranked.sort(key=lambda pair: (-pair[1], pair[0]))
-    return ranked
+    )
 
 
 class TagApplications:
@@ -190,6 +185,33 @@ def group_tag_relevance(
     return total / len(group.members)
 
 
+def tag_summary(
+    matrix: RatingsMatrix,
+    tags: TagApplications,
+    group: Group,
+    threshold: float = 0.4,
+    privacy: str = PRIVACY_NAMED,
+) -> tuple[list[tuple[str, float, float, list[str]]], list[str]]:
+    """Tags ranked by group preference, as (tag, preference, relevance, likers).
+
+    Likers are the members whose preference reaches *threshold*, ascending.
+    Also returns the favoured tags: those whose group preference reaches
+    it, or else the top tag. Each member preference is computed once.
+    """
+    if not tags.tags():
+        raise NoTaggedRatingsError("dataset has no tag applications")
+    rows = []
+    for tag in tags.tags():
+        prefs = member_tag_preferences(matrix, tags, group, tag)
+        preference = aggregate(prefs, AggregationStrategy.AVG)[0]
+        relevance = group_tag_relevance(matrix, tags, group, tag, privacy=privacy)
+        likers = [m for m in sorted(prefs) if prefs[m] >= threshold]
+        rows.append((tag, preference, relevance, likers))
+    rows = _ranked(rows)
+    favored = [tag for tag, pref, _, _ in rows if pref >= threshold]
+    return rows, favored or [rows[0][0]]
+
+
 def opinion_relevance(
     profile: Mapping[str, float], item: Item, feature: str
 ) -> float:
@@ -208,17 +230,15 @@ def pros_cons(
 ) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
     """Partition the item's features into pros (relevance >= threshold) and cons.
 
-    Both lists come back sorted by descending relevance, ties ascending.
+    Both lists come back sorted by descending relevance, ties ascending, so
+    pros + cons is the whole ranking.
     """
-    pros: list[tuple[str, float]] = []
-    cons: list[tuple[str, float]] = []
-    for feature in sorted(item.feature_sentiments):
-        relevance = opinion_relevance(profile, item, feature)
-        (pros if relevance >= threshold else cons).append((feature, relevance))
-    key = lambda pair: (-pair[1], pair[0])
-    pros.sort(key=key)
-    cons.sort(key=key)
-    return pros, cons
+    ranked = _ranked(
+        (feature, opinion_relevance(profile, item, feature))
+        for feature in sorted(item.feature_sentiments)
+    )
+    pros = [pair for pair in ranked if pair[1] >= threshold]
+    return pros, ranked[len(pros):]
 
 
 def opinion_relevance_per_member(

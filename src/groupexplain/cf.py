@@ -22,6 +22,7 @@ from .core import (
     _mean,
     _nearest,
     _predict,
+    _ranked,
     _similarities,
     _similarity,
 )
@@ -259,5 +260,4 @@ def influential_items(
         results.append(
             ItemInfluence(item=candidate, delta=delta, basis_destroying=destroying)
         )
-    results.sort(key=lambda r: (-r.delta, r.item))
-    return results
+    return _ranked(results)

@@ -19,20 +19,12 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 from . import cb, constraint, critique
-from .core import (
-    NN_MODE_INTERSECTION,
-    NN_MODE_UNION,
-    AggregationStrategy,
-    Group,
-    Item,
-    aggregate,
-)
+from .core import NN_MODE_INTERSECTION, NN_MODE_UNION, AggregationStrategy, Group, Item
 from .dataset import Dataset, builtin_dataset_path, load_dataset
 from .errors import (
     DATASET_ERRORS,
     GroupExplainError,
     MissingFeatureError,
-    MissingWeightError,
     UnresolvedIdError,
 )
 from .render import (
@@ -76,11 +68,6 @@ class CommandResult(NamedTuple):
 
 def _r2(value: float) -> float:
     return display_round(value, 2)
-
-
-def _by_value(rows) -> list[tuple]:
-    """(label, value, ...) rows by descending value, ties by ascending label."""
-    return sorted(rows, key=lambda row: (-row[1], row[0]))
 
 
 def _listing(first: str, pairs) -> list[str]:
@@ -166,20 +153,12 @@ def _cf_histogram(dataset: Dataset, args, group: Group, item: Item) -> CommandRe
     )
 
 
-def _neighbor_group_row(dataset: Dataset, item: Item) -> dict[str, float]:
-    return {
-        gp: ratings[item.id]
-        for gp, ratings in dataset.neighbor_group_ratings.items()
-        if item.id in ratings
-    }
-
-
 def _cf_group_histogram(
     dataset: Dataset, args, group: Group, item: Item
 ) -> CommandResult:
     from . import cf
 
-    ratings = _neighbor_group_row(dataset, item)
+    ratings = dataset.neighbor_group_row(item.id)
     histogram = cf.group_rating_histogram(ratings, item.id)
     return _histogram_result(
         args, histogram, "cf-group-histogram", neighbor_groups=sorted(ratings)
@@ -187,7 +166,7 @@ def _cf_group_histogram(
 
 
 def _cf_spider(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
-    ratings = _neighbor_group_row(dataset, item)
+    ratings = dataset.neighbor_group_row(item.id)
     chart = spider_chart(ratings, item.id)
     explanation = render_explanation(
         "cf-group-histogram", args.privacy, dict(item=item.id)
@@ -203,15 +182,13 @@ def _cf_influence(dataset: Dataset, args, group: Group, item: Item) -> CommandRe
     from . import cf
 
     results = cf.influential_items(dataset.matrix, group, item.id, k=args.k)
-    lines = []
-    if results:
-        top = results[0]
-        explanation = render_explanation(
-            "cf-influence",
-            args.privacy,
-            dict(influencer=top.item, item=item.id, delta=top.delta),
-        )
-        lines.append(explanation.text)
+    top = results[0]
+    explanation = render_explanation(
+        "cf-influence",
+        args.privacy,
+        dict(influencer=top.item, item=item.id, delta=top.delta),
+    )
+    lines = [explanation.text]
     for result in results:
         flag = " (basis-destroying)" if result.basis_destroying else ""
         lines.append(f"{result.item}: {fmt_num(result.delta)}{flag}")
@@ -228,8 +205,6 @@ def _cf_influence(dataset: Dataset, args, group: Group, item: Item) -> CommandRe
 
 def _cb_category(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
     ranked = cb.rank_categories(group, dataset.user_category_weights, item)
-    if not ranked:
-        raise MissingWeightError(f"item {item.id!r} carries no category weights")
     top = ranked[0][0]
     explanation = render_explanation(
         "cb-category", args.privacy, dict(item=item.id, category=top)
@@ -252,7 +227,7 @@ def _cb_opinion(dataset: Dataset, args, group: Group, item: Item) -> CommandResu
         args.privacy,
         dict(item=item.id, pros=[f for f, _ in pros], cons=[f for f, _ in cons]),
     )
-    merged = _by_value(pros + cons)
+    merged = pros + cons
     payload = dict(
         threshold=args.threshold,
         pros=[dict(feature=f, relevance=_r2(er)) for f, er in pros],
@@ -263,38 +238,27 @@ def _cb_opinion(dataset: Dataset, args, group: Group, item: Item) -> CommandResu
 
 
 def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
-    rows, likers = [], {}
-    for tag in dataset.tags.tags():
-        prefs = cb.member_tag_preferences(dataset.matrix, dataset.tags, group, tag)
-        relevance = cb.group_tag_relevance(
-            dataset.matrix, dataset.tags, group, tag, privacy=args.privacy
-        )
-        rows.append((tag, aggregate(prefs, AggregationStrategy.AVG)[0], relevance))
-        likers[tag] = [m for m in sorted(prefs) if prefs[m] >= args.threshold]
-    rows = _by_value(rows)
-    favored = [tag for tag, pref, _ in rows if pref >= args.threshold]
-    if not favored and rows:
-        favored = [rows[0][0]]
+    rows, favored = cb.tag_summary(
+        dataset.matrix, dataset.tags, group, args.threshold, args.privacy
+    )
     explanation = render_explanation("cb-tags", args.privacy, dict(tags=favored))
-    member_likes = None
-    if args.privacy == PRIVACY_NAMED:
-        member_likes = {tag: likers[tag] for tag, _, _ in rows if likers[tag]}
+    member_likes = {tag: likers for tag, _, _, likers in rows if likers}
     cloud = tag_cloud(
-        {tag: pref for tag, pref, _ in rows}, member_likes, privacy=args.privacy
+        {tag: pref for tag, pref, _, _ in rows}, member_likes, privacy=args.privacy
     )
     payload = dict(
         threshold=args.threshold,
         tags=[
             dict(tag=tag, preference=_r2(pref), relevance=_r2(rel))
-            for tag, pref, rel in rows
+            for tag, pref, rel, _ in rows
         ],
         explanation=explanation.text,
     )
-    if member_likes is not None:
+    if args.privacy == PRIVACY_NAMED:
         payload.update(member_likes=member_likes)
     lines = [explanation.text] + [
         f"{tag}: preference {fmt_num(pref)}, relevance {fmt_num(rel)}"
-        for tag, pref, rel in rows
+        for tag, pref, rel, _ in rows
     ]
     return CommandResult(lines, payload, cloud)
 
@@ -302,74 +266,49 @@ def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
 # -------------------------------------------------------- explain-constraint
 
 
-def _constrained_items(dataset: Dataset) -> list:
-    """Items that carry every attribute the requirement set talks about."""
-    needed = {req.attribute for req in dataset.requirements}
-    return [
-        item
-        for _, item in sorted(dataset.items.items())
-        if needed <= set(item.attributes)
-    ]
-
-
 def _constraint_requirements(
     dataset: Dataset, args, group: Group, item: None
 ) -> CommandResult:
-    catalog = _constrained_items(dataset)
-    ranking = _by_value(
-        (req.id, constraint.requirement_relevance(group, req))
-        for req in dataset.requirements
+    ranking = constraint.rank_requirements(group, dataset.requirements, dataset.items)
+    top = ranking[0][0]
+    explanation = render_explanation(
+        "constraint-requirement", args.privacy, dict(requirement=top)
     )
-    causal = {
-        req.id: constraint.causally_relevant(req, catalog)
-        for req in dataset.requirements
-    }
-    lines = []
     payload = dict(
+        top=top,
         ranking=[
-            dict(requirement=rid, relevance=_r2(rel), causally_relevant=causal[rid])
-            for rid, rel in ranking
-        ]
+            dict(requirement=rid, relevance=_r2(rel), causally_relevant=causal)
+            for rid, rel, causal in ranking
+        ],
+        explanation=explanation.text,
     )
-    if ranking:
-        top = ranking[0][0]
-        explanation = render_explanation(
-            "constraint-requirement", args.privacy, dict(requirement=top)
-        )
-        payload.update(top=top, explanation=explanation.text)
-        lines.append(explanation.text)
-    for rid, rel in ranking:
-        suffix = " (causally relevant)" if causal[rid] else ""
-        lines.append(f"{rid}: {fmt_num(rel)}{suffix}")
-    return CommandResult(lines, payload, _bar(ranking))
+    lines = [explanation.text] + [
+        f"{rid}: {fmt_num(rel)}{' (causally relevant)' if causal else ''}"
+        for rid, rel, causal in ranking
+    ]
+    chart = _bar((rid, rel) for rid, rel, _ in ranking)
+    return CommandResult(lines, payload, chart)
 
 
 def _constraint_maut(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
-    ranking = _by_value(
-        (dim.id, constraint.maut_relevance(group, dim, item))
-        for dim in dataset.dimensions
-    )
-    if not ranking:
-        raise MissingWeightError("dataset defines no interest dimensions")
+    ranking = constraint.rank_dimensions(group, dataset.dimensions, item)
     top = ranking[0][0]
     explanation = render_explanation(
         "constraint-maut", args.privacy, dict(item=item.id, dimension=top)
     )
-    means = {
-        dim.id: constraint.mean_importance(group, dim) for dim in dataset.dimensions
-    }
+    means = sorted((d, mean) for d, _, mean in ranking)
     payload = dict(
         top=top,
-        ranking=[dict(dimension=d, relevance=_r2(rel)) for d, rel in ranking],
-        importance_means={d: _r2(v) for d, v in sorted(means.items())},
+        ranking=[dict(dimension=d, relevance=_r2(rel)) for d, rel, _ in ranking],
+        importance_means={d: _r2(v) for d, v in means},
         explanation=explanation.text,
     )
-    chart = _bar(sorted(means.items()))
-    return CommandResult(_listing(explanation.text, ranking), payload, chart)
+    lines = _listing(explanation.text, ((d, rel) for d, rel, _ in ranking))
+    return CommandResult(lines, payload, _bar(means))
 
 
 def _critique(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
-    critiques = [c for c in dataset.critiques if c.author in group.members]
+    critiques = critique.group_critiques(dataset.critiques, group)
     result = critique.support_matrix(critiques, item)
     explanation = critique.summary_explanation(result, item, args.privacy)
     shown = [(a, display_trunc(s)) for a, s in result.supports.items()]
@@ -390,16 +329,12 @@ def _fairness_adapt(dataset: Dataset, args, group: Group, item: None) -> Command
     history = dataset.decision_history
     if history is None:
         raise UnresolvedIdError("dataset has no decision_history section")
-    fairness, mean = constraint.group_fairness(group, history)
+    fairness, mean, upgraded = constraint.group_fairness(group, history)
     adapted = constraint.adapt_weights(group, dataset.fairness_weights, history)
-    upgraded = sorted(m for m, f in fairness.items() if f < mean)
-    if not upgraded:
-        template, slots = "constraint-fairness-balanced", {}
-    elif args.privacy == PRIVACY_NAMED:
-        template, slots = "constraint-fairness", dict(users=upgraded)
-    else:
-        slots = dict(count=len(upgraded), total=len(group.members))
-        template = "constraint-fairness"
+    slots = dict(count=len(upgraded), total=len(group.members))
+    if args.privacy == PRIVACY_NAMED:
+        slots.update(users=upgraded)
+    template = "constraint-fairness" if upgraded else "constraint-fairness-balanced"
     explanation = render_explanation(template, args.privacy, slots)
     payload = dict(mean_fairness=_r2(mean), explanation=explanation.text)
     lines = [explanation.text, f"mean fairness: {fmt_num(mean)}"]
@@ -422,9 +357,8 @@ def _fairness_adapt(dataset: Dataset, args, group: Group, item: None) -> Command
 
 
 def _relax(dataset: Dataset, args, group: None, item: None) -> CommandResult:
-    proposals = constraint.relaxation_proposals(
-        dataset.requirements, _constrained_items(dataset)
-    )
+    catalog = constraint.constrained_items(dataset.requirements, dataset.items)
+    proposals = constraint.relaxation_proposals(dataset.requirements, catalog)
     lines = [
         render_explanation(
             "relax-proposal",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Frozen, Group, Item, _attribute_holds
+from .core import Frozen, Group, Item, _attribute_holds, _ranked
 from .errors import (
     EmptyCatalogError,
     InvalidValueError,
@@ -63,16 +63,19 @@ class DecisionHistory(NamedTuple("DecisionHistory", [("records", Mapping)])):
         return super().__new__(cls, records)
 
 
+def _member_importances(group: Group, owner, gap: type) -> list[float]:
+    """Each member's importance in a requirement or dimension; a gap raises *gap*."""
+    noun = "requirement" if isinstance(owner, Requirement) else "dimension"
+    for member in group.members:
+        if member not in owner.importance:
+            raise gap(f"{noun} {owner.id!r} has no importance for {member!r}")
+    return [owner.importance[m] for m in group.members]
+
+
 def requirement_relevance(group: Group, requirement: Requirement) -> float:
     """Group-mean importance of one requirement."""
-    for member in group.members:
-        if member not in requirement.importance:
-            raise MissingImportanceError(
-                f"requirement {requirement.id!r} has no importance for {member!r}"
-            )
-    return math.fsum(
-        requirement.importance[m] for m in group.members
-    ) / len(group.members)
+    weights = _member_importances(group, requirement, MissingImportanceError)
+    return math.fsum(weights) / len(weights)
 
 
 def causally_relevant(requirement: Requirement, items: Sequence[Item]) -> bool:
@@ -81,20 +84,27 @@ def causally_relevant(requirement: Requirement, items: Sequence[Item]) -> bool:
     return surviving < len(items)
 
 
-def _member_importances(group: Group, dimension: InterestDimension) -> list[float]:
-    """Each member's importance for the dimension, in member order."""
-    for member in group.members:
-        if member not in dimension.importance:
-            raise MissingWeightError(
-                f"dimension {dimension.id!r} has no importance for {member!r}"
-            )
-    return [dimension.importance[m] for m in group.members]
+def constrained_items(
+    requirements: Sequence[Requirement], items: Mapping[str, Item]
+) -> list[Item]:
+    """The items, by id, that carry every attribute the requirements talk about."""
+    needed = {req.attribute for req in requirements}
+    return [item for _, item in sorted(items.items()) if needed <= set(item.attributes)]
 
 
-def mean_importance(group: Group, dimension: InterestDimension) -> float:
-    """Group-mean importance of one interest dimension."""
-    weights = _member_importances(group, dimension)
-    return math.fsum(weights) / len(weights)
+def rank_requirements(
+    group: Group, requirements: Sequence[Requirement], items: Mapping[str, Item]
+) -> list[tuple[str, float, bool]]:
+    """(id, relevance, causally relevant) per requirement, ranked by relevance.
+
+    Causal relevance is judged on ``constrained_items``, after all relevances.
+    """
+    if not requirements:
+        raise MissingImportanceError("dataset defines no requirements")
+    relevance = [(req.id, requirement_relevance(group, req)) for req in requirements]
+    catalog = constrained_items(requirements, items)
+    causal = {req.id: causally_relevant(req, catalog) for req in requirements}
+    return _ranked((rid, value, causal[rid]) for rid, value in relevance)
 
 
 def maut_relevance(group: Group, dimension: InterestDimension, item: Item) -> float:
@@ -104,8 +114,22 @@ def maut_relevance(group: Group, dimension: InterestDimension, item: Item) -> fl
             f"item {item.id!r} has no contribution for dimension {dimension.id!r}"
         )
     contribution = item.dimension_contributions[dimension.id]
-    weights = _member_importances(group, dimension)
+    weights = _member_importances(group, dimension, MissingWeightError)
     return math.fsum(w * contribution for w in weights) / len(weights)
+
+
+def rank_dimensions(
+    group: Group, dimensions: Sequence[InterestDimension], item: Item
+) -> list[tuple[str, float, float]]:
+    """(id, MAUT relevance, mean importance) per dimension, ranked by relevance."""
+    if not dimensions:
+        raise MissingWeightError("dataset defines no interest dimensions")
+    rows = []
+    for dim in dimensions:
+        relevance = maut_relevance(group, dim, item)
+        weights = _member_importances(group, dim, MissingWeightError)
+        rows.append((dim.id, relevance, math.fsum(weights) / len(weights)))
+    return _ranked(rows)
 
 
 def fairness_degree(history: DecisionHistory, user: str) -> float:
@@ -116,19 +140,25 @@ def fairness_degree(history: DecisionHistory, user: str) -> float:
     return supported / decisions
 
 
+def _factor(mean: float, degree: float) -> float:
+    """What ``adapt_weights`` multiplies the weights of a member with *degree* by."""
+    return 1.0 + (mean - degree)
+
+
 def group_fairness(
     group: Group, history: DecisionHistory
-) -> tuple[dict[str, float], float]:
-    """Each member's fairness degree, and the group mean of the degrees.
+) -> tuple[dict[str, float], float, list[str]]:
+    """Each member's fairness degree, their mean, and the members below it.
 
-    The mean of equal degrees is that degree: fsum / n could drift by one
-    ulp and put a member of a balanced group below the mean.
+    The members below the mean, ascending, are exactly those whose weights
+    ``adapt_weights`` raises: a degree within rounding of the mean is at it.
+    The mean of equal degrees is that degree: fsum / n could drift by one ulp.
     """
     fairness = {m: fairness_degree(history, m) for m in group.members}
     values = list(fairness.values())
-    if max(values) == min(values):
-        return fairness, values[0]
-    return fairness, math.fsum(values) / len(values)
+    mean = values[0] if max(values) == min(values) else math.fsum(values) / len(values)
+    below = [m for m, f in sorted(fairness.items()) if _factor(mean, f) > 1.0]
+    return fairness, mean, below
 
 
 def adapt_weights(
@@ -142,12 +172,12 @@ def adapt_weights(
     mean of ``group_fairness``. Members at the mean keep their weights;
     disadvantaged members gain.
     """
-    fairness, mean = group_fairness(group, history)
+    fairness, mean, _ = group_fairness(group, history)
     adapted: dict[str, dict[str, float]] = {}
     for member in group.members:
         if member not in weights:
             raise MissingWeightError(f"no dimension weights for member {member!r}")
-        factor = 1.0 + (mean - fairness[member])
+        factor = _factor(mean, fairness[member])
         adapted[member] = {
             dim: w * factor for dim, w in weights[member].items()
         }

@@ -288,11 +288,16 @@ def _similarities(matrix: RatingsMatrix, user: str) -> dict[str, float]:
     return scored
 
 
+def _ranked(rows: Iterable[Sequence]) -> list:
+    """(id, value, ...) rows by descending value, ties by ascending id."""
+    return sorted(rows, key=lambda row: (-row[1], row[0]))
+
+
 def _nearest(scored: Mapping[str, float], k: int) -> list[tuple[str, float]]:
     """The k most similar users; ties by ascending user id."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return sorted(scored.items(), key=lambda pair: (-pair[1], pair[0]))[:k]
+    return _ranked(scored.items())[:k]
 
 
 def _predict(

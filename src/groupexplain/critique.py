@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Frozen, Item, _attribute_holds
+from .core import Frozen, Group, Item, _attribute_holds
 from .errors import NoCritiquesError
 from .render import Explanation, PRIVACY_NAMED, render_explanation
 
@@ -28,6 +28,11 @@ class Critique(Frozen):
         self._set(author, attribute, operator, bound)
 
     satisfied_by = _attribute_holds
+
+
+def group_critiques(critiques: Sequence[Critique], group: Group) -> list[Critique]:
+    """The critiques stated by members of the group, in list order."""
+    return [c for c in critiques if c.author in group.members]
 
 
 def attribute_order(critiques: Sequence[Critique]) -> tuple[str, ...]:

@@ -106,6 +106,11 @@ class Dataset(
             raise UnresolvedIdError(f"unknown item {item_id!r}")
         return self.items[item_id]
 
+    def neighbor_group_row(self, item_id: str) -> dict[str, float]:
+        """The neighbor groups that rated the item, with their ratings of it."""
+        rows = self.neighbor_group_ratings.items()
+        return {gp: row[item_id] for gp, row in rows if item_id in row}
+
 
 _TOP = "dataset"
 _REQUIRED = object()
