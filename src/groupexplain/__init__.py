@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 # Module -> the names the package exports from it.
 _EXPORTS = {
     "cb": (
-        "TagApplications",
         "category_relevance",
         "group_tag_preference",
         "group_tag_relevance",
@@ -43,10 +42,7 @@ _EXPORTS = {
         "nn_rating_histogram",
     ),
     "constraint": (
-        "DecisionHistory",
-        "InterestDimension",
         "RelaxationProposal",
-        "Requirement",
         "adapt_weights",
         "causally_relevant",
         "constrained_items",
@@ -59,10 +55,15 @@ _EXPORTS = {
     ),
     "core": (
         "AggregationStrategy",
+        "Critique",
+        "DecisionHistory",
         "Group",
+        "InterestDimension",
         "Item",
         "RatingBucket",
         "RatingsMatrix",
+        "Requirement",
+        "TagApplications",
         "aggregate",
         "categorize_rating",
         "knn_neighbors",
@@ -70,7 +71,6 @@ _EXPORTS = {
         "predict_rating",
     ),
     "critique": (
-        "Critique",
         "SupportMatrix",
         "critique_explanation",
         "critique_support",

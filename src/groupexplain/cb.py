@@ -12,11 +12,11 @@ import math
 from typing import Mapping
 
 from .core import (
-    AggregationStrategy, Group, Item, RatingsMatrix, _ranked, aggregate, pearson
+    AggregationStrategy, Group, Item, RatingsMatrix, TagApplications, _ranked,
+    aggregate, pearson,
 )
 from .errors import (
     EmptyGroupError,
-    InvalidValueError,
     MissingFeatureError,
     MissingWeightError,
     NoTaggedRatingsError,
@@ -55,39 +55,6 @@ def rank_categories(
         (category, category_relevance(group, weights, item, category))
         for category in sorted(item.category_weights)
     )
-
-
-class TagApplications:
-    """Per-item tag application counts; shares are count / total."""
-
-    def __init__(self, applications: Mapping[str, Mapping[str, int]]):
-        self._counts: dict[str, dict[str, int]] = {}
-        self._totals: dict[str, int] = {}
-        for item, tags in applications.items():
-            for tag, count in tags.items():
-                if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                    raise InvalidValueError(
-                        f"tag count for ({item!r}, {tag!r}) must be a non-negative int"
-                    )
-            self._counts[item] = dict(tags)
-            self._totals[item] = sum(tags.values())
-
-    def tags(self) -> tuple[str, ...]:
-        seen = {tag for tags in self._counts.values() for tag in tags}
-        return tuple(sorted(seen))
-
-    def has_tags(self, item: str) -> bool:
-        return self._totals.get(item, 0) > 0
-
-    def total(self, item: str) -> int:
-        return self._totals.get(item, 0)
-
-    def share(self, item: str, tag: str) -> float:
-        """Fraction of the item's tag applications that used this tag."""
-        total = self._totals.get(item, 0)
-        if total == 0:
-            return 0.0
-        return self._counts[item].get(tag, 0) / total
 
 
 def _tagged_rated_items(
@@ -233,6 +200,8 @@ def pros_cons(
     Both lists come back sorted by descending relevance, ties ascending, so
     pros + cons is the whole ranking.
     """
+    if not item.feature_sentiments:
+        raise MissingFeatureError(f"item {item.id!r} carries no feature sentiments")
     ranked = _ranked(
         (feature, opinion_relevance(profile, item, feature))
         for feature in sorted(item.feature_sentiments)

@@ -10,57 +10,13 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Frozen, Group, Item, _attribute_holds, _ranked
+from .core import DecisionHistory, Group, InterestDimension, Item, Requirement, _ranked
 from .errors import (
     EmptyCatalogError,
-    InvalidValueError,
     MissingImportanceError,
     MissingWeightError,
     UnknownUserError,
 )
-
-
-class Requirement(Frozen):
-    """A group requirement over one item attribute, e.g. price <= 250."""
-
-    __slots__ = ("id", "attribute", "operator", "bound", "importance")
-
-    def __init__(
-        self,
-        id: str,
-        attribute: str,
-        operator: str,
-        bound: object,
-        importance: Mapping[str, float],
-    ):
-        self._set(id, attribute, operator, bound, importance)
-
-    matches = _attribute_holds
-
-
-class InterestDimension(NamedTuple):
-    """A MAUT interest dimension with per-user importance weights."""
-
-    id: str
-    importance: Mapping[str, float]
-
-
-class DecisionHistory(NamedTuple("DecisionHistory", [("records", Mapping)])):
-    """Per-user (supported, decisions) counts over past group choices."""
-
-    __slots__ = ()
-
-    def __new__(cls, records: Mapping[str, tuple[int, int]]):
-        for user, (supported, decisions) in records.items():
-            if decisions < 1:
-                raise InvalidValueError(
-                    f"user {user!r}: decision count must be positive"
-                )
-            if not 0 <= supported <= decisions:
-                raise InvalidValueError(
-                    f"user {user!r}: supported count {supported} outside [0, {decisions}]"
-                )
-        return super().__new__(cls, records)
 
 
 def _member_importances(group: Group, owner, gap: type) -> list[float]:

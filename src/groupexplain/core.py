@@ -1,8 +1,10 @@
-"""Shared model: ratings, groups, aggregation, similarity and prediction.
+"""Shared model: the dataset's records, aggregation, similarity and prediction.
 
 Everything downstream (the four explanation paradigms, the renderer, the
-CLI) builds on the types and functions in this module. All functions are
-pure; the containers are treated as immutable after construction.
+CLI) builds on the types and functions in this module. Every record type
+the loader builds is defined here, so loading a dataset imports no
+paradigm module. All functions are pure; the containers are treated as
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -191,6 +193,121 @@ class RatingsMatrix:
         return _mean(row)
 
 
+class TagApplications:
+    """Per-item tag application counts; shares are count / total."""
+
+    def __init__(self, applications: Mapping[str, Mapping[str, int]]):
+        self._counts: dict[str, dict[str, int]] = {}
+        self._totals: dict[str, int] = {}
+        for item, tags in applications.items():
+            for tag, count in tags.items():
+                if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                    raise InvalidValueError(
+                        f"tag count for ({item!r}, {tag!r}) must be a non-negative int"
+                    )
+            self._counts[item] = dict(tags)
+            self._totals[item] = sum(tags.values())
+
+    def tags(self) -> tuple[str, ...]:
+        seen = {tag for tags in self._counts.values() for tag in tags}
+        return tuple(sorted(seen))
+
+    def has_tags(self, item: str) -> bool:
+        return self._totals.get(item, 0) > 0
+
+    def total(self, item: str) -> int:
+        return self._totals.get(item, 0)
+
+    def share(self, item: str, tag: str) -> float:
+        """Fraction of the item's tag applications that used this tag."""
+        total = self._totals.get(item, 0)
+        if total == 0:
+            return 0.0
+        return self._counts[item].get(tag, 0) / total
+
+
+class InterestDimension(NamedTuple):
+    """A MAUT interest dimension with per-user importance weights."""
+
+    id: str
+    importance: Mapping[str, float]
+
+
+class DecisionHistory(NamedTuple("DecisionHistory", [("records", Mapping)])):
+    """Per-user (supported, decisions) counts over past group choices."""
+
+    __slots__ = ()
+
+    def __new__(cls, records: Mapping[str, tuple[int, int]]):
+        for user, (supported, decisions) in records.items():
+            if decisions < 1:
+                raise InvalidValueError(
+                    f"user {user!r}: decision count must be positive"
+                )
+            if not 0 <= supported <= decisions:
+                raise InvalidValueError(
+                    f"user {user!r}: supported count {supported} outside [0, {decisions}]"
+                )
+        return super().__new__(cls, records)
+
+
+#: Comparison operators usable in requirements and critiques.
+OPERATORS = ("<=", ">=", "=")
+
+
+def satisfies(value: object, operator: str, bound: object) -> bool:
+    """Evaluate ``value <operator> bound`` for requirement/critique checks."""
+    if operator == "=":
+        return value == bound
+    if operator not in OPERATORS:
+        raise ValueError(f"unknown operator {operator!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidValueError(
+            f"operator {operator!r} needs a numeric value, got {value!r}"
+        )
+    if operator == "<=":
+        return value <= bound  # type: ignore[operator]
+    return value >= bound  # type: ignore[operator]
+
+
+def _attribute_holds(self, item: Item) -> bool:
+    """Body of ``Requirement.matches`` and ``Critique.satisfied_by`` (one call each)."""
+    if self.attribute not in item.attributes:
+        raise MissingAttributeError(
+            f"item {item.id!r} lacks attribute {self.attribute!r}"
+        )
+    return satisfies(item.attributes[self.attribute], self.operator, self.bound)
+
+
+class Requirement(Frozen):
+    """A group requirement over one item attribute, e.g. price <= 250."""
+
+    __slots__ = ("id", "attribute", "operator", "bound", "importance")
+
+    def __init__(
+        self,
+        id: str,
+        attribute: str,
+        operator: str,
+        bound: object,
+        importance: Mapping[str, float],
+    ):
+        self._set(id, attribute, operator, bound, importance)
+
+    matches = _attribute_holds
+
+
+class Critique(Frozen):
+    """One member's unit critique on a single item attribute."""
+
+    __slots__ = ("author", "attribute", "operator", "bound")
+
+    def __init__(self, author: str, attribute: str, operator: str, bound: object):
+        self._set(author, attribute, operator, bound)
+
+    satisfied_by = _attribute_holds
+
+
 def categorize_rating(rating: float) -> RatingBucket:
     """Place a rating into the bad / neutral / good bucket."""
     if not RATING_MIN <= rating <= RATING_MAX:
@@ -345,31 +462,3 @@ def predict_rating(matrix: RatingsMatrix, user: str, item: str, k: int = 2) -> f
     """
     neighbors = knn_neighbors(matrix, user, k)
     return _predict(matrix, user, item, neighbors, matrix.user_mean)
-
-
-#: Comparison operators usable in requirements and critiques.
-OPERATORS = ("<=", ">=", "=")
-
-
-def satisfies(value: object, operator: str, bound: object) -> bool:
-    """Evaluate ``value <operator> bound`` for requirement/critique checks."""
-    if operator == "=":
-        return value == bound
-    if operator not in OPERATORS:
-        raise ValueError(f"unknown operator {operator!r}")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InvalidValueError(
-            f"operator {operator!r} needs a numeric value, got {value!r}"
-        )
-    if operator == "<=":
-        return value <= bound  # type: ignore[operator]
-    return value >= bound  # type: ignore[operator]
-
-
-def _attribute_holds(self, item: Item) -> bool:
-    """Body of ``Requirement.matches`` and ``Critique.satisfied_by`` (one call each)."""
-    if self.attribute not in item.attributes:
-        raise MissingAttributeError(
-            f"item {item.id!r} lacks attribute {self.attribute!r}"
-        )
-    return satisfies(item.attributes[self.attribute], self.operator, self.bound)

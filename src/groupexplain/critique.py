@@ -14,20 +14,9 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import Frozen, Group, Item, _attribute_holds
+from .core import Critique, Group, Item
 from .errors import NoCritiquesError
 from .render import Explanation, PRIVACY_NAMED, render_explanation
-
-
-class Critique(Frozen):
-    """One member's unit critique on a single item attribute."""
-
-    __slots__ = ("author", "attribute", "operator", "bound")
-
-    def __init__(self, author: str, attribute: str, operator: str, bound: object):
-        self._set(author, attribute, operator, bound)
-
-    satisfied_by = _attribute_holds
 
 
 def group_critiques(critiques: Sequence[Critique], group: Group) -> list[Critique]:

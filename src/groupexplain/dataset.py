@@ -18,17 +18,19 @@ import math
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .cb import TagApplications
-from .constraint import DecisionHistory, InterestDimension, Requirement
 from .core import (
     OPERATORS,
     RATING_MAX,
     RATING_MIN,
+    Critique,
+    DecisionHistory,
     Group,
+    InterestDimension,
     Item,
     RatingsMatrix,
+    Requirement,
+    TagApplications,
 )
-from .critique import Critique
 from .errors import (
     InvalidValueError,
     MalformedDatasetError,
@@ -36,65 +38,23 @@ from .errors import (
 )
 
 
-class Dataset(
-    NamedTuple(
-        "Dataset",
-        [
-            ("users", tuple),
-            ("items", dict),
-            ("matrix", RatingsMatrix),
-            ("tags", TagApplications),
-            ("groups", dict),
-            ("user_category_weights", dict),
-            ("group_sentiments", dict),
-            ("member_sentiments", dict),
-            ("requirements", list),
-            ("dimensions", list),
-            ("critiques", list),
-            ("decision_history", object),
-            ("fairness_weights", dict),
-            ("neighbor_group_ratings", dict),
-        ],
-    )
-):
-    """Every section of one dataset; an optional section not given is empty."""
+class Dataset(NamedTuple):
+    """Every section of one dataset; an absent optional section is empty or None."""
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        users: tuple[str, ...],
-        items: dict[str, Item],
-        matrix: RatingsMatrix,
-        tags: TagApplications,
-        groups: dict[str, Group],
-        user_category_weights: dict[str, dict[str, float]] | None = None,
-        group_sentiments: dict[str, dict[str, float]] | None = None,
-        member_sentiments: dict[str, dict[str, float]] | None = None,
-        requirements: list[Requirement] | None = None,
-        dimensions: list[InterestDimension] | None = None,
-        critiques: list[Critique] | None = None,
-        decision_history: DecisionHistory | None = None,
-        fairness_weights: dict[str, dict[str, float]] | None = None,
-        neighbor_group_ratings: dict[str, dict[str, float]] | None = None,
-    ):
-        return super().__new__(
-            cls,
-            users,
-            items,
-            matrix,
-            tags,
-            groups,
-            {} if user_category_weights is None else user_category_weights,
-            {} if group_sentiments is None else group_sentiments,
-            {} if member_sentiments is None else member_sentiments,
-            [] if requirements is None else requirements,
-            [] if dimensions is None else dimensions,
-            [] if critiques is None else critiques,
-            decision_history,
-            {} if fairness_weights is None else fairness_weights,
-            {} if neighbor_group_ratings is None else neighbor_group_ratings,
-        )
+    users: tuple[str, ...]
+    items: dict[str, Item]
+    matrix: RatingsMatrix
+    tags: TagApplications
+    groups: dict[str, Group]
+    user_category_weights: dict[str, dict[str, float]]
+    group_sentiments: dict[str, dict[str, float]]
+    member_sentiments: dict[str, dict[str, float]]
+    requirements: list[Requirement]
+    dimensions: list[InterestDimension]
+    critiques: list[Critique]
+    decision_history: DecisionHistory | None
+    fairness_weights: dict[str, dict[str, float]]
+    neighbor_group_ratings: dict[str, dict[str, float]]
 
     def group(self, group_id: str) -> Group:
         if group_id not in self.groups:

@@ -159,23 +159,12 @@ def render_explanation(
     )
 
 
-class ChartData(
-    NamedTuple("ChartData", [("kind", str), ("series", tuple), ("meta", Mapping)])
-):
-    """Frontend-neutral chart: kind, (label, value) series, metadata.
+class ChartData(NamedTuple):
+    """Frontend-neutral chart: kind, (label, value) series, metadata."""
 
-    The metadata not given is a new empty dict.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        kind: str,
-        series: tuple[tuple[str, float], ...],
-        meta: Mapping[str, object] | None = None,
-    ):
-        return super().__new__(cls, kind, series, {} if meta is None else meta)
+    kind: str
+    series: tuple[tuple[str, float], ...]
+    meta: Mapping[str, object]
 
 
 def histogram_chart(histogram: "RatingHistogram") -> ChartData:

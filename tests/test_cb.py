@@ -115,6 +115,12 @@ class TestOpinions:
         with pytest.raises(MissingFeatureError):
             opinion_relevance({"f1": 0.5}, dataset.items["t1"], "f2")
 
+    def test_item_without_feature_sentiments(self, dataset):
+        profile = dataset.group_sentiments["g1"]
+        with pytest.raises(MissingFeatureError) as raised:
+            pros_cons(profile, dataset.items["x11"])
+        assert raised.value.message == "item 'x11' carries no feature sentiments"
+
     def test_missing_feature_on_item(self, dataset):
         profile = dataset.group_sentiments["g1"]
         with pytest.raises(MissingFeatureError):

@@ -357,6 +357,27 @@ class TestExitCodes:
         code, _, err = run(capsys, "explain-cb", "--group", "g9", "--mode", "tags")
         assert code == EXIT_DATASET
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "svg"])
+    def test_opinion_on_an_item_without_feature_sentiments(self, capsys, fmt):
+        argv = ["explain-cb", "--mode", "opinion", "--item", "x11", "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_COMPUTE and out == ""
+        assert err == "error: missing-feature: item 'x11' carries no feature sentiments\n"
+
+    def test_opinion_missing_profile_comes_before_missing_sentiments(
+        self, capsys, tmp_path
+    ):
+        doc = json.loads(builtin_dataset_path().read_text(encoding="utf-8"))
+        doc["groups"]["g2"] = ["u1", "u2"]
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(
+            capsys, "explain-cb", "--mode", "opinion", "--item", "x11",
+            "--group", "g2", "--data", str(path),
+        )
+        assert code == EXIT_COMPUTE and out == ""
+        assert err == "error: missing-feature: group 'g2' has no sentiment profile\n"
+
     def test_missing_data_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "relax", "--data", str(tmp_path / "absent.json")

@@ -1,9 +1,10 @@
 """A fresh CLI process imports only what its request uses.
 
-``import groupexplain.cli`` loads neither ``cf`` nor ``svg``, and no
-module of the package imports ``dataclasses`` (which pulls in
-``inspect``, ``ast`` and ``tokenize``). The subprocess runs without
-``site``, so no start-up hook of the environment preloads a module.
+``import groupexplain.cli`` loads neither ``cf`` nor ``svg``, loading a
+dataset loads no paradigm module, and no module of the package imports
+``dataclasses`` (which pulls in ``inspect``, ``ast`` and ``tokenize``).
+The subprocesses run without ``site``, so no start-up hook of the
+environment preloads a module.
 """
 
 import ast
@@ -60,16 +61,75 @@ def test_requests_load_cf_and_svg_only_when_they_use_them():
     )
 
 
+def test_loading_a_dataset_loads_no_paradigm_module():
+    probe = (
+        "import json, sys, groupexplain\n"
+        "groupexplain.load_dataset(groupexplain.builtin_dataset_path())\n"
+        "print(json.dumps(sorted(m for m in json.loads(sys.argv[1]) if m in sys.modules)))"
+    )
+    unwanted = [
+        *(f"groupexplain.{name}" for name in
+          ("cb", "cf", "constraint", "critique", "render", "svg")),
+        "decimal",
+    ]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, json.dumps(unwanted)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
+def _trees():
+    """(file name, parsed module) for each source file of the package."""
+    for path in sorted((SRC_DIR / "groupexplain").rglob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_no_source_file_imports_dataclasses():
     importers = []
-    for path in sorted((SRC_DIR / "groupexplain").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                modules = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "dataclasses" for name in names):
-                importers.append(path.name)
+            if any(module.split(".")[0] == "dataclasses" for module in modules):
+                importers.append(name)
     assert importers == []
+
+
+def test_the_loader_imports_only_core_and_errors_from_the_package():
+    imported = set()
+    for node in ast.walk(dict(_trees())["dataset.py"]):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "groupexplain":
+                continue  # the standard library
+            module = module.removeprefix("groupexplain").lstrip(".")
+            imported.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.startswith("groupexplain"))
+    assert imported == {"core", "errors"}
+
+
+def test_only_core_names_its_record_base_and_predicate():
+    users = set()
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named = node.id
+            elif isinstance(node, ast.Attribute):
+                named = node.attr
+            elif isinstance(node, ast.alias):
+                named = node.name
+            else:
+                continue
+            if named in ("Frozen", "_attribute_holds"):
+                users.add(name)
+    assert users == {"core.py"}

@@ -250,6 +250,14 @@ class TestNeighborGroupRow:
             matrix=RatingsMatrix([]),
             tags=TagApplications({}),
             groups={},
+            user_category_weights={},
+            group_sentiments={},
+            member_sentiments={},
+            requirements=[],
+            dimensions=[],
+            critiques=[],
+            decision_history=None,
+            fairness_weights={},
             neighbor_group_ratings={
                 "gp1": {"t1": 4.0, "t2": 2.0},
                 "gp2": {"t2": 1.0},

@@ -62,11 +62,11 @@ CASES = [
                          supports={"price": 1.0}), {}, True),
     (Explanation, dict(template_id="relax-none", slots={}, text="no relaxation"),
      {}, True),
-    (ChartData, dict(kind="bar", series=(("a", 1.0),)), dict(meta={}), True),
-    (Dataset, dict(users=("a",), items={}, matrix=MATRIX, tags=TAGS, groups={}),
-     dict(user_category_weights={}, group_sentiments={}, member_sentiments={},
-          requirements=[], dimensions=[], critiques=[], decision_history=None,
-          fairness_weights={}, neighbor_group_ratings={}), False),
+    (ChartData, dict(kind="bar", series=(("a", 1.0),), meta={}), {}, True),
+    (Dataset, dict(users=("a",), items={}, matrix=MATRIX, tags=TAGS, groups={},
+                   user_category_weights={}, group_sentiments={}, member_sentiments={},
+                   requirements=[], dimensions=[], critiques=[], decision_history=None,
+                   fairness_weights={}, neighbor_group_ratings={}), {}, False),
     (CommandResult, dict(lines=["x"], payload={"a": 1}), dict(chart=None), False),
     (_Mode, dict(run=_run), dict(group=True, item=True, flags=()), True),
 ]
