@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -339,7 +340,7 @@ def aggregate(
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation of two equal-length samples.
+    """Pearson correlation of two equal-length samples, in any order of the pairs.
 
     Raises dimension-mismatch below two paired points and
     degenerate-variance when either side is constant (its minimum equals
@@ -353,13 +354,12 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     # constant means min == max; one count per sample is the cheaper test
     if x.count(x[0]) == len(x) or y.count(y[0]) == len(y):
         raise DegenerateVarianceError("a constant sample has no correlation")
-    mx = math.fsum(x) / len(x)
-    my = math.fsum(y) / len(y)
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)  # fsum: order-free
     dx = [a - mx for a in x]
     dy = [b - my for b in y]
-    sxx = math.fsum(a * a for a in dx)
-    syy = math.fsum(b * b for b in dy)
-    sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    sxx = math.fsum(map(mul, dx, dx))
+    syy = math.fsum(map(mul, dy, dy))
+    sxy = math.fsum(map(mul, dx, dy))
     spread = math.sqrt(sxx * syy)
     if spread == 0.0:  # the product of two tiny variances can underflow
         raise DegenerateVarianceError("sample variance underflows a float")
@@ -375,18 +375,18 @@ def _mean(row: Mapping[str, float], without: str | None = None) -> float:
 def _similarity(
     own: Mapping[str, float], other: Mapping[str, float], without: str | None = None
 ) -> float | None:
-    """Pearson over the items both rows rate, leaving out *without*.
+    """Pearson over the items both rows rate, in set order, leaving out *without*.
 
     None when fewer than two such items remain: the pair is not eligible
     as neighbors. A degenerate pair scores 0.0 and stays eligible.
     """
     common = own.keys() & other.keys()
     common.discard(without)
-    if len(common) < 2:
+    if len(common) < 2:  # a one-key itemgetter returns a bare value
         return None
-    common = sorted(common)
+    pick = itemgetter(*common)
     try:
-        return pearson([own[i] for i in common], [other[i] for i in common])
+        return pearson(pick(own), pick(other))
     except DegenerateVarianceError:
         return 0.0
 

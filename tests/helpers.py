@@ -1,12 +1,19 @@
 """Matrix helpers the tests build from the public ``RatingsMatrix`` API,
-and a reference check of a dataset's ``ratings`` rows."""
+a reference check of a dataset's ``ratings`` rows, and a frozen reference
+kNN kernel."""
 
 import math
+from typing import Callable, Iterable, Mapping, Sequence
 
 from groupexplain import RatingsMatrix
+from groupexplain.core import RATING_MAX, RATING_MIN
 from groupexplain.errors import (
+    DegenerateVarianceError,
+    DimensionMismatchError,
     InvalidValueError,
     MalformedDatasetError,
+    NoPredictionBasisError,
+    UnknownUserError,
     UnresolvedIdError,
 )
 
@@ -59,3 +66,123 @@ def checked_ratings(rows, users, items) -> list[tuple[str, str, float]]:
             raise InvalidValueError(f"{where}: rating {number} outside [0, 5]")
         triples.append((row[0], row[1], number))
     return triples
+
+
+# The reference kNN kernel: ``pearson``, ``_similarity``, ``_similarities``,
+# ``_ranked``, ``_nearest`` and ``_predict`` as the library had them when
+# co-rated items were paired in ascending id order and every sum of
+# products was a generator expression. Frozen here, so a change to the
+# library's kernel is checked against numbers it cannot have produced
+# itself; leave these bodies as they are.
+
+
+def pearson(x: Sequence[float], y: Sequence[float]) -> float:
+    """Pearson correlation of two equal-length samples.
+
+    Raises dimension-mismatch below two paired points and
+    degenerate-variance when either side is constant (its minimum equals
+    its maximum), whatever rounding its mean takes, or varies so little
+    that its variance underflows a float.
+    """
+    if len(x) != len(y):
+        raise DimensionMismatchError(f"sample sizes differ: {len(x)} vs {len(y)}")
+    if len(x) < 2:
+        raise DimensionMismatchError("need at least two paired points")
+    # constant means min == max; one count per sample is the cheaper test
+    if x.count(x[0]) == len(x) or y.count(y[0]) == len(y):
+        raise DegenerateVarianceError("a constant sample has no correlation")
+    mx = math.fsum(x) / len(x)
+    my = math.fsum(y) / len(y)
+    dx = [a - mx for a in x]
+    dy = [b - my for b in y]
+    sxx = math.fsum(a * a for a in dx)
+    syy = math.fsum(b * b for b in dy)
+    sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    spread = math.sqrt(sxx * syy)
+    if spread == 0.0:  # the product of two tiny variances can underflow
+        raise DegenerateVarianceError("sample variance underflows a float")
+    return sxy / spread
+
+
+def _similarity(
+    own: Mapping[str, float], other: Mapping[str, float], without: str | None = None
+) -> float | None:
+    """Pearson over the items both rows rate, leaving out *without*.
+
+    None when fewer than two such items remain: the pair is not eligible
+    as neighbors. A degenerate pair scores 0.0 and stays eligible.
+    """
+    common = own.keys() & other.keys()
+    common.discard(without)
+    if len(common) < 2:
+        return None
+    common = sorted(common)
+    try:
+        return pearson([own[i] for i in common], [other[i] for i in common])
+    except DegenerateVarianceError:
+        return 0.0
+
+
+def _similarities(matrix: RatingsMatrix, user: str) -> dict[str, float]:
+    """Every other user eligible as *user*'s neighbor, with their similarity."""
+    if not matrix.has_user(user):
+        raise UnknownUserError(f"user {user!r} has no ratings")
+    own = matrix.items_rated_by(user)
+    scored: dict[str, float] = {}
+    for other in matrix.users():
+        if other != user:
+            sim = _similarity(own, matrix.items_rated_by(other))
+            if sim is not None:
+                scored[other] = sim
+    return scored
+
+
+def _ranked(rows: Iterable[Sequence]) -> list:
+    """(id, value, ...) rows by descending value, ties by ascending id."""
+    return sorted(rows, key=lambda row: (-row[1], row[0]))
+
+
+def _nearest(scored: Mapping[str, float], k: int) -> list[tuple[str, float]]:
+    """The k most similar users; ties by ascending user id."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return _ranked(scored.items())[:k]
+
+
+def _predict(
+    matrix: RatingsMatrix,
+    user: str,
+    item: str,
+    neighbors: Sequence[tuple[str, float]],
+    mean: Callable[[str], float],
+) -> float:
+    """The clamped mean-centred prediction from ranked (neighbor, sim) pairs.
+
+    *mean* gives a user's mean rating; ratings of *item* come from *matrix*.
+    """
+    raters = [(v, sim) for v, sim in neighbors if matrix.get(v, item) is not None]
+    if not raters:
+        raise NoPredictionBasisError(
+            f"no neighbor of {user!r} rated item {item!r}"
+        )
+    numerator = math.fsum(sim * (matrix.get(v, item) - mean(v)) for v, sim in raters)
+    denominator = math.fsum(abs(sim) for _, sim in raters)
+    deviation = numerator / denominator if denominator > 0.0 else 0.0
+    return min(RATING_MAX, max(RATING_MIN, mean(user) + deviation))
+
+
+def reference_knn_neighbors(
+    matrix: RatingsMatrix, user: str, k: int
+) -> list[tuple[str, float]]:
+    """``knn_neighbors`` computed by the reference kernel."""
+    return _nearest(_similarities(matrix, user), k)
+
+
+def reference_predict_rating(matrix: RatingsMatrix, user: str, item: str, k: int) -> float:
+    """``predict_rating`` computed by the reference kernel."""
+
+    def mean(rater: str) -> float:
+        row = matrix.items_rated_by(rater)
+        return math.fsum(row.values()) / len(row)
+
+    return _predict(matrix, user, item, reference_knn_neighbors(matrix, user, k), mean)

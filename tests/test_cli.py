@@ -80,6 +80,27 @@ def test_golden_outputs_byte_stable(capsys, golden, argv):
     assert first == expected
 
 
+@pytest.mark.parametrize(
+    "golden",
+    ["cf_influence_t1.json", "cf_histogram_named.json", "cf_aggregation_avg_named.json"],
+)
+def test_cf_goldens_do_not_depend_on_the_hash_seed(golden):
+    # co-rated items are paired in set order, which follows the string hash seed
+    argv = dict(GOLDEN_CASES)[golden]
+    expected = (GOLDEN_DIR / golden).read_bytes()
+    for seed in range(8):
+        result = subprocess.run(
+            [sys.executable, "-m", "groupexplain.cli", *argv],
+            capture_output=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR),
+                 "PYTHONHASHSEED": str(seed)},
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            EXIT_OK, expected, b""
+        ), seed
+
+
 def _balanced_history(doc):
     doc["decision_history"]["counts"] = {u: [8, 8] for u in ("u1", "u2", "u3")}
 

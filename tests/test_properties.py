@@ -1,16 +1,17 @@
 """Property suites: invariants that must hold on randomized inputs.
 
-Eleven suites, 200 examples each. The relaxation suite checks the
+Thirteen suites, 200 examples each. The relaxation suite checks the
 implementation against a brute-force subset enumeration written here, the
 influence suite against the leave-one-out definition (a reduced copy of
 the matrix per removed item), the critique suite against a count of each
-critique by hand.
+critique by hand, and the kernel suite the library's neighbors and
+predictions against the frozen reference kernel in ``helpers``.
 """
 
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from groupexplain import (
@@ -38,8 +39,18 @@ from groupexplain import (
     support_matrix,
     tag_cloud,
 )
-from groupexplain.errors import NoPredictionBasisError, UnknownUserError
-from helpers import co_rated, without_item
+from groupexplain.errors import (
+    DegenerateVarianceError,
+    DimensionMismatchError,
+    NoPredictionBasisError,
+    UnknownUserError,
+)
+from helpers import (
+    co_rated,
+    reference_knn_neighbors,
+    reference_predict_rating,
+    without_item,
+)
 
 RUNS = settings(max_examples=200, deadline=None)
 
@@ -108,6 +119,37 @@ def test_pearson_affine_invariance(pairs, a, b):
     transformed = pearson([a * x + b for x in xs], ys)
     sign = 1.0 if a > 0 else -1.0
     assert transformed == pytest.approx(sign * base, abs=1e-9)
+
+
+half_steps = st.integers(0, 10).map(lambda n: n / 2)
+# half steps make constant samples; 0.1 has no exact mean; tiny values
+# make variances that underflow
+sample_values = st.one_of(
+    half_steps, st.floats(0.0, 5.0), st.sampled_from([0.1, 0.0, 1e-200, 5e-324])
+)
+
+
+@st.composite
+def reordered_pairs(draw):
+    pairs = draw(st.lists(st.tuples(sample_values, sample_values), max_size=10))
+    return pairs, draw(st.permutations(pairs))
+
+
+def pearson_outcome(pairs):
+    """pearson's float, or the class and message of the error it raises."""
+    try:
+        return pearson([x for x, _ in pairs], [y for _, y in pairs])
+    except (DimensionMismatchError, DegenerateVarianceError) as error:
+        return type(error), str(error)
+
+
+@given(case=reordered_pairs())
+@example(case=([(0.1, 1.0), (0.1, 2.0), (0.1, 4.0)], [(0.1, 4.0), (0.1, 1.0), (0.1, 2.0)]))
+@example(case=([(0.0, 1.0), (1e-200, 2.0)], [(1e-200, 2.0), (0.0, 1.0)]))
+@RUNS
+def test_pearson_ignores_pair_order(case):
+    pairs, shuffled = case
+    assert pearson_outcome(shuffled) == pearson_outcome(pairs)
 
 
 @st.composite
@@ -269,6 +311,36 @@ def test_member_predictions_follow_predict_rating(instance):
     else:
         with pytest.raises(UnknownUserError):
             member_predictions(matrix, group, None, k)
+
+
+@st.composite
+def rating_matrices(draw):
+    """Ratings by 2-8 users of 2-6 items; half the matrices half steps only."""
+    values = draw(st.sampled_from([half_steps, rating_values]))
+    users = [f"u{n}" for n in range(draw(st.integers(2, 8)))]
+    items = [f"i{n}" for n in range(draw(st.integers(2, 6)))]
+    return [(u, i, draw(values)) for u in users for i in items if draw(st.booleans())]
+
+
+@given(ratings=rating_matrices())
+@RUNS
+def test_knn_and_prediction_match_the_reference_kernel(ratings):
+    matrix = RatingsMatrix(ratings)
+    items = sorted({item for _, item, _ in ratings})
+    for user in matrix.users():
+        for k in (1, 2, 3):
+            # (id, similarity) lists: similarities equal with ==, ties in order
+            assert knn_neighbors(matrix, user, k) == reference_knn_neighbors(
+                matrix, user, k
+            )
+            for item in items:
+                try:
+                    expected = reference_predict_rating(matrix, user, item, k)
+                except NoPredictionBasisError:
+                    with pytest.raises(NoPredictionBasisError):
+                        predict_rating(matrix, user, item, k)
+                else:
+                    assert predict_rating(matrix, user, item, k) == expected
 
 
 def _rows(**rows):
