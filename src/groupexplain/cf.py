@@ -8,6 +8,8 @@ explaining a prediction.
 from __future__ import annotations
 
 import math
+from bisect import insort
+from operator import itemgetter, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -203,6 +205,114 @@ class ItemInfluence(NamedTuple):
     basis_destroying: bool
 
 
+# A pair whose smaller leave-one-out variance falls below this is scored
+# exactly; its upper bound is +inf (see ``_removal_bounds``).
+_VARIANCE_FLOOR = 1e-3
+
+
+def _removal_bounds(
+    own: Mapping[str, float],
+    scored: Mapping[str, float],
+    rows: Mapping[str, Mapping[str, float]],
+) -> dict[str, list[tuple[float, str]]]:
+    """Per item c of *own*, the users of *scored* who rated c, each with an
+    upper bound on their similarity to *own* once c is removed.
+
+    The list entries are (-bound, user), so that sorting them visits the
+    users by descending bound, ties by ascending id. One pass over a pair's
+    n co-rated items gives the centred sums Sxx, Syy and Sxy; removing item
+    c with deviations dx_c, dy_c leaves Sxx' = Sxx - n/(n-1)·dx_c², Syy' and
+    Sxy' alike, and the approximate similarity r' = Sxy' / sqrt(Sxx'·Syy').
+    The bound is -inf when n = 2 (one co-rated item is left: the pair drops
+    out), +inf when low = min(Sxx', Syy') is below
+    max(``_VARIANCE_FLOOR``, n·1e-9) (near-degenerate: score it exactly),
+    and r' + n·1e-10/low + 1e-12 otherwise.
+
+    Why the margin holds. Ratings lie in [0, 5], so every mean does and
+    every deviation is at most 5 in size; u = 2^-53. A mean is one
+    correctly rounded ``fsum`` and one division: within 10u of the real
+    mean. A deviation is then within 15u, a product of two within 175u,
+    and an ``fsum`` of n products (each at most 25 in size) within
+    175nu + 25nu = 200nu of the real centred sum. ``pearson`` on the n - 1
+    remaining items is so within 200(n-1)u of the real leave-one-out sums.
+    Here the full sums are within 200nu; the downdate term n/(n-1)·dx_c·dy_c
+    (n >= 3, so at most 37.5 in size) adds 400u and the subtraction 25nu,
+    so Sxx', Syy', Sxy' are within 360nu of the real ones. By
+    Cauchy-Schwarz |Sxy| <= sqrt(Sxx·Syy), so a change of ε in each sum
+    moves r = Sxy / sqrt(Sxx·Syy) by at most 2ε/L to first order, L the
+    smaller real variance; the square root, product and quotient add 4u
+    on each side. The floor makes 360nu/low <= 4e-5, so L >= low·(1-4e-5)
+    and the second-order terms are negligible: the exact similarity and r'
+    differ by at most 2·560nu/L + 8u < 1.3e-13·n/low + 1e-15. The margin is
+    over 700 times that. A pair whose real leave-one-out variance is zero
+    (``_similarity`` scores it 0.0) or underflows has low < 360nu, below
+    the floor, so it is scored exactly.
+    """
+    by_item: dict[str, list[tuple[float, str]]] = {}
+    for other in scored:
+        row = rows[other]
+        common = own.keys() & row.keys()
+        n = len(common)
+        if n == 2:
+            for item in common:
+                by_item.setdefault(item, []).append((math.inf, other))
+            continue
+        pick = itemgetter(*common)
+        xs, ys = pick(own), pick(row)
+        mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+        dx = [a - mx for a in xs]
+        dy = [b - my for b in ys]
+        sxx = math.fsum(map(mul, dx, dx))
+        syy = math.fsum(map(mul, dy, dy))
+        sxy = math.fsum(map(mul, dx, dy))
+        scale = n / (n - 1)
+        floor = max(_VARIANCE_FLOOR, n * 1e-9)
+        slack = n * 1e-10
+        for item, a, b in zip(common, dx, dy):  # a set iterates in one order
+            vx = sxx - scale * a * a
+            vy = syy - scale * b * b
+            low = min(vx, vy)
+            if low < floor:
+                key = -math.inf
+            else:
+                key = -((sxy - scale * a * b) / math.sqrt(vx * vy) + slack / low + 1e-12)
+            by_item.setdefault(item, []).append((key, other))
+    return by_item
+
+
+def _nearest_without(
+    own: Mapping[str, float],
+    scored: Mapping[str, float],
+    raters: list[tuple[float, str]],
+    candidate: str,
+    rows: Mapping[str, Mapping[str, float]],
+    k: int,
+) -> list[tuple[str, float]]:
+    """The k nearest neighbors of *own* once *candidate* is removed.
+
+    *raters* are the users of *scored* who rated the candidate, keyed as
+    ``_removal_bounds`` keys them; the other users keep their similarity.
+    The raters are scored exactly by descending bound until k users are
+    known and the next bound is strictly below the k-th best known
+    similarity.
+    """
+    rescored = dict(scored)
+    for _, other in raters:
+        del rescored[other]
+    top = sorted(rescored.values())[-k:]  # ascending: top[0] is the k-th best
+    for key, other in sorted(raters):
+        if len(top) == k and -key < top[0]:
+            break
+        sim = _similarity(own, rows[other], candidate)
+        if sim is None:  # one co-rated item left (bound -inf): no pearson call
+            continue
+        rescored[other] = sim
+        insort(top, sim)
+        if len(top) > k:
+            del top[0]
+    return _nearest(rescored, k)
+
+
 def influential_items(
     matrix: RatingsMatrix, group: Group, target: str, k: int = 2
 ) -> list[ItemInfluence]:
@@ -215,24 +325,49 @@ def influential_items(
     of any basis are flagged basis-destroying rather than treated as errors.
 
     The matrix is never copied. Each member's similarities to all other
-    users are computed once; removing an item then re-scores only the pairs
-    in which both users rated it (exactly, with ``pearson`` on the
-    remaining co-rated items; a pair left with fewer than two drops out),
-    re-ranks only the neighbors of members who rated it, and recomputes
-    only the means of users who rated it. The result equals rebuilding the
-    matrix without the item's ratings and calling ``predict_rating`` for
-    each member, bit for bit.
+    users are computed once, and one more pass over each member/user pair
+    gives, per co-rated item, an upper bound on the pair's similarity
+    without that item (``_removal_bounds``). Removing an item c then
+    changes a member's neighbors only if the member rated c, and only
+    through the users who also rated c: they are re-scored exactly with
+    ``pearson`` on the remaining co-rated items, by descending bound, until
+    k similarities are known and the next bound is strictly below the k-th
+    best (``_nearest_without``). A user skipped then has an exact
+    similarity at most its bound, so below k known ones: it cannot enter
+    the top k, ties included, and the k nearest are those of a full
+    re-scan. A member who did not rate c keeps its neighbors; if none of
+    those who rated the target rated c either, its prediction's inputs are
+    all unchanged and its shift is 0.0 without recomputing it. A member who
+    rated c is always re-predicted, since its own mean moves. The mean of
+    a user who rated c is recomputed at most once per candidate. The
+    bounds only decide what to skip: every similarity that is ranked or
+    weighs a prediction comes from ``pearson``, so the result equals
+    rebuilding the matrix without the item's ratings and calling
+    ``predict_rating`` for each member, bit for bit.
     """
     base = member_predictions(matrix, group, target, k)
     rows = {user: matrix.items_rated_by(user) for user in matrix.users()}
     means = {user: _mean(row) for user, row in rows.items()}
     rated = {item for member in group.members for item in rows.get(member, ())}
+    bounds = {
+        member: _removal_bounds(rows[member], scored, rows)
+        for member, (scored, _, _) in base.items()
+    }
+    voters = {  # the neighbors whose ratings of the target make a prediction
+        member: [v for v, _ in nearest if target in rows[v]]
+        for member, (_, nearest, _) in base.items()
+    }
     results = []
     for candidate in sorted(rated - {target}):
+        shifted: dict[str, float] = {}
 
         def mean(user: str) -> float:
             row = rows[user]
-            return _mean(row, candidate) if candidate in row else means[user]
+            if candidate not in row:
+                return means[user]
+            if user not in shifted:
+                shifted[user] = _mean(row, candidate)
+            return shifted[user]
 
         deltas = []
         destroying = False
@@ -241,15 +376,12 @@ def influential_items(
         for member, (scored, nearest, before) in base.items():
             own = rows[member]
             if candidate in own:
-                rescored = dict(scored)
-                for other in scored:
-                    if candidate in rows[other]:
-                        sim = _similarity(own, rows[other], candidate)
-                        if sim is None:
-                            del rescored[other]
-                        else:
-                            rescored[other] = sim
-                nearest = _nearest(rescored, k)
+                raters = bounds[member].get(candidate)
+                if raters:
+                    nearest = _nearest_without(own, scored, raters, candidate, rows, k)
+            elif not any(candidate in rows[v] for v in voters[member]):
+                deltas.append(0.0)
+                continue
             try:
                 after = _predict(matrix, member, target, nearest, mean)
             except NoPredictionBasisError:

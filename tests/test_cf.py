@@ -235,9 +235,9 @@ class TestInfluenceWork:
             bound += sum(m in raters for m in predicted) * (len(raters) - 1)
         return bound
 
-    def test_no_matrix_copies_and_bounded_pearson_calls(self, case, monkeypatch):
-        matrix, group, target = case
-        bound = self.pearson_bound(matrix, group, target)
+    @staticmethod
+    def count_pearson_calls(matrix, group, target, monkeypatch):
+        """Pearson calls and matrix builds made by one influential_items call."""
         builds, pearsons = [], []
         init, pearson = core.RatingsMatrix.__init__, core.pearson
 
@@ -252,5 +252,22 @@ class TestInfluenceWork:
         monkeypatch.setattr(core.RatingsMatrix, "__init__", counting_init)
         monkeypatch.setattr(core, "pearson", counting_pearson)
         assert influential_items(matrix, group, target, k=2)
-        assert len(builds) == 0
-        assert 0 < len(pearsons) <= bound
+        monkeypatch.undo()
+        return len(pearsons), len(builds)
+
+    def test_no_matrix_copies_and_bounded_pearson_calls(self, case, monkeypatch):
+        matrix, group, target = case
+        bound = self.pearson_bound(matrix, group, target)
+        pearsons, builds = self.count_pearson_calls(matrix, group, target, monkeypatch)
+        assert builds == 0
+        assert 0 < pearsons <= bound
+
+    def test_bounds_skip_most_rescoring(self, monkeypatch):
+        """Fails if every user who co-rated a removed item is re-scored
+        (211 calls beyond the first pass here)."""
+        matrix, group, target = _generated_case()
+        first_pass = len(group.members) * (len(matrix.users()) - 1)
+        allowance = self.pearson_bound(matrix, group, target) - first_pass
+        pearsons, _ = self.count_pearson_calls(matrix, group, target, monkeypatch)
+        assert allowance == 265
+        assert pearsons - first_pass <= allowance // 4

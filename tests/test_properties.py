@@ -1,9 +1,11 @@
 """Property suites: invariants that must hold on randomized inputs.
 
-Thirteen suites, 200 examples each. The relaxation suite checks the
+Fifteen suites, 200 examples each. The relaxation suite checks the
 implementation against a brute-force subset enumeration written here, the
-influence suite against the leave-one-out definition (a reduced copy of
-the matrix per removed item), the critique suite against a count of each
+two influence suites against the leave-one-out definition (a reduced copy
+of the matrix per removed item), the bound suite the influence scan's
+leave-one-out similarity bounds against exact similarities, the critique
+suite against a count of each
 critique by hand, and the kernel suite the library's neighbors and
 predictions against the frozen reference kernel in ``helpers``.
 """
@@ -39,6 +41,8 @@ from groupexplain import (
     support_matrix,
     tag_cloud,
 )
+from groupexplain import core
+from groupexplain.cf import _removal_bounds
 from groupexplain.errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
@@ -282,6 +286,70 @@ def test_influence_matches_leave_one_out(instance):
     assert_influence_is_leave_one_out(*instance)
 
 
+@st.composite
+def pruned_influence_instances(draw):
+    """8-20 users copied, with noise, from 1-4 prototype rows, so many
+    similarities tie and most users co-rate most of the 3-8 items: the
+    scan's bounds then skip users."""
+    values = draw(st.sampled_from([half_steps, rating_values]))
+    items = [f"i{n}" for n in range(draw(st.integers(3, 8)))]
+    prototypes = draw(
+        st.lists(st.fixed_dictionaries({i: values for i in items}), min_size=1, max_size=4)
+    )
+    users = [f"u{n:02d}" for n in range(draw(st.integers(8, 20)))]
+    ratings = []
+    for user in users:
+        row = draw(st.sampled_from(prototypes))
+        for item in items:
+            if draw(st.integers(0, 4)):  # rated four times in five
+                ratings.append((user, item, row[item] if draw(st.integers(0, 3)) else draw(values)))
+    members = draw(st.lists(st.sampled_from(users), min_size=1, max_size=4, unique=True))
+    return ratings, tuple(members), draw(st.sampled_from(items)), draw(st.integers(1, 4))
+
+
+@given(instance=pruned_influence_instances())
+@RUNS
+def test_pruned_influence_matches_leave_one_out(instance):
+    assert_influence_is_leave_one_out(*instance)
+
+
+@st.composite
+def co_rated_rows(draw):
+    """Two rows over 2-200 shared items (plus one each of their own), each
+    of half steps, of floats in [0, 5], or within 1e-9 of a constant."""
+    n = draw(st.integers(2, 200))
+
+    def row():
+        kind = draw(st.sampled_from(["half", "float", "near-constant"]))
+        if kind == "near-constant":
+            base = draw(st.floats(0.0, 5.0))
+            noise = st.floats(-1e-9, 1e-9)
+            return [min(5.0, max(0.0, base + draw(noise))) for _ in range(n)]
+        return draw(st.lists(half_steps if kind == "half" else st.floats(0.0, 5.0), min_size=n, max_size=n))
+
+    own = {f"i{i}": value for i, value in enumerate(row())}
+    other = {f"i{i}": value for i, value in enumerate(row())}
+    own["mine"], other["theirs"] = 1.0, 2.0
+    return own, other
+
+
+@given(rows=co_rated_rows())
+@RUNS
+def test_removal_bounds_bound_the_exact_similarity(rows):
+    own, other = rows
+    bounds = _removal_bounds(own, {"v": 0.0}, {"v": other})
+    common = own.keys() & other.keys()
+    assert bounds.keys() == common
+    for item in common:
+        [(key, user)] = bounds[item]
+        exact = core._similarity(own, other, item)
+        assert user == "v"
+        if len(common) == 2:  # one co-rated item left: the pair drops out
+            assert exact is None and -key == -math.inf
+        else:
+            assert exact <= -key
+
+
 @given(instance=influence_instances())
 @RUNS
 def test_member_predictions_follow_predict_rating(instance):
@@ -394,7 +462,42 @@ FORCED = {
         lambda matrix: knn_neighbors(matrix, "a", 2)[0][1]
         == knn_neighbors(matrix, "a", 2)[1][1],
     ),
+    # only m rated c: no neighbor changes, but m's own mean moves
+    "member-is-the-only-rater": (
+        _rows(
+            m=dict(i1=1.0, i2=2.0, i3=4.0, c=5.0),
+            a=dict(i1=2.0, i2=3.0, i3=4.0, t=4.0),
+            b=dict(i1=4.0, i2=2.0, i3=1.0, t=2.0),
+        ),
+        ("m",), "t", 1,
+        lambda matrix: [u for u in matrix.users() if matrix.get(u, "c") is not None]
+        == ["m"]
+        and predict_rating(without_item(matrix, "c"), "m", "t", 1)
+        != predict_rating(matrix, "m", "t", 1),
+    ),
+    # without c, b (who rated c, so its similarity is re-scored) ties z
+    # (who did not) for the one slot, with a bound right at the tie: b's
+    # lower id must win, so b must not be skipped
+    "bound-tie-at-kth": (
+        _rows(
+            m=dict(i1=1.0, i2=2.0, i3=3.0, c=4.0),
+            b=dict(i1=1.0, i2=2.0, i3=3.0, c=1.0, t=5.0),
+            z=dict(i1=1.5, i2=2.5, i3=3.5, t=1.0),
+        ),
+        ("m",), "t", 1,
+        lambda matrix: knn_neighbors(matrix, "m", 1) == [("z", 1.0)]
+        and knn_neighbors(without_item(matrix, "c"), "m", 2) == [("b", 1.0), ("z", 1.0)]
+        and matrix.get("z", "c") is None
+        and 1.0 < _bound(matrix, "m", "b", "c") < 1.0 + 1e-9,
+    ),
 }
+
+
+def _bound(matrix, member, user, item):
+    """The influence scan's bound on user's similarity to member without item."""
+    rows = {u: matrix.items_rated_by(u) for u in matrix.users()}
+    [(key, _)] = _removal_bounds(rows[member], {user: 0.0}, rows)[item]
+    return -key
 
 
 @pytest.mark.parametrize("case", FORCED.values(), ids=FORCED.keys())
