@@ -333,9 +333,9 @@ def influential_items(
     ``pearson`` on the remaining co-rated items, by descending bound, until
     k similarities are known and the next bound is strictly below the k-th
     best (``_nearest_without``). A user skipped then has an exact
-    similarity at most its bound, so below k known ones: it cannot enter
-    the top k, ties included, and the k nearest are those of a full
-    re-scan. A member who did not rate c keeps its neighbors; if none of
+    similarity at most its bound, so strictly below k known ones: it
+    cannot enter the top k, ties included, and the k nearest are those of
+    a full re-scan. A member who did not rate c keeps its neighbors; if none of
     those who rated the target rated c either, its prediction's inputs are
     all unchanged and its shift is 0.0 without recomputing it. A member who
     rated c is always re-predicted, since its own mean moves. The mean of
