@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -21,6 +21,7 @@ from .core import (
     aggregate,
     categorize_rating,
     RatingBucket,
+    _centred,
     _mean,
     _nearest,
     _predict,
@@ -219,23 +220,21 @@ def _removal_bounds(
     upper bound on their similarity to *own* once c is removed.
 
     The list entries are (-bound, user), so that sorting them visits the
-    users by descending bound, ties by ascending id. One pass over a pair's
-    n co-rated items gives the centred sums Sxx, Syy and Sxy; removing item
-    c with deviations dx_c, dy_c leaves Sxx' = Sxx - n/(n-1)·dx_c², Syy' and
-    Sxy' alike, and the approximate similarity r' = Sxy' / sqrt(Sxx'·Syy').
+    users by descending bound, ties by ascending id. ``core._centred`` on a
+    pair's n co-rated items gives the centred sums Sxx, Syy and Sxy;
+    removing item c with deviations dx_c, dy_c leaves
+    Sxx' = Sxx - n/(n-1)·dx_c², Syy' and Sxy' alike, and the approximate
+    similarity r' = Sxy' / sqrt(Sxx'·Syy').
     The bound is -inf when n = 2 (one co-rated item is left: the pair drops
     out), +inf when low = min(Sxx', Syy') is below
     max(``_VARIANCE_FLOOR``, n·1e-9) (near-degenerate: score it exactly),
     and r' + n·1e-10/low + 1e-12 otherwise.
 
-    Why the margin holds. Ratings lie in [0, 5], so every mean does and
-    every deviation is at most 5 in size; u = 2^-53. A mean is one
-    correctly rounded ``fsum`` and one division: within 10u of the real
-    mean. A deviation is then within 15u, a product of two within 175u,
-    and an ``fsum`` of n products (each at most 25 in size) within
-    175nu + 25nu = 200nu of the real centred sum. ``pearson`` on the n - 1
-    remaining items is so within 200(n-1)u of the real leave-one-out sums.
-    Here the full sums are within 200nu; the downdate term n/(n-1)·dx_c·dy_c
+    Why the margin holds. Ratings lie in [0, 5]; u = 2^-53. By the
+    rounding premises in ``core._centred``, which ``pearson`` also calls,
+    ``pearson``'s sums on the n - 1 remaining items are within 200(n-1)u of the real
+    leave-one-out sums. Here the full sums are within 200nu and every
+    deviation is at most 5 in size; the downdate term n/(n-1)·dx_c·dy_c
     (n >= 3, so at most 37.5 in size) adds 400u and the subtraction 25nu,
     so Sxx', Syy', Sxy' are within 360nu of the real ones. By
     Cauchy-Schwarz |Sxy| <= sqrt(Sxx·Syy), so a change of ε in each sum
@@ -258,13 +257,7 @@ def _removal_bounds(
                 by_item.setdefault(item, []).append((math.inf, other))
             continue
         pick = itemgetter(*common)
-        xs, ys = pick(own), pick(row)
-        mx, my = math.fsum(xs) / n, math.fsum(ys) / n
-        dx = [a - mx for a in xs]
-        dy = [b - my for b in ys]
-        sxx = math.fsum(map(mul, dx, dx))
-        syy = math.fsum(map(mul, dy, dy))
-        sxy = math.fsum(map(mul, dx, dy))
+        dx, dy, sxx, syy, sxy = _centred(pick(own), pick(row))
         scale = n / (n - 1)
         floor = max(_VARIANCE_FLOOR, n * 1e-9)
         slack = n * 1e-10

@@ -339,6 +339,25 @@ def aggregate(
     return extremum, contributors
 
 
+def _centred(x: Sequence[float], y: Sequence[float]) -> tuple:
+    """Deviations dx, dy from the means and centred sums Sxx, Syy, Sxy of
+    two equal-length samples: the one Pearson kernel, summed with ``fsum``.
+
+    Rounding premises of ``cf._removal_bounds``' margin, for samples in
+    [0, 5] and u = 2^-53: a mean (one ``fsum``, one division) is within
+    10u of the real mean, a deviation (at most 5 in size) within 15u, a
+    product of two within 175u, and each sum of n products (each at most
+    25 in size) within 175nu + 25nu = 200nu of the real centred sum.
+    """
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)  # fsum: order-free
+    dx = [a - mx for a in x]
+    dy = [b - my for b in y]
+    sxx = math.fsum(map(mul, dx, dx))
+    syy = math.fsum(map(mul, dy, dy))
+    sxy = math.fsum(map(mul, dx, dy))
+    return dx, dy, sxx, syy, sxy
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation of two equal-length samples, in any order of the pairs.
 
@@ -354,12 +373,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     # constant means min == max; one count per sample is the cheaper test
     if x.count(x[0]) == len(x) or y.count(y[0]) == len(y):
         raise DegenerateVarianceError("a constant sample has no correlation")
-    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)  # fsum: order-free
-    dx = [a - mx for a in x]
-    dy = [b - my for b in y]
-    sxx = math.fsum(map(mul, dx, dx))
-    syy = math.fsum(map(mul, dy, dy))
-    sxy = math.fsum(map(mul, dx, dy))
+    _, _, sxx, syy, sxy = _centred(x, y)
     spread = math.sqrt(sxx * syy)
     if spread == 0.0:  # the product of two tiny variances can underflow
         raise DegenerateVarianceError("sample variance underflows a float")

@@ -4,7 +4,9 @@ The numeric reference values here were computed independently (numpy
 corrcoef and longhand weighted sums) before the implementation existed.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,8 @@ from groupexplain.errors import (
     UnknownUserError,
 )
 from helpers import co_rated, without_item
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "groupexplain"
 
 
 @pytest.fixture()
@@ -263,3 +267,47 @@ class TestSatisfies:
             satisfies("cheap", "<=", 100)
         with pytest.raises(InvalidValueError):
             satisfies(True, ">=", 0)
+
+
+class TestOneKernel:
+    """The Pearson kernel's centred sums are computed in ``core._centred``
+    only: ``pearson`` and the influence bounds both call it."""
+
+    @staticmethod
+    def _functions():
+        """(file name, function name, node) for every function in the package."""
+        for path in sorted(SRC_DIR.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield path.name, node.name, node
+
+    @staticmethod
+    def _named(node, name):
+        return any(
+            isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node)
+        )
+
+    def test_pearson_and_the_removal_bounds_call_the_kernel(self):
+        functions = {(file, name): node for file, name, node in self._functions()}
+        assert self._named(functions["core.py", "pearson"], "_centred")
+        assert self._named(functions["cf.py", "_removal_bounds"], "_centred")
+
+    def test_only_the_kernel_sums_products(self):
+        def name(node):  # f for f(...) or module.f(...)
+            return getattr(node, "id", None) or getattr(node, "attr", None)
+
+        def call_of(node, function):
+            return isinstance(node, ast.Call) and name(node.func) == function
+
+        summing = {
+            (file, function)
+            for file, function, node in self._functions()
+            for call in ast.walk(node)
+            if call_of(call, "fsum")
+            and call.args
+            and call_of(call.args[0], "map")
+            and call.args[0].args
+            and name(call.args[0].args[0]) == "mul"
+        }
+        assert summing == {("core.py", "_centred")}

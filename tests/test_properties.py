@@ -1,16 +1,18 @@
 """Property suites: invariants that must hold on randomized inputs.
 
-Fifteen suites, 200 examples each. The relaxation suite checks the
+Sixteen suites, 200 examples each. The relaxation suite checks the
 implementation against a brute-force subset enumeration written here, the
 two influence suites against the leave-one-out definition (a reduced copy
 of the matrix per removed item), the bound suite the influence scan's
-leave-one-out similarity bounds against exact similarities, the critique
-suite against a count of each
-critique by hand, and the kernel suite the library's neighbors and
-predictions against the frozen reference kernel in ``helpers``.
+leave-one-out similarity bounds against exact similarities, the premise
+suite the Pearson kernel's deviations and centred sums against exact
+rational arithmetic, the critique suite against a count of each critique
+by hand, and the kernel suite the library's neighbors and predictions
+against the frozen reference kernel in ``helpers``.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -314,21 +316,53 @@ def test_pruned_influence_matches_leave_one_out(instance):
 
 
 @st.composite
+def samples(draw, n):
+    """n ratings: half steps, floats in [0, 5], or within 1e-9 of a constant."""
+    kind = draw(st.sampled_from(["half", "float", "near-constant"]))
+    if kind == "near-constant":
+        base = draw(st.floats(0.0, 5.0))
+        noise = st.floats(-1e-9, 1e-9)
+        return [min(5.0, max(0.0, base + draw(noise))) for _ in range(n)]
+    return draw(st.lists(half_steps if kind == "half" else st.floats(0.0, 5.0), min_size=n, max_size=n))
+
+
+@st.composite
+def sample_pairs(draw):
+    """Two samples of one length, 2 to 200, each drawn by ``samples``."""
+    n = draw(st.integers(2, 200))
+    return draw(samples(n)), draw(samples(n))
+
+
+@given(pair=sample_pairs())
+@RUNS
+def test_centred_sums_keep_the_rounding_premises(pair):
+    # The premises of the influence bound's margin (``core._centred``): for
+    # samples in [0, 5], each deviation is within 15u of the exact one and
+    # each centred sum within 200nu of the exact sum, u = 2^-53.
+    x, y = pair
+    n = len(x)
+    u = Fraction(1, 2**53)
+    dx, dy, sxx, syy, sxy = core._centred(x, y)
+    mx, my = sum(map(Fraction, x)) / n, sum(map(Fraction, y)) / n
+    ex = [Fraction(a) - mx for a in x]
+    ey = [Fraction(b) - my for b in y]
+    for got, exact in zip(dx + dy, ex + ey):
+        assert abs(Fraction(got) - exact) <= 15 * u
+    for got, exact in (
+        (sxx, sum(a * a for a in ex)),
+        (syy, sum(b * b for b in ey)),
+        (sxy, sum(a * b for a, b in zip(ex, ey))),
+    ):
+        assert abs(Fraction(got) - exact) <= 200 * n * u
+
+
+@st.composite
 def co_rated_rows(draw):
     """Two rows over 2-200 shared items (plus one each of their own), each
-    of half steps, of floats in [0, 5], or within 1e-9 of a constant."""
-    n = draw(st.integers(2, 200))
-
-    def row():
-        kind = draw(st.sampled_from(["half", "float", "near-constant"]))
-        if kind == "near-constant":
-            base = draw(st.floats(0.0, 5.0))
-            noise = st.floats(-1e-9, 1e-9)
-            return [min(5.0, max(0.0, base + draw(noise))) for _ in range(n)]
-        return draw(st.lists(half_steps if kind == "half" else st.floats(0.0, 5.0), min_size=n, max_size=n))
-
-    own = {f"i{i}": value for i, value in enumerate(row())}
-    other = {f"i{i}": value for i, value in enumerate(row())}
+    drawn by ``samples``."""
+    own_values, other_values = draw(sample_pairs())
+    own = {f"i{i}": value for i, value in enumerate(own_values)}
+    other = {f"i{i}": value for i, value in enumerate(other_values)}
     own["mine"], other["theirs"] = 1.0, 2.0
     return own, other
 
