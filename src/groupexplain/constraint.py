@@ -8,9 +8,19 @@ minimal relaxations when the requirements filter everything away.
 from __future__ import annotations
 
 import math
+from itertools import compress
+from operator import not_
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import DecisionHistory, Group, InterestDimension, Item, Requirement, _ranked
+from .core import (
+    DecisionHistory,
+    Group,
+    InterestDimension,
+    Item,
+    Requirement,
+    _column_holds,
+    _ranked,
+)
 from .errors import (
     EmptyCatalogError,
     MissingImportanceError,
@@ -35,9 +45,18 @@ def requirement_relevance(group: Group, requirement: Requirement) -> float:
 
 
 def causally_relevant(requirement: Requirement, items: Sequence[Item]) -> bool:
-    """True when the requirement actually filters something out."""
-    surviving = sum(1 for item in items if requirement.matches(item))
-    return surviving < len(items)
+    """True when the requirement actually filters something out.
+
+    One column pass over the catalog (``core._column_holds``), O(items):
+    the attribute is read once per item and the column is compared with
+    one C-level ``map``. A column with a missing attribute, or under
+    ``<=``/``>=`` a value that is not a plain ``int`` or ``float``, goes
+    item by item instead, with the same verdicts. Every item is checked,
+    so the first item in catalog order that lacks the attribute raises
+    ``MissingAttributeError``, or under ``<=``/``>=`` holds a non-number
+    raises ``InvalidValueError``. False on an empty catalog.
+    """
+    return not all(_column_holds(requirement, items))
 
 
 def constrained_items(
@@ -155,12 +174,19 @@ def relaxation_proposals(
     Removing a set R of requirements restores an item exactly when R holds
     every requirement the item violates. So the minimal R are the
     inclusion-minimal sets among the items' violation sets, and the
-    survivors of R are the items whose violation set lies inside R. That
-    takes one ``Requirement.matches`` call per (item, requirement) pair,
-    O(items x requirements), plus subset tests among the distinct violation
-    sets; there is no cap on the number of requirements.
-    Every pair is evaluated, so an item lacking a required attribute
-    raises ``MissingAttributeError`` whatever the requirement order.
+    survivors of R are the items whose violation set lies inside R.
+    Each requirement is checked over the whole catalog in one column pass
+    (``core._column_holds``: one attribute read per item and one C-level
+    compare per requirement when the column is well formed, item by item
+    otherwise), O(items x requirements) checks in all; each item's
+    violation set is then picked out of its row of verdicts. There is no
+    cap on the number of requirements.
+    Every pair is evaluated. If a column raises, the pairs are checked
+    again item by item, each item's requirements in the order their ids
+    first appear, and the first error is raised: that of the first failing
+    item and its first failing requirement, whatever column raised. So an
+    item lacking a required attribute raises ``MissingAttributeError``
+    whatever the requirement order.
 
     Empty list when the requirements already admit an item. Proposals are
     ordered by cardinality, then lexicographically by removed ids; a
@@ -169,21 +195,31 @@ def relaxation_proposals(
     if not items:
         raise EmptyCatalogError("item catalog is empty")
     by_id = {req.id: req for req in requirements}
-    violated: list[tuple[str, frozenset[str]]] = []
-    for item in items:
-        own = frozenset([rid for rid, req in by_id.items() if not req.matches(item)])
-        violated.append((item.id, own))
-    if any(not own for _, own in violated):
+    try:
+        columns = [_column_holds(req, items) for req in by_id.values()]
+    except Exception:  # whatever a check raised, the pair-by-pair order decides
+        try:
+            for item in items:
+                for req in by_id.values():
+                    req.matches(item)
+        except Exception as first:
+            raise first from None
+        raise
+    violated = [frozenset(compress(by_id, map(not_, row))) for row in zip(*columns)]
+    if not all(violated):
         return []
     # a strict subset is shorter, so it is kept before any of its supersets
     minimal: list[frozenset[str]] = []
-    for own in sorted({own for _, own in violated}, key=lambda v: (len(v), sorted(v))):
+    for own in sorted(set(violated), key=len):
         if not any(kept <= own for kept in minimal):
             minimal.append(own)
+    minimal.sort(key=lambda removed: (len(removed), sorted(removed)))
     return [
         RelaxationProposal(
             removed=tuple(sorted(removed)),
-            survivors=tuple(sorted(i for i, own in violated if own <= removed)),
+            survivors=tuple(
+                sorted(item.id for item, own in zip(items, violated) if own <= removed)
+            ),
         )
         for removed in minimal
     ]

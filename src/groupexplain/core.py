@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from operator import itemgetter, mul
+from itertools import repeat
+from operator import eq, ge, itemgetter, le, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -252,23 +253,27 @@ class DecisionHistory(NamedTuple("DecisionHistory", [("records", Mapping)])):
         return super().__new__(cls, records)
 
 
+#: Each comparison operator of requirements and critiques: the test it
+#: applies, and whether it compares numbers (the loader then requires a
+#: numeric bound, and ``satisfies`` a numeric value).
+_OPERATOR_TABLE = {"<=": (le, True), ">=": (ge, True), "=": (eq, False)}
+
 #: Comparison operators usable in requirements and critiques.
-OPERATORS = ("<=", ">=", "=")
+OPERATORS = tuple(_OPERATOR_TABLE)
+#: The operators that compare numbers.
+NUMERIC_OPERATORS = tuple(op for op, (_, numeric) in _OPERATOR_TABLE.items() if numeric)
 
 
 def satisfies(value: object, operator: str, bound: object) -> bool:
     """Evaluate ``value <operator> bound`` for requirement/critique checks."""
-    if operator == "=":
-        return value == bound
     if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    compare, numeric = _OPERATOR_TABLE[operator]
+    if numeric and (not isinstance(value, (int, float)) or isinstance(value, bool)):
         raise InvalidValueError(
             f"operator {operator!r} needs a numeric value, got {value!r}"
         )
-    if operator == "<=":
-        return value <= bound  # type: ignore[operator]
-    return value >= bound  # type: ignore[operator]
+    return compare(value, bound)
 
 
 def _attribute_holds(self, item: Item) -> bool:
@@ -278,6 +283,29 @@ def _attribute_holds(self, item: Item) -> bool:
             f"item {item.id!r} lacks attribute {self.attribute!r}"
         )
     return satisfies(item.attributes[self.attribute], self.operator, self.bound)
+
+
+_MISSING = object()  # an absent attribute; type object sends a column item by item
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _column_holds(check, items: Sequence[Item]) -> list:
+    """``[check.matches(item) for item in items]`` for a requirement or critique.
+
+    The attribute column is read once and compared with one C-level ``map``
+    when every item has the attribute and, for a numeric operator, every
+    value has exact type ``int`` or ``float`` (so no bool).
+    Any other column goes item by item through ``_attribute_holds``: the
+    same verdicts, and the same first error in item order.
+    """
+    attribute, operator, bound = check.attribute, check.operator, check.bound
+    column = [item.attributes.get(attribute, _MISSING) for item in items]
+    if operator in OPERATORS:
+        compare, numeric = _OPERATOR_TABLE[operator]
+        kinds = set(map(type, column))
+        if (kinds <= _NUMBER_TYPES) if numeric else (object not in kinds):
+            return list(map(compare, column, repeat(bound)))
+    return [_attribute_holds(check, item) for item in items]
 
 
 class Requirement(Frozen):

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .core import (
+    NUMERIC_OPERATORS,
     OPERATORS,
     RATING_MAX,
     RATING_MIN,
@@ -194,7 +195,7 @@ def _predicate_fields(entry: dict, where: str) -> tuple[str, str, object]:
     if operator not in OPERATORS:
         raise InvalidValueError(f"{where}: unknown operator {operator!r}")
     bound = _finite(_section(entry, "bound", object, where), f"{where}.bound")
-    if operator in ("<=", ">=") and (
+    if operator in NUMERIC_OPERATORS and (
         isinstance(bound, bool) or not isinstance(bound, (int, float))
     ):
         raise InvalidValueError(

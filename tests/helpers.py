@@ -1,17 +1,21 @@
 """Matrix helpers the tests build from the public ``RatingsMatrix`` API,
-a reference check of a dataset's ``ratings`` rows, and a frozen reference
-kNN kernel."""
+a reference check of a dataset's ``ratings`` rows, a frozen reference
+kNN kernel and frozen per-pair requirement checks."""
 
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
-from groupexplain import RatingsMatrix
+from groupexplain import RatingsMatrix, RelaxationProposal
+from groupexplain.constraint import constrained_items, requirement_relevance
 from groupexplain.core import RATING_MAX, RATING_MIN
 from groupexplain.errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
+    EmptyCatalogError,
     InvalidValueError,
     MalformedDatasetError,
+    MissingAttributeError,
+    MissingImportanceError,
     NoPredictionBasisError,
     UnknownUserError,
     UnresolvedIdError,
@@ -186,3 +190,75 @@ def reference_predict_rating(matrix: RatingsMatrix, user: str, item: str, k: int
         return math.fsum(row.values()) / len(row)
 
     return _predict(matrix, user, item, reference_knn_neighbors(matrix, user, k), mean)
+
+
+# The reference requirement checks: ``satisfies``, ``Requirement.matches``,
+# ``causally_relevant``, ``relaxation_proposals`` and ``rank_requirements``
+# as the library had them when every (item, requirement) pair was one
+# method call. Frozen here, so the column-wise checks are compared with
+# results, and errors, they cannot have produced themselves; leave these
+# bodies as they are.
+
+_OPERATORS = ("<=", ">=", "=")
+
+
+def _satisfies(value: object, operator: str, bound: object) -> bool:
+    if operator == "=":
+        return value == bound
+    if operator not in _OPERATORS:
+        raise ValueError(f"unknown operator {operator!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidValueError(
+            f"operator {operator!r} needs a numeric value, got {value!r}"
+        )
+    if operator == "<=":
+        return value <= bound
+    return value >= bound
+
+
+def _matches(req, item) -> bool:
+    if req.attribute not in item.attributes:
+        raise MissingAttributeError(
+            f"item {item.id!r} lacks attribute {req.attribute!r}"
+        )
+    return _satisfies(item.attributes[req.attribute], req.operator, req.bound)
+
+
+def reference_causally_relevant(requirement, items) -> bool:
+    """``causally_relevant`` with one check per item."""
+    surviving = sum(1 for item in items if _matches(requirement, item))
+    return surviving < len(items)
+
+
+def reference_relaxation_proposals(requirements, items) -> list:
+    """``relaxation_proposals`` with one check per (item, requirement) pair."""
+    if not items:
+        raise EmptyCatalogError("item catalog is empty")
+    by_id = {req.id: req for req in requirements}
+    violated = []
+    for item in items:
+        own = frozenset([rid for rid, req in by_id.items() if not _matches(req, item)])
+        violated.append((item.id, own))
+    if any(not own for _, own in violated):
+        return []
+    minimal = []
+    for own in sorted({own for _, own in violated}, key=lambda v: (len(v), sorted(v))):
+        if not any(kept <= own for kept in minimal):
+            minimal.append(own)
+    return [
+        RelaxationProposal(
+            removed=tuple(sorted(removed)),
+            survivors=tuple(sorted(i for i, own in violated if own <= removed)),
+        )
+        for removed in minimal
+    ]
+
+
+def reference_rank_requirements(group, requirements, items) -> list:
+    """``rank_requirements`` with the reference causal relevance."""
+    if not requirements:
+        raise MissingImportanceError("dataset defines no requirements")
+    relevance = [(req.id, requirement_relevance(group, req)) for req in requirements]
+    catalog = constrained_items(requirements, items)
+    causal = {req.id: reference_causally_relevant(req, catalog) for req in requirements}
+    return _ranked((rid, value, causal[rid]) for rid, value in relevance)

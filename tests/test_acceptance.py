@@ -243,6 +243,7 @@ PROPERTY_SUITES = (
     test_properties.test_bucket_partition,
     test_properties.test_pearson_affine_invariance,
     test_properties.test_relaxation_matches_brute_force,
+    test_properties.test_column_checks_match_the_per_pair_reference,
     test_properties.test_equal_fairness_keeps_weights,
     test_properties.test_critique_support_monotone,
     test_properties.test_anonymous_outputs_never_leak_member_ids,
@@ -250,7 +251,7 @@ PROPERTY_SUITES = (
 
 
 def test_criterion_10_property_suites_run_at_200_examples():
-    assert len(PROPERTY_SUITES) == 8
+    assert len(PROPERTY_SUITES) == 9
     for suite in PROPERTY_SUITES:
         runs = suite._hypothesis_internal_use_settings.max_examples
         assert runs >= 200, suite.__name__

@@ -1,5 +1,7 @@
 """Constraint-based explanations: requirements, MAUT, fairness, relaxation."""
 
+import random
+
 import pytest
 
 from groupexplain import (
@@ -15,6 +17,8 @@ from groupexplain import (
     relaxation_proposals,
     requirement_relevance,
 )
+from groupexplain import core
+from groupexplain.constraint import rank_requirements
 from groupexplain.errors import (
     EmptyCatalogError,
     InvalidValueError,
@@ -224,3 +228,80 @@ class TestRelaxation:
         ]
         with pytest.raises(MissingAttributeError):
             relaxation_proposals([reqs[i] for i in order], items)
+
+
+class Count(int):
+    """An int subclass, which the column checks leave to the per-pair path."""
+
+
+class TestColumnWork:
+    """On a well-formed catalog no requirement is checked pair by pair."""
+
+    @staticmethod
+    def catalog_case():
+        """200 items of int and half-step attributes; a contradictory pair
+        on a0 plus filters, so no item passes and relaxations exist."""
+        rng = random.Random(11)
+        items = {
+            f"i{n:03d}": Item(
+                id=f"i{n:03d}",
+                attributes={
+                    f"a{m}": rng.randrange(100) if m % 2 else rng.randrange(200) / 2
+                    for m in range(6)
+                },
+            )
+            for n in range(200)
+        }
+        requirements = [
+            Requirement("lo", "a0", "<=", 30, {"u": 0.4}),
+            Requirement("hi", "a0", ">=", 70, {"u": 0.6}),
+            *(
+                Requirement(f"f{m}", f"a{m}", rng.choice(["<=", ">=", "="]), 50, {"u": 0.5})
+                for m in range(1, 6)
+            ),
+        ]
+        return Group("g", ("u",)), requirements, items
+
+    @staticmethod
+    def per_pair_calls(monkeypatch, run):
+        """Calls of ``Requirement.matches``, ``_attribute_holds`` and
+        ``satisfies`` made by *run*, and its result."""
+        calls = []
+        for owner, name in (
+            (core.Requirement, "matches"),
+            (core, "_attribute_holds"),
+            (core, "satisfies"),
+        ):
+            original = getattr(owner, name)
+
+            def counting(*args, _original=original):
+                calls.append(1)
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        result = run()
+        monkeypatch.undo()
+        return len(calls), result
+
+    def test_well_formed_catalog_makes_no_per_pair_checks(self, monkeypatch):
+        group, requirements, items = self.catalog_case()
+        catalog = list(items.values())
+        calls, (proposals, causal, ranked) = self.per_pair_calls(
+            monkeypatch,
+            lambda: (
+                relaxation_proposals(requirements, catalog),
+                [causally_relevant(req, catalog) for req in requirements],
+                rank_requirements(group, requirements, items),
+            ),
+        )
+        assert proposals and any(causal) and len(ranked) == len(requirements)
+        assert calls == 0
+
+    def test_an_int_subclass_value_is_checked_pair_by_pair(self, monkeypatch):
+        group, requirements, items = self.catalog_case()
+        catalog = list(items.values())
+        catalog[7] = Item(id="odd", attributes={**catalog[7].attributes, "a0": Count(5)})
+        calls, _ = self.per_pair_calls(
+            monkeypatch, lambda: causally_relevant(requirements[0], catalog)
+        )
+        assert calls >= len(catalog)

@@ -1,7 +1,10 @@
 """Property suites: invariants that must hold on randomized inputs.
 
-Sixteen suites, 200 examples each. The relaxation suite checks the
+Seventeen suites, 200 examples each. The relaxation suite checks the
 implementation against a brute-force subset enumeration written here, the
+column-check suite the column-wise requirement checks against the frozen
+per-pair checks in ``helpers`` (same result, or same error type and
+message), the
 two influence suites against the leave-one-out definition (a reduced copy
 of the matrix per removed item), the bound suite the influence scan's
 leave-one-out similarity bounds against exact similarities, the premise
@@ -32,6 +35,7 @@ from groupexplain import (
     aggregate,
     aggregation_explanation,
     categorize_rating,
+    causally_relevant,
     critique_explanation,
     critique_support,
     influential_items,
@@ -45,6 +49,7 @@ from groupexplain import (
 )
 from groupexplain import core
 from groupexplain.cf import _removal_bounds
+from groupexplain.constraint import rank_requirements
 from groupexplain.errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
@@ -53,8 +58,11 @@ from groupexplain.errors import (
 )
 from helpers import (
     co_rated,
+    reference_causally_relevant,
     reference_knn_neighbors,
     reference_predict_rating,
+    reference_rank_requirements,
+    reference_relaxation_proposals,
     without_item,
 )
 
@@ -215,6 +223,79 @@ def test_relaxation_matches_brute_force(instance):
     expected = [] if satisfiable else brute_force_relaxations(requirements, items)
     assert [(p.removed, p.survivors) for p in proposals] == expected
 
+
+
+class Count(int):
+    """An int subclass: compared like an int, but not by the fast path."""
+
+
+attribute_values = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-8, 8).map(lambda n: n / 2),
+    st.booleans(),
+    st.sampled_from(["a", "b", "1"]),
+    st.integers(-4, 4).map(Count),
+    st.none(),
+)
+numbers = st.one_of(st.integers(-4, 4), st.integers(-8, 8).map(lambda n: n / 2))
+
+
+@st.composite
+def requirement_catalogs(draw):
+    """Requirements (ids may repeat) over a catalog of 0-8 items.
+
+    Half the instances are well formed (every attribute present and a plain
+    number), so the column fast path runs; the rest draw bools, strings,
+    an int subclass, None, missing attributes and unknown operators.
+    """
+    attributes = ["a", "b", "c"]
+    clean = draw(st.booleans())
+    items = []
+    for j in range(draw(st.integers(0, 8))):
+        if clean:
+            values = {a: draw(numbers) for a in attributes}
+        else:
+            values = draw(st.dictionaries(st.sampled_from(attributes), attribute_values))
+        items.append(Item(id=draw(st.sampled_from("pqrst")) + str(j), attributes=values))
+    operators = ["<=", ">=", "="] if clean else ["<=", ">=", "=", "<=", ">=", "=", "<"]
+    requirements = [
+        Requirement(
+            id=draw(st.sampled_from(["r0", "r1", "r2", "r3", "r4"])),
+            attribute=draw(st.sampled_from(attributes)),
+            operator=draw(st.sampled_from(operators)),
+            bound=draw(numbers if clean else attribute_values),
+            importance={"m": draw(st.floats(0.0, 1.0))},
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return requirements, items
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message of its error."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+@given(instance=requirement_catalogs())
+@example(instance=([], [Item(id="p0", attributes={"a": 1})]))
+@example(instance=([Requirement("r0", "a", "<=", 1, {"m": 0.5})], []))
+@RUNS
+def test_column_checks_match_the_per_pair_reference(instance):
+    requirements, items = instance
+    assert outcome(relaxation_proposals, requirements, items) == outcome(
+        reference_relaxation_proposals, requirements, items
+    )
+    for req in requirements:
+        got = outcome(causally_relevant, req, items)
+        assert got == outcome(reference_causally_relevant, req, items)
+        assert got[0] == "raised" or type(got[1]) is bool
+    group, by_id = Group("g", ("m",)), {item.id: item for item in items}
+    assert outcome(rank_requirements, group, requirements, by_id) == outcome(
+        reference_rank_requirements, group, requirements, by_id
+    )
 
 def leave_one_out(matrix, group, target, k):
     """Independent oracle: ``influential_items`` by its definition.
