@@ -192,6 +192,10 @@ def reference_predict_rating(matrix: RatingsMatrix, user: str, item: str, k: int
     return _predict(matrix, user, item, reference_knn_neighbors(matrix, user, k), mean)
 
 
+class Count(int):
+    """An int subclass: compared like an int, but left to the per-pair path."""
+
+
 # The reference requirement checks: ``satisfies``, ``Requirement.matches``,
 # ``causally_relevant``, ``relaxation_proposals`` and ``rank_requirements``
 # as the library had them when every (item, requirement) pair was one

@@ -28,6 +28,7 @@ from groupexplain.errors import (
     UnknownUserError,
 )
 from groupexplain.render import display_round
+from helpers import Count
 
 MAUT_TABLE = {
     "t1": {"dim1": 0.05, "dim2": 0.14, "dim3": 0.15},
@@ -228,10 +229,6 @@ class TestRelaxation:
         ]
         with pytest.raises(MissingAttributeError):
             relaxation_proposals([reqs[i] for i in order], items)
-
-
-class Count(int):
-    """An int subclass, which the column checks leave to the per-pair path."""
 
 
 class TestColumnWork:

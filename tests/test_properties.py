@@ -4,14 +4,14 @@ Seventeen suites, 200 examples each. The relaxation suite checks the
 implementation against a brute-force subset enumeration written here, the
 column-check suite the column-wise requirement checks against the frozen
 per-pair checks in ``helpers`` (same result, or same error type and
-message), the
-two influence suites against the leave-one-out definition (a reduced copy
-of the matrix per removed item), the bound suite the influence scan's
-leave-one-out similarity bounds against exact similarities, the premise
-suite the Pearson kernel's deviations and centred sums against exact
-rational arithmetic, the critique suite against a count of each critique
-by hand, and the kernel suite the library's neighbors and predictions
-against the frozen reference kernel in ``helpers``.
+message), the two influence suites against the leave-one-out definition
+(a reduced copy of the matrix per removed item), the bound suite the
+influence scan's leave-one-out similarity bounds against exact
+similarities, the premise suite the Pearson kernel's deviations and
+centred sums against exact rational arithmetic, the critique suite
+against a count of each critique by hand, and the kernel suite the
+library's neighbors and predictions against the frozen reference kernel
+in ``helpers``.
 """
 
 import math
@@ -57,6 +57,7 @@ from groupexplain.errors import (
     UnknownUserError,
 )
 from helpers import (
+    Count,
     co_rated,
     reference_causally_relevant,
     reference_knn_neighbors,
@@ -222,11 +223,6 @@ def test_relaxation_matches_brute_force(instance):
     )
     expected = [] if satisfiable else brute_force_relaxations(requirements, items)
     assert [(p.removed, p.survivors) for p in proposals] == expected
-
-
-
-class Count(int):
-    """An int subclass: compared like an int, but not by the fast path."""
 
 
 attribute_values = st.one_of(
