@@ -8,11 +8,13 @@ critiquing (support degrees, verbal summaries). A render layer turns the
 numbers into templated sentences and chart data; a CLI drives everything
 from JSON datasets.
 
-The exported names are resolved on first use (PEP 562), so importing the
-package, or one of its modules, loads only the modules that it needs.
+The exported names are resolved on use, so importing the package, or one
+of its modules, loads only the modules that it needs.
 """
 
+import sys
 from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -88,19 +90,47 @@ _EXPORTS = {
     ),
     "svg": ("render_svg",),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
-__all__ = sorted(_HOME)
+
+class _Export:
+    """One exported name, read from its module on every access.
+
+    Nothing is bound in the package, so a patched module attribute is what
+    the package returns. The descriptor sits on the package's module type,
+    so a read never reaches the module ``__getattr__`` hook (PEP 562), which
+    Python 3.11 calls only after building and discarding an
+    ``AttributeError``: that costs about ten times this lookup, on every
+    ``groupexplain.name`` read.
+    """
+
+    __slots__ = ("module", "name")
+
+    def __init__(self, module: str, name: str):
+        self.module = module
+        self.name = name
+
+    def __get__(self, package, owner=None):
+        module = sys.modules.get(self.module) or import_module(self.module)
+        return getattr(module, self.name)
+
+
+# The package's module type: one _Export per exported name.
+_Package = type(
+    "_Package",
+    (ModuleType,),
+    {
+        name: _Export(f"{__name__}.{home}", name)
+        for home, names in _EXPORTS.items()
+        for name in names
+    },
+)
+sys.modules[__name__].__class__ = _Package
 
 
 def __getattr__(name: str):
-    # The name is looked up in its module on every read and never bound
-    # here, so a patched module attribute is what the package returns.
-    # An imported submodule is bound here, by the import system.
+    # Only a submodule not yet imported, or an unknown name, gets here; an
+    # imported submodule is bound in the package by the import system.
     if name in _EXPORTS:
         return import_module(f"{__name__}.{name}")
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = globals().get(home) or import_module(f"{__name__}.{home}")
-    return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -289,8 +289,8 @@ _MISSING = object()  # an absent attribute; type object sends a column item by i
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _column_holds(check, items: Sequence[Item]) -> list:
-    """``[check.matches(item) for item in items]`` for a requirement or critique.
+def _column_holds(requirement: Requirement, items: Sequence[Item]) -> list:
+    """``[requirement.matches(item) for item in items]``.
 
     The attribute column is read once and compared with one C-level ``map``
     when every item has the attribute and, for a numeric operator, every
@@ -298,14 +298,14 @@ def _column_holds(check, items: Sequence[Item]) -> list:
     Any other column goes item by item through ``_attribute_holds``: the
     same verdicts, and the same first error in item order.
     """
-    attribute, operator, bound = check.attribute, check.operator, check.bound
+    attribute, operator = requirement.attribute, requirement.operator
     column = [item.attributes.get(attribute, _MISSING) for item in items]
     if operator in OPERATORS:
         compare, numeric = _OPERATOR_TABLE[operator]
         kinds = set(map(type, column))
         if (kinds <= _NUMBER_TYPES) if numeric else (object not in kinds):
-            return list(map(compare, column, repeat(bound)))
-    return [_attribute_holds(check, item) for item in items]
+            return list(map(compare, column, repeat(requirement.bound)))
+    return [_attribute_holds(requirement, item) for item in items]
 
 
 class Requirement(Frozen):

@@ -27,3 +27,15 @@ def test_exports_read_the_module_attribute_each_time(monkeypatch):
 def test_modules_and_unknown_names():
     assert groupexplain.svg.render_svg is groupexplain.render_svg
     assert not hasattr(groupexplain, "no_such_name")
+
+
+def test_exports_skip_the_module_getattr_hook(monkeypatch):
+    # Python 3.11 builds and discards an AttributeError before it calls a
+    # module __getattr__, so an export read through the hook costs several
+    # times one read through the package type's descriptor.
+    def hook(name):
+        raise AssertionError(f"groupexplain.{name} was read through __getattr__")
+
+    monkeypatch.setattr(groupexplain, "__getattr__", hook)
+    for name in groupexplain.__all__:
+        getattr(groupexplain, name)

@@ -293,6 +293,7 @@ def test_column_checks_match_the_per_pair_reference(instance):
         reference_rank_requirements, group, requirements, by_id
     )
 
+
 def leave_one_out(matrix, group, target, k):
     """Independent oracle: ``influential_items`` by its definition.
 
