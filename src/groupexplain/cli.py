@@ -5,9 +5,10 @@ requirement relaxation. Every subcommand reads a dataset (bundled worked
 examples by default), computes through the library and emits text, JSON
 or SVG. Exit codes: 0 ok, 2 usage, 3 dataset problem, 4 computation
 problem. Each (subcommand, mode) pair is one row of ``_TABLE``, which
-also gives the parser its ``--mode`` choices. The CF rows import ``cf``
-and ``_emit`` imports ``svg`` when they run, so a process loads neither
-unless its request uses it.
+also gives the parser its ``--mode`` choices. Each row imports its
+paradigm module (``cb``, ``cf``, ``constraint`` or ``critique``) and
+``_emit`` imports ``svg`` when they run, so a process loads only the
+modules its request uses.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from . import cb, constraint, critique
 from .core import NN_MODE_INTERSECTION, NN_MODE_UNION, AggregationStrategy, Group, Item
 from .dataset import Dataset, builtin_dataset_path, load_dataset
 from .errors import (
@@ -204,6 +204,8 @@ def _cf_influence(dataset: Dataset, args, group: Group, item: Item) -> CommandRe
 
 
 def _cb_category(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
+    from . import cb
+
     ranked = cb.rank_categories(group, dataset.user_category_weights, item)
     top = ranked[0][0]
     explanation = render_explanation(
@@ -218,6 +220,8 @@ def _cb_category(dataset: Dataset, args, group: Group, item: Item) -> CommandRes
 
 
 def _cb_opinion(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
+    from . import cb
+
     profile = dataset.group_sentiments.get(group.id)
     if profile is None:
         raise MissingFeatureError(f"group {group.id!r} has no sentiment profile")
@@ -238,6 +242,8 @@ def _cb_opinion(dataset: Dataset, args, group: Group, item: Item) -> CommandResu
 
 
 def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
+    from . import cb
+
     rows, favored = cb.tag_summary(
         dataset.matrix, dataset.tags, group, args.threshold, args.privacy
     )
@@ -269,6 +275,8 @@ def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
 def _constraint_requirements(
     dataset: Dataset, args, group: Group, item: None
 ) -> CommandResult:
+    from . import constraint
+
     ranking = constraint.rank_requirements(group, dataset.requirements, dataset.items)
     top = ranking[0][0]
     explanation = render_explanation(
@@ -291,6 +299,8 @@ def _constraint_requirements(
 
 
 def _constraint_maut(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
+    from . import constraint
+
     ranking = constraint.rank_dimensions(group, dataset.dimensions, item)
     top = ranking[0][0]
     explanation = render_explanation(
@@ -308,6 +318,8 @@ def _constraint_maut(dataset: Dataset, args, group: Group, item: Item) -> Comman
 
 
 def _critique(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
+    from . import critique
+
     critiques = critique.group_critiques(dataset.critiques, group)
     result = critique.support_matrix(critiques, item)
     explanation = critique.summary_explanation(result, item, args.privacy)
@@ -326,6 +338,8 @@ def _critique(dataset: Dataset, args, group: Group, item: Item) -> CommandResult
 
 
 def _fairness_adapt(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
+    from . import constraint
+
     history = dataset.decision_history
     if history is None:
         raise UnresolvedIdError("dataset has no decision_history section")
@@ -357,6 +371,8 @@ def _fairness_adapt(dataset: Dataset, args, group: Group, item: None) -> Command
 
 
 def _relax(dataset: Dataset, args, group: None, item: None) -> CommandResult:
+    from . import constraint
+
     catalog = constraint.constrained_items(dataset.requirements, dataset.items)
     proposals = constraint.relaxation_proposals(dataset.requirements, catalog)
     lines = [

@@ -156,6 +156,11 @@ class Item(Frozen):
                     )
 
 
+def _duplicate_rating(user: str, item: str) -> InvalidValueError:
+    """The error for a second rating of *item* by *user*."""
+    return InvalidValueError(f"duplicate rating for ({user!r}, {item!r})")
+
+
 class RatingsMatrix:
     """Sparse user x item rating store on the fixed [0, 5] scale."""
 
@@ -169,9 +174,20 @@ class RatingsMatrix:
                 )
             row = by_user.setdefault(user, {})
             if item in row:
-                raise InvalidValueError(f"duplicate rating for ({user!r}, {item!r})")
+                raise _duplicate_rating(user, item)
             row[item] = value
         self._by_user = by_user
+
+    @classmethod
+    def _checked(cls, by_user: dict[str, dict[str, float]]) -> "RatingsMatrix":
+        """A matrix over rows its caller checked as ``__init__`` does.
+
+        Each value is a float in [0, 5], and a row holds each item once,
+        so a dict row cannot hold a duplicate. The rows are not copied.
+        """
+        matrix = cls.__new__(cls)
+        matrix._by_user = by_user
+        return matrix
 
     def __len__(self) -> int:
         return sum(len(row) for row in self._by_user.values())

@@ -31,6 +31,7 @@ from .core import (
     RatingsMatrix,
     Requirement,
     TagApplications,
+    _duplicate_rating,
 )
 from .errors import (
     InvalidValueError,
@@ -135,6 +136,12 @@ def _rating(value, where: str) -> float:
 def _unit_weights(raw, where: str) -> dict[str, float]:
     weights: dict[str, float] = {}
     for key, value in _object(raw, where).items():
+        # A valid value passes this inline check (json.loads makes exact
+        # int and float); any other goes on to _number and the range check,
+        # which raise its error, so the location is built only then.
+        if (type(value) is float or type(value) is int) and 0.0 <= value <= 1.0:
+            weights[key] = float(value)
+            continue
         number = _number(value, f"{where}.{key}")
         if not 0.0 <= number <= 1.0:
             raise InvalidValueError(f"{where}.{key}: {number} outside [0, 1]")
@@ -245,25 +252,37 @@ def load_dataset(path: str | Path) -> Dataset:
         }
         items[item_id] = Item(id=item_id, attributes=dict(attributes), **weights)
 
-    triples: list[tuple[str, str, float]] = []
+    # Each row is checked once, here, and filed under its user. A duplicate
+    # (user, item) is raised after the loop, so a bad row later in the
+    # section still raises first.
+    by_user: dict[str, dict[str, float]] = {}
+    duplicate = None
     for index, row in enumerate(_section(raw, "ratings", list, _TOP, [])):
         # A valid row passes these inline checks (json.loads makes exact
         # str, int and float); any other row goes to _rating_row, which
         # raises its error, so the location is built only then.
         if type(row) is list and len(row) == 3:
             user, item, value = row
-            if (
-                type(user) is str
-                and user in known_users
-                and type(item) is str
-                and item in items
-                and (type(value) is float or type(value) is int)
-                and RATING_MIN <= value <= RATING_MAX
-            ):
-                triples.append((user, item, value))
-                continue
-        triples.append(_rating_row(row, f"ratings[{index}]", known_users, items))
-    matrix = RatingsMatrix(triples)
+        else:
+            user = None  # fails the check below
+        if not (
+            type(user) is str
+            and user in known_users
+            and type(item) is str
+            and item in items
+            and (type(value) is float or type(value) is int)
+            and RATING_MIN <= value <= RATING_MAX
+        ):
+            user, item, value = _rating_row(row, f"ratings[{index}]", known_users, items)
+        rated = by_user.get(user)
+        if rated is None:
+            rated = by_user[user] = {}
+        elif duplicate is None and item in rated:
+            duplicate = (user, item)
+        rated[item] = float(value)
+    if duplicate is not None:
+        raise _duplicate_rating(*duplicate)
+    matrix = RatingsMatrix._checked(by_user)
 
     raw_tags = _section(raw, "tags", dict, _TOP, {})
     for item_id, tag_counts in raw_tags.items():

@@ -11,7 +11,6 @@ values it prints.
 from __future__ import annotations
 
 import re
-from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
@@ -33,28 +32,38 @@ PRIVACIES = (PRIVACY_NAMED, PRIVACY_ANONYMOUS)
 _SLOT = re.compile(r"\{([a-z0-9_]+)\}")
 
 
-def _quantize(value: float, places: int, rounding: str) -> float:
-    # from 2**52 up a float has no fraction left to round, and quantizing
-    # it could need more than Decimal's 28 digits (1e26 at 2 places)
-    if abs(value) >= 2.0**52:
+def _quantize(value: float, places: int, half_up: bool) -> float:
+    # from 2**52 up a float has no fraction left to round; NaN and the
+    # infinities come back as they are
+    if not abs(value) < 2.0**52:
         return float(value)
     # 12-decimal snap so binary noise (0.1*0.35 = 0.03499...96) cannot
-    # straddle a rounding boundary; real data never needs that precision
-    snapped = Decimal(repr(round(value, 12)))
-    rounded = float(snapped.quantize(Decimal(1).scaleb(-places), rounding=rounding))
-    # a negative value that rounds to zero quantizes to -0.0; adding 0.0
+    # straddle a rounding boundary; real data never needs that precision.
+    # The snapped repr is exact as sign, integer digits and a power of ten.
+    mantissa, _, exponent = repr(round(value, 12)).partition("e")
+    sign = "-" if mantissa[0] == "-" else ""
+    whole, _, fraction = mantissa.lstrip("-").partition(".")
+    digits = int(whole + fraction)
+    scale = len(fraction) - int(exponent or 0)  # the value is digits * 10**-scale
+    if scale > places:
+        unit = 10 ** (scale - places)
+        digits, rest = divmod(digits, unit)
+        if half_up and 2 * rest >= unit:  # a half goes away from zero
+            digits += 1
+        scale = places
+    # a negative value that rounds to zero parses as -0.0; adding 0.0
     # makes it +0.0, so text and JSON print 0.0, not -0.0
-    return rounded + 0.0
+    return float(f"{sign}{digits}e{-scale}") + 0.0
 
 
 def display_round(value: float, places: int = 2) -> float:
     """Round for display, halves away from zero. Internal math never uses this."""
-    return _quantize(value, places, ROUND_HALF_UP)
+    return _quantize(value, places, True)
 
 
 def display_trunc(value: float, places: int = 2) -> float:
     """Truncate toward zero, used only for critique support display (2/3 -> 0.66)."""
-    return _quantize(value, places, ROUND_DOWN)
+    return _quantize(value, places, False)
 
 
 def fmt_num(value: float) -> str:

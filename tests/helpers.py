@@ -1,8 +1,10 @@
 """Matrix helpers the tests build from the public ``RatingsMatrix`` API,
-a reference check of a dataset's ``ratings`` rows, a frozen reference
-kNN kernel and frozen per-pair requirement checks."""
+reference checks of a dataset's ``ratings`` rows and weight maps, a
+frozen reference kNN kernel, frozen per-pair requirement checks and the
+frozen ``decimal`` display rounding."""
 
 import math
+from decimal import Decimal
 from typing import Callable, Iterable, Mapping, Sequence
 
 from groupexplain import RatingsMatrix, RelaxationProposal
@@ -70,6 +72,48 @@ def checked_ratings(rows, users, items) -> list[tuple[str, str, float]]:
             raise InvalidValueError(f"{where}: rating {number} outside [0, 5]")
         triples.append((row[0], row[1], number))
     return triples
+
+
+def checked_weights(raw, where: str) -> dict[str, float]:
+    """A weight map checked one value at a time, each location built first.
+
+    The reference for the loader's inline weight check: the map must be
+    an object, and each value a number but not a bool, convertible to a
+    float, finite and in [0, 1]. Raises what the loader raises, message
+    included, for the first value that fails.
+    """
+    if not isinstance(raw, dict):
+        raise MalformedDatasetError(f"{where}: must be an object")
+    weights = {}
+    for key, value in raw.items():
+        spot = f"{where}.{key}"
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise MalformedDatasetError(f"{spot}: expected a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            raise InvalidValueError(f"{spot}: integer too large for a float") from None
+        if not math.isfinite(number):
+            raise InvalidValueError(f"{spot}: {number} is not a finite number")
+        if not 0.0 <= number <= 1.0:
+            raise InvalidValueError(f"{spot}: {number} outside [0, 1]")
+        weights[key] = number
+    return weights
+
+
+# The reference display rounding: ``render._quantize`` as the library had
+# it when it quantized with ``decimal``; *rounding* is ``ROUND_HALF_UP``
+# (``display_round``) or ``ROUND_DOWN`` (``display_trunc``). Frozen here,
+# so the digit arithmetic that replaced it is compared with results it
+# cannot have produced itself; leave this body as it is.
+
+
+def reference_quantize(value: float, places: int, rounding: str) -> float:
+    if abs(value) >= 2.0**52:
+        return float(value)
+    snapped = Decimal(repr(round(value, 12)))
+    rounded = float(snapped.quantize(Decimal(1).scaleb(-places), rounding=rounding))
+    return rounded + 0.0
 
 
 # The reference kNN kernel: ``pearson``, ``_similarity``, ``_similarities``,

@@ -1,6 +1,7 @@
 """Dataset loading: happy path on the bundled file, then each error class."""
 
 import copy
+import functools
 import json
 
 import pytest
@@ -15,7 +16,7 @@ from groupexplain.errors import (
     MalformedDatasetError,
     UnresolvedIdError,
 )
-from helpers import checked_ratings
+from helpers import checked_ratings, checked_weights
 
 BASE = {
     "scale": {"min": 0, "max": 5},
@@ -205,6 +206,28 @@ class TestInvalidValues:
         with pytest.raises(InvalidValueError):
             load_dataset(write(tmp_path, data))
 
+    def test_duplicate_int_and_float_rating(self, tmp_path):
+        data = variant(ratings=[["u1", "t1", 4], ["u1", "t1", 4.0]])
+        with pytest.raises(InvalidValueError) as raised:
+            load_dataset(write(tmp_path, data))
+        assert raised.value.message == "duplicate rating for ('u1', 't1')"
+
+    def test_the_first_duplicate_is_the_one_raised(self, tmp_path):
+        ratings = [["u2", "t2", 1], ["u1", "t1", 4], ["u2", "t2", 2], ["u1", "t1", 3]]
+        with pytest.raises(InvalidValueError) as raised:
+            load_dataset(write(tmp_path, variant(ratings=ratings)))
+        assert raised.value.message == "duplicate rating for ('u2', 't2')"
+
+    def test_a_bad_row_after_a_duplicate_raises_first(self, tmp_path):
+        ratings = [["u1", "t1", 4], ["u1", "t1", 2], ["u2", "t2", 3], ["u2", "t1", 9]]
+        with pytest.raises(InvalidValueError) as raised:
+            load_dataset(write(tmp_path, variant(ratings=ratings)))
+        assert raised.value.message == "ratings[3]: rating 9.0 outside [0, 5]"
+
+    def test_int_rating_is_stored_as_float(self, tmp_path):
+        matrix = load_dataset(write(tmp_path, BASE)).matrix
+        assert [type(v) for v in matrix.items_rated_by("u1").values()] == [float]
+
     def test_duplicate_user(self, tmp_path):
         with pytest.raises(InvalidValueError):
             load_dataset(write(tmp_path, variant(users=["u1", "u1"])))
@@ -344,5 +367,75 @@ def test_ratings_rows_match_the_reference_check(tmp_path_factory, ratings):
         assert {u: dict(got.items_rated_by(u)) for u in got.users()} == {
             u: dict(expected.items_rated_by(u)) for u in expected.users()
         }
+    else:
+        assert got == expected
+
+
+# ------------------------------------------------- weight maps vs reference
+
+weight_values = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(0, 1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [True, False, None, "0.5", "", 10**400, -(10**400), OVERFLOW, -0.0, 0.0,
+         1.0000001, -1e-9, 2, -1, 1e308, [0.5], {"v": 0.5}]
+    ),
+)
+weight_maps = st.one_of(
+    st.dictionaries(
+        st.one_of(st.sampled_from(["cat1", "f1", "dim1"]), st.text(max_size=3)),
+        weight_values,
+        max_size=4,
+    ),
+    st.sampled_from([None, 0.5, "cat1", [0.5]]),  # not an object
+)
+
+
+# slot: where the loader names the map, its keys in the file, its reader
+WEIGHT_SLOTS = {
+    "item": (
+        "items[t1].category_weights",
+        ("items", "t1", "category_weights"),
+        lambda dataset: dataset.items["t1"].category_weights,
+    ),
+    "user": (
+        "user_category_weights[u1]",
+        ("user_category_weights", "u1"),
+        lambda dataset: dataset.user_category_weights["u1"],
+    ),
+    "history": (
+        "decision_history.weights[u1]",
+        ("decision_history", "weights", "u1"),
+        lambda dataset: dataset.fairness_weights["u1"],
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=weight_maps, slot=st.sampled_from(sorted(WEIGHT_SLOTS)))
+def test_weight_maps_match_the_reference_check(tmp_path_factory, weights, slot):
+    where, keys, read = WEIGHT_SLOTS[slot]
+    data = copy.deepcopy(BUNDLED)
+    functools.reduce(dict.__getitem__, keys[:-1], data)[keys[-1]] = weights
+    text = json.dumps(data).replace(f'"{OVERFLOW}"', "1e999")
+    path = tmp_path_factory.getbasetemp() / "weights.json"
+    path.write_text(text, encoding="utf-8")
+    # what the loader sees (1e999 is inf)
+    parsed = functools.reduce(dict.__getitem__, keys, json.loads(text))
+    try:
+        expected = checked_weights(parsed, where)
+    except GroupExplainError as exc:
+        expected = (type(exc), str(exc))
+    try:
+        got = read(load_dataset(path))
+    except GroupExplainError as exc:
+        got = (type(exc), str(exc))
+    if isinstance(expected, dict):
+        assert isinstance(got, dict), got
+        # repr tells -0.0 from 0.0 and 1 from 1.0
+        assert [(k, repr(v)) for k, v in got.items()] == [
+            (k, repr(v)) for k, v in expected.items()
+        ]
     else:
         assert got == expected

@@ -1,8 +1,11 @@
 """Rendering: rounding rules, templates, charts, SVG determinism."""
 
 import math
+from decimal import ROUND_DOWN, ROUND_HALF_UP
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupexplain import (
     Explanation,
@@ -26,6 +29,55 @@ from groupexplain.render import (
     format_slot,
     join_names,
 )
+from helpers import reference_quantize
+
+
+# Ties at 2 and 3 places, negatives that round to zero, exponent reprs,
+# the 2**52 guard, subnormals, ints, bools, infinities, NaN and an int
+# too large for a float.
+ROUNDING_EDGES = [
+    0.125, 2.675, 0.005, -0.005, 0.0005, -2.675, 0.365, 1.0005,
+    -0.004, -0.0049, -1e-17, -0.0, 0.0,
+    1e-07, -1e-07, 1.5e-05, 5e-13, 4.9e-13, 1.5e16, -1.5e16, 1e26,
+    2.0**52, -(2.0**52), 2.0**52 - 0.5, -(2.0**52 - 0.5), 2.0**51 + 0.25,
+    math.nextafter(2.0**52, 0.0), 2.0**53,
+    5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    0, 7, -3, 2**52 - 1, -(2**52 - 1), 2**52, 10**20, 10**400,
+    True, False, math.inf, -math.inf, math.nan,
+]
+numbers = st.one_of(
+    st.floats(),
+    st.floats(-6.0, 6.0),
+    st.builds(lambda n, k: n / 10**k, st.integers(-10**7, 10**7), st.integers(0, 7)),
+    st.builds(
+        math.copysign,
+        st.floats(2.0**52 - 64.0, 2.0**52 + 64.0),
+        st.sampled_from([1.0, -1.0]),
+    ),
+    st.floats(-1e-300, 1e-300),
+    st.integers(-(2**60), 2**60),
+    st.booleans(),
+    st.sampled_from(ROUNDING_EDGES),
+)
+
+
+def _outcome(fn, *args) -> str:
+    """The repr of what *fn* returns, or the name of what it raises."""
+    try:
+        return repr(fn(*args))
+    except ArithmeticError as exc:  # an int too large for a float overflows
+        return type(exc).__name__
+
+
+def _rounding_outcomes(value, places: int) -> tuple[str, str]:
+    return _outcome(display_round, value, places), _outcome(display_trunc, value, places)
+
+
+def _reference_outcomes(value, places: int) -> tuple[str, str]:
+    return (
+        _outcome(reference_quantize, value, places, ROUND_HALF_UP),
+        _outcome(reference_quantize, value, places, ROUND_DOWN),
+    )
 
 
 class TestRounding:
@@ -73,6 +125,18 @@ class TestRounding:
         for rounded in (display_round(value), display_trunc(value)):
             assert rounded == 0.0 and math.copysign(1.0, rounded) == 1.0
         assert fmt_num(value) == "0.0"
+
+    @pytest.mark.parametrize("value", ROUNDING_EDGES, ids=repr)
+    def test_edge_values_round_as_the_decimal_reference(self, value):
+        for places in range(5):
+            assert _rounding_outcomes(value, places) == _reference_outcomes(
+                value, places
+            )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(value=numbers, places=st.integers(0, 4))
+    def test_rounding_matches_the_decimal_reference(self, value, places):
+        assert _rounding_outcomes(value, places) == _reference_outcomes(value, places)
 
     def test_join_names(self):
         assert join_names([]) == "none"
