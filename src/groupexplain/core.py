@@ -182,8 +182,9 @@ class RatingsMatrix:
     def _checked(cls, by_user: dict[str, dict[str, float]]) -> "RatingsMatrix":
         """A matrix over rows its caller checked as ``__init__`` does.
 
-        Each value is a float in [0, 5], and a row holds each item once,
-        so a dict row cannot hold a duplicate. The rows are not copied.
+        Each value is a float in [0, 5], and the caller has rejected a
+        second rating of an item by a user: a dict row would keep only the
+        last. The rows are not copied.
         """
         matrix = cls.__new__(cls)
         matrix._by_user = by_user
