@@ -21,6 +21,7 @@ from .core import (
     aggregate,
     categorize_rating,
     RatingBucket,
+    _BOUNDS,
     _centred,
     _mean,
     _nearest,
@@ -62,7 +63,7 @@ class RatingHistogram(NamedTuple):
 class MemberPrediction(NamedTuple):
     """One member's similarity map, k nearest neighbors and prediction."""
 
-    similarities: dict[str, float]
+    similarities: Mapping[str, float]
     neighbors: list[tuple[str, float]]
     prediction: float | None
 
@@ -76,7 +77,7 @@ def member_predictions(
     do, with prediction None; with one, only those whose k nearest
     neighbors include a rater of it, with ``predict_rating``'s prediction.
     Raises unknown-user, or no-prediction-basis given an item, when no one
-    takes part. Each member's similarity map is computed once.
+    takes part. Each member's similarity map is computed once per matrix.
     """
     found = {}
     for member in group.members:
@@ -289,7 +290,7 @@ def _nearest_without(
     known and the next bound is strictly below the k-th best known
     similarity.
     """
-    rescored = dict(scored)
+    rescored = scored.copy()
     for _, other in raters:
         del rescored[other]
     top = sorted(rescored.values())[-k:]  # ascending: top[0] is the k-th best
@@ -318,38 +319,42 @@ def influential_items(
     of any basis are flagged basis-destroying rather than treated as errors.
 
     The matrix is never copied. Each member's similarities to all other
-    users are computed once, and one more pass over each member/user pair
-    gives, per co-rated item, an upper bound on the pair's similarity
-    without that item (``_removal_bounds``). Removing an item c then
-    changes a member's neighbors only if the member rated c, and only
+    users, and the bounds from one more pass over each member/user pair (per
+    co-rated item, an upper bound on the pair's similarity without that
+    item: ``_removal_bounds``), are computed once per matrix and member and
+    kept in the matrix's bounded memo with every user's mean; none depends
+    on k, so later calls for any group and k read them. Removing an item c
+    then changes a member's neighbors only if the member rated c, and only
     through the users who also rated c: they are re-scored exactly with
     ``pearson`` on the remaining co-rated items, by descending bound, until
     k similarities are known and the next bound is strictly below the k-th
-    best (``_nearest_without``). A user skipped then has an exact
-    similarity at most its bound, so strictly below k known ones: it
-    cannot enter the top k, ties included, and the k nearest are those of
-    a full re-scan. A member who did not rate c keeps its neighbors; if none of
-    those who rated the target rated c either, its prediction's inputs are
-    all unchanged and its shift is 0.0 without recomputing it. A member who
-    rated c is always re-predicted, since its own mean moves. The mean of
-    a user who rated c is recomputed at most once per candidate. The
-    bounds only decide what to skip: every similarity that is ranked or
+    best (``_nearest_without``). A user skipped then has an exact similarity
+    at most its bound, so strictly below k known ones: it cannot enter the
+    top k, ties included, and the k nearest are those of a full re-scan. A
+    member who did not rate c keeps its neighbors; if none of those who
+    rated the target rated c either, its prediction's inputs are all
+    unchanged and its shift is 0.0 without recomputing it. A member who
+    rated c is always re-predicted, since its own mean moves. The mean of a
+    user who rated c is recomputed without it at most once per candidate.
+    The bounds only decide what to skip: every similarity that is ranked or
     weighs a prediction comes from ``pearson``, so the result equals
     rebuilding the matrix without the item's ratings and calling
     ``predict_rating`` for each member, bit for bit.
     """
     base = member_predictions(matrix, group, target, k)
     rows = {user: matrix.items_rated_by(user) for user in matrix.users()}
-    means = {user: _mean(row) for user, row in rows.items()}
     rated = {item for member in group.members for item in rows.get(member, ())}
     bounds = {
-        member: _removal_bounds(rows[member], scored, rows)
+        member: matrix._memo.get(
+            member, _BOUNDS, _removal_bounds, rows[member], scored, rows
+        )
         for member, (scored, _, _) in base.items()
     }
     voters = {  # the neighbors whose ratings of the target make a prediction
         member: [v for v, _ in nearest if target in rows[v]]
         for member, (_, nearest, _) in base.items()
     }
+    means: dict[str, float] = {}  # read from the memo once per call
     results = []
     for candidate in sorted(rated - {target}):
         shifted: dict[str, float] = {}
@@ -357,6 +362,8 @@ def influential_items(
         def mean(user: str) -> float:
             row = rows[user]
             if candidate not in row:
+                if user not in means:
+                    means[user] = matrix.user_mean(user)
                 return means[user]
             if user not in shifted:
                 shifted[user] = _mean(row, candidate)

@@ -4,17 +4,20 @@ Everything downstream (the four explanation paradigms, the renderer, the
 CLI) builds on the types and functions in this module. Every record type
 the loader builds is defined here, so loading a dataset imports no
 paradigm module. All functions are pure; the containers are treated as
-immutable after construction.
+immutable after construction, so a rating matrix computes each user's kNN
+state once.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from _thread import allocate_lock
+from collections import OrderedDict
 from itertools import repeat
 from operator import eq, ge, itemgetter, le, mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegenerateVarianceError,
@@ -155,14 +158,97 @@ class Item(Frozen):
                         f"item {self.id!r}: {label} {key!r} = {value} outside [0, 1]"
                     )
 
+    @classmethod
+    def _checked(
+        cls,
+        id: str,
+        attributes: dict[str, object],
+        category_weights: dict[str, float],
+        feature_sentiments: dict[str, float],
+        dimension_contributions: dict[str, float],
+    ) -> "Item":
+        """An item over weight maps its caller checked as ``__init__`` does:
+        every value in [0, 1]. The maps are not copied."""
+        item = cls.__new__(cls)
+        item._set(id, attributes, category_weights, feature_sentiments, dimension_contributions)
+        return item
+
 
 def _duplicate_rating(user: str, item: str) -> InvalidValueError:
     """The error for a second rating of *item* by *user*."""
     return InvalidValueError(f"duplicate rating for ({user!r}, {item!r})")
 
 
+#: Most values the per-user memo of one ``RatingsMatrix`` keeps: the
+#: entries of its similarity maps and removal-bound lists, plus one per
+#: mean. A map entry takes about 52 bytes and a bound entry about 87
+#: (tracemalloc, 1,000 users), so a full memo holds at most ~23 MB: every
+#: map of a 500-user matrix, or the maps and bounds of ~49 members of a
+#: 1,000-user one with 30k ratings.
+_MEMO_CAP = 1 << 18
+
+# The slots of a memo entry, and what a value in each counts toward the cap.
+_SIMILARITIES, _MEAN, _BOUNDS = range(3)
+_COST = (len, lambda mean: 1, lambda bounds: sum(map(len, bounds.values())))
+
+
+class _UserMemo:
+    """Per-user kNN state of one matrix, computed once and kept least
+    recently used first: a user's similarity map, mean and removal bounds
+    (``cf._removal_bounds``). None of them depends on k.
+    """
+
+    __slots__ = ("_entries", "_size", "_lock")
+
+    def __init__(self):
+        self._entries: OrderedDict[str, list] = OrderedDict()  # user -> [*slots, cost]
+        self._size = 0
+        self._lock = allocate_lock()
+
+    def __len__(self) -> int:
+        """How many values are kept, counted as ``_MEMO_CAP`` counts them."""
+        return self._size
+
+    def get(self, user: str, slot: int, compute: Callable[..., Any], *args) -> Any:
+        """*user*'s value in *slot*, ``compute(*args)`` the first time.
+
+        A value larger than the whole cap is returned without being kept;
+        otherwise the least recently used users are dropped until the
+        kept values fit.
+        """
+        with self._lock:
+            entry = self._entries.get(user)
+            if entry is not None:
+                self._entries.move_to_end(user)
+                if entry[slot] is not None:
+                    return entry[slot]
+        value = compute(*args)
+        cost = _COST[slot](value)
+        with self._lock:
+            entry = self._entries.get(user)
+            if entry is None:
+                entry = [None, None, None, 0]
+            elif entry[slot] is not None:  # another thread kept it meanwhile
+                return entry[slot]
+            if entry[3] + cost > _MEMO_CAP:
+                return value
+            entry[slot] = value
+            entry[3] += cost
+            self._size += cost
+            self._entries[user] = entry
+            self._entries.move_to_end(user)
+            while self._size > _MEMO_CAP:  # the entry just kept is last
+                _, dropped = self._entries.popitem(last=False)
+                self._size -= dropped[3]
+        return value
+
+
 class RatingsMatrix:
-    """Sparse user x item rating store on the fixed [0, 5] scale."""
+    """Sparse user x item rating store on the fixed [0, 5] scale.
+
+    Immutable after construction, so each user's kNN state is computed
+    once per matrix and kept in a bounded memo (``_UserMemo``).
+    """
 
     def __init__(self, ratings: Iterable[tuple[str, str, float]]):
         by_user: dict[str, dict[str, float]] = {}
@@ -177,6 +263,7 @@ class RatingsMatrix:
                 raise _duplicate_rating(user, item)
             row[item] = value
         self._by_user = by_user
+        self._memo = _UserMemo()
 
     @classmethod
     def _checked(cls, by_user: dict[str, dict[str, float]]) -> "RatingsMatrix":
@@ -188,7 +275,11 @@ class RatingsMatrix:
         """
         matrix = cls.__new__(cls)
         matrix._by_user = by_user
+        matrix._memo = _UserMemo()
         return matrix
+
+    def __reduce__(self):  # copy and pickle keep the rows, not the memo
+        return type(self)._checked, (self._by_user,)
 
     def __len__(self) -> int:
         return sum(len(row) for row in self._by_user.values())
@@ -209,7 +300,7 @@ class RatingsMatrix:
         row = self._by_user.get(user)
         if not row:
             raise UnknownUserError(f"no ratings for user {user!r}")
-        return _mean(row)
+        return self._memo.get(user, _MEAN, _mean, row)
 
 
 class TagApplications:
@@ -450,10 +541,18 @@ def _similarity(
         return 0.0
 
 
-def _similarities(matrix: RatingsMatrix, user: str) -> dict[str, float]:
-    """Every other user eligible as *user*'s neighbor, with their similarity."""
+def _similarities(matrix: RatingsMatrix, user: str) -> Mapping[str, float]:
+    """Every other user eligible as *user*'s neighbor, with their similarity,
+    in ascending id order.
+
+    Computed once per matrix and user (the matrix's memo), and read-only.
+    """
     if not matrix.has_user(user):
         raise UnknownUserError(f"user {user!r} has no ratings")
+    return matrix._memo.get(user, _SIMILARITIES, _scan, matrix, user)
+
+
+def _scan(matrix: RatingsMatrix, user: str) -> Mapping[str, float]:
     own = matrix.items_rated_by(user)
     scored: dict[str, float] = {}
     for other in matrix.users():
@@ -461,7 +560,7 @@ def _similarities(matrix: RatingsMatrix, user: str) -> dict[str, float]:
             sim = _similarity(own, matrix.items_rated_by(other))
             if sim is not None:
                 scored[other] = sim
-    return scored
+    return MappingProxyType(scored)
 
 
 def _ranked(rows: Iterable[Sequence]) -> list:

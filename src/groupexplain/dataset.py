@@ -250,7 +250,7 @@ def load_dataset(path: str | Path) -> Dataset:
             name: _unit_weights(entry.get(name, {}), f"{spot}.{name}")
             for name in _ITEM_WEIGHTS
         }
-        items[item_id] = Item(id=item_id, attributes=dict(attributes), **weights)
+        items[item_id] = Item._checked(item_id, dict(attributes), **weights)
 
     # Each row is checked once, here, and filed under its user. A duplicate
     # (user, item) is raised after the loop, so a bad row later in the

@@ -236,8 +236,15 @@ class TestInfluenceWork:
         return bound
 
     @staticmethod
-    def count_pearson_calls(matrix, group, target, monkeypatch):
-        """Pearson calls and matrix builds made by one influential_items call."""
+    def count_pearson_calls(matrix, group, target, monkeypatch, calls=1):
+        """Pearson calls made by each of *calls* influential_items calls on
+        a fresh copy of *matrix* (so no earlier call has filled its memo),
+        and the matrix builds they made together."""
+        fresh = RatingsMatrix(
+            (user, item, value)
+            for user in matrix.users()
+            for item, value in matrix.items_rated_by(user).items()
+        )
         builds, pearsons = [], []
         init, pearson = core.RatingsMatrix.__init__, core.pearson
 
@@ -246,28 +253,35 @@ class TestInfluenceWork:
             init(self, *args, **kwargs)
 
         def counting_pearson(*args):
-            pearsons.append(1)
+            pearsons[-1] += 1
             return pearson(*args)
 
         monkeypatch.setattr(core.RatingsMatrix, "__init__", counting_init)
         monkeypatch.setattr(core, "pearson", counting_pearson)
-        assert influential_items(matrix, group, target, k=2)
+        for _ in range(calls):
+            pearsons.append(0)
+            assert influential_items(fresh, group, target, k=2)
         monkeypatch.undo()
-        return len(pearsons), len(builds)
+        return pearsons, len(builds)
 
     def test_no_matrix_copies_and_bounded_pearson_calls(self, case, monkeypatch):
         matrix, group, target = case
         bound = self.pearson_bound(matrix, group, target)
-        pearsons, builds = self.count_pearson_calls(matrix, group, target, monkeypatch)
+        [pearsons], builds = self.count_pearson_calls(matrix, group, target, monkeypatch)
         assert builds == 0
         assert 0 < pearsons <= bound
 
     def test_bounds_skip_most_rescoring(self, monkeypatch):
         """Fails if every user who co-rated a removed item is re-scored
-        (211 calls beyond the first pass here)."""
+        (211 calls beyond the first pass here), or if a second call on the
+        same matrix repeats the first pass (149 more calls here)."""
         matrix, group, target = _generated_case()
         first_pass = len(group.members) * (len(matrix.users()) - 1)
         allowance = self.pearson_bound(matrix, group, target) - first_pass
-        pearsons, _ = self.count_pearson_calls(matrix, group, target, monkeypatch)
+        (cold, warm), _ = self.count_pearson_calls(
+            matrix, group, target, monkeypatch, calls=2
+        )
         assert allowance == 265
-        assert pearsons - first_pass <= allowance // 4
+        assert cold - first_pass <= allowance // 4
+        # the second call reads every similarity map and bound from the memo
+        assert warm <= allowance // 4

@@ -5,7 +5,11 @@ corrcoef and longhand weighted sums) before the implementation existed.
 """
 
 import ast
+import copy
 import math
+import pickle
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -17,10 +21,13 @@ from groupexplain import (
     RatingsMatrix,
     aggregate,
     categorize_rating,
+    influential_items,
     knn_neighbors,
+    member_predictions,
     pearson,
     predict_rating,
 )
+from groupexplain import core
 from groupexplain.core import satisfies
 from groupexplain.errors import (
     DegenerateVarianceError,
@@ -162,6 +169,118 @@ class TestRatingsMatrix:
     def test_unknown_user_mean(self, four_users):
         with pytest.raises(UnknownUserError):
             four_users.user_mean("ghost")
+
+
+class TestMemo:
+    """Each matrix keeps its own bounded memo of per-user kNN state."""
+
+    @staticmethod
+    def triples(matrix):
+        return [
+            (user, item, value)
+            for user in matrix.users()
+            for item, value in matrix.items_rated_by(user).items()
+        ]
+
+    @staticmethod
+    def state(matrix):
+        users = matrix.users()
+        return [
+            (list(core._similarities(matrix, u).items()), knn_neighbors(matrix, u, 2),
+             matrix.user_mean(u), predict_rating(matrix, u, "i4", 3))
+            for u in users
+        ] + [influential_items(matrix, Group("g", users), "i4", 2)]
+
+    def test_matrices_with_the_same_users_share_no_state(self, four_users):
+        ratings = [
+            ("a", "i1", 1.0), ("a", "i2", 5.0), ("a", "i3", 2.0),
+            ("b", "i1", 4.5), ("b", "i2", 3.5), ("b", "i3", 4.5), ("b", "i4", 4.0),
+            ("c", "i1", 2.0), ("c", "i2", 4.0), ("c", "i3", 1.0), ("c", "i4", 2.5),
+            ("d", "i1", 3.0), ("d", "i2", 2.0), ("d", "i3", 3.0), ("d", "i4", 3.5),
+        ]
+        other = RatingsMatrix(ratings)
+        assert other.users() == four_users.users()
+        before = self.state(four_users)  # fills four_users' memo
+        after = self.state(other)
+        assert after != before
+        assert after == self.state(RatingsMatrix(ratings))
+        assert self.state(four_users) == before
+
+    def test_similarity_maps_are_read_only(self, four_users):
+        scored = core._similarities(four_users, "a")
+        with pytest.raises(TypeError):
+            scored["b"] = 0.0
+        taking_part = member_predictions(four_users, Group("g", ("a",)), None, 2)
+        with pytest.raises(TypeError):
+            taking_part["a"].similarities["b"] = 0.0
+        fresh = core._similarities(RatingsMatrix(self.triples(four_users)), "a")
+        assert list(core._similarities(four_users, "a").items()) == list(fresh.items())
+
+    def test_least_recently_used_users_go_first(self, four_users, monkeypatch):
+        # each map holds 3 entries and each mean 1: three maps and a mean fill it
+        monkeypatch.setattr(core, "_MEMO_CAP", 10)
+        fresh = RatingsMatrix(self.triples(four_users))
+        expected = [knn_neighbors(fresh, u, 2) for u in "abcd"]
+        memo = four_users._memo
+        assert [knn_neighbors(four_users, u, 2) for u in "abc"] == expected[:3]
+        assert four_users.user_mean("a") == 4.0  # "a" is now the most recent
+        assert len(memo) == 10 and list(memo._entries) == ["b", "c", "a"]
+        assert knn_neighbors(four_users, "d", 2) == expected[3]
+        assert len(memo) == 10 and list(memo._entries) == ["c", "a", "d"]
+
+    def test_a_value_larger_than_the_cap_is_not_kept(self, four_users, monkeypatch):
+        monkeypatch.setattr(core, "_MEMO_CAP", 2)
+        assert knn_neighbors(four_users, "a", 1) == knn_neighbors(
+            RatingsMatrix(self.triples(four_users)), "a", 1
+        )
+        assert four_users.user_mean("a") == 4.0
+        assert len(four_users._memo) == 1 and list(four_users._memo._entries) == ["a"]
+
+    def test_copies_keep_the_ratings_and_start_a_new_memo(self, four_users):
+        warm = knn_neighbors(four_users, "a", 3)
+        for clone in (copy.copy(four_users), copy.deepcopy(four_users),
+                      pickle.loads(pickle.dumps(four_users))):
+            assert len(clone._memo) == 0 and clone._memo is not four_users._memo
+            assert [dict(clone.items_rated_by(u)) for u in clone.users()] == [
+                dict(four_users.items_rated_by(u)) for u in four_users.users()
+            ]
+            assert knn_neighbors(clone, "a", 3) == warm
+
+    def test_threads_sharing_a_matrix_keep_the_count(self, monkeypatch):
+        ratings = [
+            (f"u{n}", f"i{i}", float((n * 7 + i * 3) % 11) / 2)
+            for n in range(12) for i in range(8) if (n + i) % 4
+        ]
+        users = [f"u{n}" for n in range(12)]
+        expected = {u: knn_neighbors(RatingsMatrix(ratings), u, 3) for u in users}
+        monkeypatch.setattr(core, "_MEMO_CAP", 40)  # room for about three users
+        shared = RatingsMatrix(ratings)
+        failures = []
+
+        def work(offset):
+            try:
+                for round_ in range(1000):
+                    user = users[(offset + round_ * 5) % len(users)]
+                    assert knn_neighbors(shared, user, 3) == expected[user]
+                    for other in users:
+                        shared.user_mean(other)
+            except Exception as exc:  # a thread's error would not fail the test
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        memo = shared._memo
+        assert len(memo) == sum(entry[3] for entry in memo._entries.values()) <= 40
 
 
 class TestKnn:

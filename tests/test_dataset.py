@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupexplain import RatingsMatrix, load_builtin, load_dataset
+from groupexplain import Item, RatingsMatrix, load_builtin, load_dataset
 from groupexplain.dataset import builtin_dataset_path
 from groupexplain.errors import (
     GroupExplainError,
@@ -86,6 +86,27 @@ def test_minimal_base_loads(tmp_path):
     assert dataset.tags.share("t1", "beach") == 1.0
     assert dataset.requirements[0].matches(dataset.items["t1"])
     assert dataset.fairness_weights["u1"] == {"dim1": 0.1}
+
+
+def test_loaded_items_equal_constructed_ones():
+    # the loader builds items without Item.__init__'s second weight check
+    dataset = load_builtin()
+    for item_id, item in dataset.items.items():
+        rebuilt = Item(
+            item_id,
+            dict(item.attributes),
+            dict(item.category_weights),
+            dict(item.feature_sentiments),
+            dict(item.dimension_contributions),
+        )
+        assert type(item) is Item and item == rebuilt
+        assert repr(item) == repr(rebuilt)
+
+
+def test_constructed_items_still_check_their_weights():
+    with pytest.raises(InvalidValueError) as caught:
+        Item("x", category_weights={"a": 1.01})
+    assert str(caught.value) == "invalid-value: item 'x': category weight 'a' = 1.01 outside [0, 1]"
 
 
 def test_missing_file(tmp_path):

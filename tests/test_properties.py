@@ -16,6 +16,7 @@ in ``helpers``.
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -617,6 +618,70 @@ def test_influence_forced_cases(case):
     ratings, members, target, k, holds = case
     assert holds(RatingsMatrix(ratings))
     assert_influence_is_leave_one_out(ratings, members, target, k)
+
+
+# The calls that read a matrix's per-user memo, each on one group, an item
+# and k; knn_neighbors and predict_rating run for every member in turn.
+MEMO_CALLS = {
+    "influential_items": influential_items,
+    "member_predictions": member_predictions,
+    "member_predictions/no-item": lambda m, group, item, k: member_predictions(
+        m, group, None, k
+    ),
+    "knn_neighbors": lambda m, group, item, k: [
+        outcome(knn_neighbors, m, member, k) for member in group.members
+    ],
+    "predict_rating": lambda m, group, item, k: [
+        outcome(predict_rating, m, member, item, k) for member in group.members
+    ],
+}
+
+
+@st.composite
+def memo_sessions(draw):
+    """A matrix drawn as ``pruned_influence_instances`` draws one (ties, many
+    shared raters), and 2-8 calls in a random order on groups of 1-4 users
+    from a pool of 2-5, so that members recur across groups. The pool may
+    hold a user without ratings."""
+    ratings, _, _, _ = draw(pruned_influence_instances())
+    users = sorted({user for user, _, _ in ratings}) + ["nobody"]
+    items = sorted({item for _, item, _ in ratings})
+    assume(items)
+    pool = draw(st.lists(st.sampled_from(users), min_size=2, max_size=5, unique=True))
+    calls = st.tuples(
+        st.sampled_from(sorted(MEMO_CALLS)),
+        st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True).map(tuple),
+        st.sampled_from(items),
+        st.integers(1, 3),
+    )
+    return ratings, draw(st.lists(calls, min_size=2, max_size=8))
+
+
+def assert_memo_reads_match_fresh_matrices(ratings, calls):
+    """Each call on one shared matrix returns what it returns on a fresh
+    matrix: ``repr`` tells floats apart bit for bit and shows the order of
+    every list and similarity map. The memo never holds more than its cap."""
+    shared = RatingsMatrix(ratings)
+    for name, members, item, k in calls:
+        call, group = MEMO_CALLS[name], Group("g", members)
+        got = repr(outcome(call, shared, group, item, k))
+        assert got == repr(outcome(call, RatingsMatrix(ratings), group, item, k)), name
+        assert len(shared._memo) <= core._MEMO_CAP
+
+
+@given(session=memo_sessions())
+@RUNS
+def test_memo_reads_match_fresh_matrices(session):
+    assert_memo_reads_match_fresh_matrices(*session)
+
+
+@given(session=memo_sessions(), cap=st.integers(1, 60))
+@RUNS
+def test_memo_reads_match_fresh_matrices_under_eviction(session, cap):
+    # a cap of a few entries: users are dropped and recomputed, and a map
+    # or bound list larger than the cap is returned without being kept
+    with patch.object(core, "_MEMO_CAP", cap):
+        assert_memo_reads_match_fresh_matrices(*session)
 
 
 @given(
