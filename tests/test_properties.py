@@ -1,6 +1,6 @@
 """Property suites: invariants that must hold on randomized inputs.
 
-Seventeen suites, 200 examples each. The relaxation suite checks the
+Nineteen suites, 200 examples each. The relaxation suite checks the
 implementation against a brute-force subset enumeration written here, the
 column-check suite the column-wise requirement checks against the frozen
 per-pair checks in ``helpers`` (same result, or same error type and
@@ -9,9 +9,10 @@ message), the two influence suites against the leave-one-out definition
 influence scan's leave-one-out similarity bounds against exact
 similarities, the premise suite the Pearson kernel's deviations and
 centred sums against exact rational arithmetic, the critique suite
-against a count of each critique by hand, and the kernel suite the
+against a count of each critique by hand, the kernel suite the
 library's neighbors and predictions against the frozen reference kernel
-in ``helpers``.
+in ``helpers``, and the two memo suites each call on one shared matrix
+against the same call on a fresh matrix.
 """
 
 import math
@@ -638,7 +639,7 @@ MEMO_CALLS = {
 
 
 @st.composite
-def memo_sessions(draw):
+def call_sequences(draw):
     """A matrix drawn as ``pruned_influence_instances`` draws one (ties, many
     shared raters), and 2-8 calls in a random order on groups of 1-4 users
     from a pool of 2-5, so that members recur across groups. The pool may
@@ -669,19 +670,19 @@ def assert_memo_reads_match_fresh_matrices(ratings, calls):
         assert len(shared._memo) <= core._MEMO_CAP
 
 
-@given(session=memo_sessions())
+@given(sequence=call_sequences())
 @RUNS
-def test_memo_reads_match_fresh_matrices(session):
-    assert_memo_reads_match_fresh_matrices(*session)
+def test_memo_reads_match_fresh_matrices(sequence):
+    assert_memo_reads_match_fresh_matrices(*sequence)
 
 
-@given(session=memo_sessions(), cap=st.integers(1, 60))
+@given(sequence=call_sequences(), cap=st.integers(1, 60))
 @RUNS
-def test_memo_reads_match_fresh_matrices_under_eviction(session, cap):
+def test_memo_reads_match_fresh_matrices_under_eviction(sequence, cap):
     # a cap of a few entries: users are dropped and recomputed, and a map
     # or bound list larger than the cap is returned without being kept
     with patch.object(core, "_MEMO_CAP", cap):
-        assert_memo_reads_match_fresh_matrices(*session)
+        assert_memo_reads_match_fresh_matrices(*sequence)
 
 
 @given(
