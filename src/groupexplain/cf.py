@@ -22,6 +22,8 @@ from .core import (
     categorize_rating,
     RatingBucket,
     _BOUNDS,
+    _MEANS_WITHOUT,
+    _NEAREST_WITHOUT,
     _centred,
     _mean,
     _nearest,
@@ -334,26 +336,37 @@ def influential_items(
     member who did not rate c keeps its neighbors; if none of those who
     rated the target rated c either, its prediction's inputs are all
     unchanged and its shift is 0.0 without recomputing it. A member who
-    rated c is always re-predicted, since its own mean moves. The mean of a
-    user who rated c is recomputed without it at most once per candidate.
-    The bounds only decide what to skip: every similarity that is ranked or
-    weighs a prediction comes from ``pearson``, so the result equals
-    rebuilding the matrix without the item's ratings and calling
-    ``predict_rating`` for each member, bit for bit.
+    rated c is always re-predicted, since its own mean moves. Neither a
+    member's k nearest neighbors without c nor a user's mean without c
+    depends on the target or the group: each is computed the first time a
+    call removes c and kept in the memo, so a later call that removes c
+    again, for any target and group, reads it. The bounds only decide what
+    to skip: every similarity that is ranked or weighs a prediction comes
+    from ``pearson``, so the result equals rebuilding the matrix without
+    the item's ratings and calling ``predict_rating`` for each member, bit
+    for bit.
     """
     base = member_predictions(matrix, group, target, k)
-    rows = {user: matrix.items_rated_by(user) for user in matrix.users()}
+    memo, rows = matrix._memo, matrix._by_user  # rows are read, never changed
     rated = {item for member in group.members for item in rows.get(member, ())}
     bounds = {
-        member: matrix._memo.get(
-            member, _BOUNDS, _removal_bounds, rows[member], scored, rows
-        )
+        member: memo.get(member, _BOUNDS, _removal_bounds, rows[member], scored, rows)
         for member, (scored, _, _) in base.items()
     }
-    voters = {  # the neighbors whose ratings of the target make a prediction
-        member: [v for v, _ in nearest if target in rows[v]]
+    # per member, the items rated by the neighbors whose ratings of the
+    # target make its prediction
+    voted = {
+        member: set().union(*(rows[v] for v, _ in nearest if target in rows[v]))
         for member, (_, nearest, _) in base.items()
     }
+    # The memo's neighbor lists and means without one item, for the members
+    # and for every user who may weigh a prediction of the target, and what
+    # this call adds to them, kept at the end.
+    kept_nearest = memo.tables(base, _NEAREST_WITHOUT)
+    weighing = {v for scored, _, _ in base.values() for v in scored if target in rows[v]}
+    kept_means = memo.tables(weighing.union(base), _MEANS_WITHOUT)
+    new_nearest: dict[str, dict] = {member: {} for member in base}
+    new_means: dict[str, dict] = {user: {} for user in kept_means}
     means: dict[str, float] = {}  # read from the memo once per call
     results = []
     for candidate in sorted(rated - {target}):
@@ -366,7 +379,10 @@ def influential_items(
                     means[user] = matrix.user_mean(user)
                 return means[user]
             if user not in shifted:
-                shifted[user] = _mean(row, candidate)
+                value = kept_means[user].get(candidate)
+                if value is None:
+                    value = new_means[user][candidate] = _mean(row, candidate)
+                shifted[user] = value
             return shifted[user]
 
         deltas = []
@@ -378,8 +394,12 @@ def influential_items(
             if candidate in own:
                 raters = bounds[member].get(candidate)
                 if raters:
-                    nearest = _nearest_without(own, scored, raters, candidate, rows, k)
-            elif not any(candidate in rows[v] for v in voters[member]):
+                    nearest = kept_nearest[member].get((candidate, k))
+                    if nearest is None:
+                        nearest = new_nearest[member][candidate, k] = tuple(
+                            _nearest_without(own, scored, raters, candidate, rows, k)
+                        )
+            elif candidate not in voted[member]:
                 deltas.append(0.0)
                 continue
             try:
@@ -392,4 +412,6 @@ def influential_items(
         results.append(
             ItemInfluence(item=candidate, delta=delta, basis_destroying=destroying)
         )
+    memo.extend(_NEAREST_WITHOUT, new_nearest)
+    memo.extend(_MEANS_WITHOUT, new_means)
     return _ranked(results)

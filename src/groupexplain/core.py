@@ -180,22 +180,35 @@ def _duplicate_rating(user: str, item: str) -> InvalidValueError:
 
 
 #: Most values the per-user memo of one ``RatingsMatrix`` keeps: the
-#: entries of its similarity maps and removal-bound lists, plus one per
-#: mean. A map entry takes about 52 bytes and a bound entry about 87
-#: (tracemalloc, 1,000 users), so a full memo holds at most ~23 MB: every
-#: map of a 500-user matrix, or the maps and bounds of ~49 members of a
+#: entries of its similarity maps, removal-bound lists and neighbor lists
+#: without an item (plus one per list), and one per mean. Measured with
+#: tracemalloc at 1,000 users, a map entry takes about 52 bytes, a bound or
+#: neighbor-list value about 87 (~307 per list at k = 2-3) and a mean
+#: without an item about 57, so a full memo holds at most ~23 MB: every map
+#: of a 500-user matrix, or the maps and bounds of ~49 members of a
 #: 1,000-user one with 30k ratings.
 _MEMO_CAP = 1 << 18
 
-# The slots of a memo entry, and what a value in each counts toward the cap.
-_SIMILARITIES, _MEAN, _BOUNDS = range(3)
-_COST = (len, lambda mean: 1, lambda bounds: sum(map(len, bounds.values())))
+# The slots of a memo entry: three values, two tables of values filled per
+# removed item, and the count of the entry's values toward the cap. What a
+# value, or a list of values added to a table, counts:
+_SIMILARITIES, _MEAN, _BOUNDS, _NEAREST_WITHOUT, _MEANS_WITHOUT, _COST = range(6)
+_SLOT_COSTS = (
+    len,
+    lambda mean: 1,
+    lambda bounds: sum(map(len, bounds.values())),
+    lambda lists: len(lists) + sum(map(len, lists)),
+    len,
+)
 
 
 class _UserMemo:
     """Per-user kNN state of one matrix, computed once and kept least
     recently used first: a user's similarity map, mean and removal bounds
-    (``cf._removal_bounds``). None of them depends on k.
+    (``cf._removal_bounds``), none of which depends on k, and two tables
+    that ``cf.influential_items`` fills per item c it removes: the user's
+    k nearest neighbors without c, keyed (c, k) and kept as tuples, and the
+    user's mean without c, keyed c. A user's entry is dropped whole.
     """
 
     __slots__ = ("_entries", "_size", "_lock")
@@ -210,12 +223,7 @@ class _UserMemo:
         return self._size
 
     def get(self, user: str, slot: int, compute: Callable[..., Any], *args) -> Any:
-        """*user*'s value in *slot*, ``compute(*args)`` the first time.
-
-        A value larger than the whole cap is returned without being kept;
-        otherwise the least recently used users are dropped until the
-        kept values fit.
-        """
+        """*user*'s value in *slot*, ``compute(*args)`` the first time."""
         with self._lock:
             entry = self._entries.get(user)
             if entry is not None:
@@ -223,24 +231,66 @@ class _UserMemo:
                 if entry[slot] is not None:
                     return entry[slot]
         value = compute(*args)
-        cost = _COST[slot](value)
         with self._lock:
             entry = self._entries.get(user)
-            if entry is None:
-                entry = [None, None, None, 0]
-            elif entry[slot] is not None:  # another thread kept it meanwhile
-                return entry[slot]
-            if entry[3] + cost > _MEMO_CAP:
-                return value
-            entry[slot] = value
-            entry[3] += cost
-            self._size += cost
-            self._entries[user] = entry
-            self._entries.move_to_end(user)
-            while self._size > _MEMO_CAP:  # the entry just kept is last
-                _, dropped = self._entries.popitem(last=False)
-                self._size -= dropped[3]
+            if entry is None or entry[slot] is None:  # else another thread kept it
+                entry = self._admit(user, entry, _SLOT_COSTS[slot](value))
+                if entry is not None:
+                    entry[slot] = value
         return value
+
+    def tables(self, users: Iterable[str], slot: int) -> dict[str, Mapping]:
+        """Each user's table in *slot* (a new empty dict if none), to read;
+        ``extend`` adds to them."""
+        found = {}
+        with self._lock:
+            for user in users:
+                entry = self._entries.get(user)
+                if entry is None or entry[slot] is None:
+                    found[user] = {}
+                else:
+                    self._entries.move_to_end(user)
+                    found[user] = entry[slot]
+        return found
+
+    def extend(self, slot: int, new: Mapping[str, dict]) -> None:
+        """Add each user's values in *new*, computed by the caller, to the
+        user's table in *slot*. The memo may keep a values dict itself: the
+        caller drops it."""
+        with self._lock:
+            for user, values in new.items():
+                if not values:
+                    continue
+                entry = self._entries.get(user)
+                table = None if entry is None else entry[slot]
+                if table is not None:  # a key another thread added meanwhile counts once
+                    values = {key: value for key, value in values.items() if key not in table}
+                entry = self._admit(user, entry, _SLOT_COSTS[slot](values.values()))
+                if entry is None:
+                    continue
+                if table is None:
+                    entry[slot] = values
+                else:
+                    table.update(values)
+
+    def _admit(self, user: str, entry: list | None, cost: int) -> list | None:
+        """*user*'s *entry* (None: a new one) counting *cost* more values,
+        now the most recently used; the caller holds the lock and stores
+        the values. None, and nothing changed, if they would take the entry
+        past the whole cap. Least recently used users are dropped until the
+        kept values fit."""
+        if entry is None:
+            entry = [None] * _COST + [0]
+        if entry[_COST] + cost > _MEMO_CAP:
+            return None
+        entry[_COST] += cost
+        self._size += cost
+        self._entries[user] = entry
+        self._entries.move_to_end(user)
+        while self._size > _MEMO_CAP:  # the entry admitted is last
+            _, dropped = self._entries.popitem(last=False)
+            self._size -= dropped[_COST]
+        return entry
 
 
 class RatingsMatrix:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from groupexplain import core
+from groupexplain import cf, core
 from groupexplain import (
     AggregationStrategy,
     Group,
@@ -13,6 +13,7 @@ from groupexplain import (
     aggregation_explanation,
     group_rating_histogram,
     influential_items,
+    member_predictions,
     nn_rating_histogram,
     predict_rating,
 )
@@ -236,52 +237,98 @@ class TestInfluenceWork:
         return bound
 
     @staticmethod
-    def count_pearson_calls(matrix, group, target, monkeypatch, calls=1):
-        """Pearson calls made by each of *calls* influential_items calls on
-        a fresh copy of *matrix* (so no earlier call has filled its memo),
-        and the matrix builds they made together."""
+    def count_work(matrix, group, calls, monkeypatch):
+        """The work of each (target, k) in *calls*, made in turn as an
+        influential_items call on one fresh copy of *matrix* (so no earlier
+        call has filled its memo): its Pearson calls, those made to re-score
+        a pair without a removed item, its similarity scans and its
+        removal-bound passes. Also the matrix builds the calls made."""
         fresh = RatingsMatrix(
             (user, item, value)
             for user in matrix.users()
             for item, value in matrix.items_rated_by(user).items()
         )
-        builds, pearsons = [], []
+        builds, work, rescoring = [], [], []
         init, pearson = core.RatingsMatrix.__init__, core.pearson
+        scan, bounds, nearest_without = core._scan, cf._removal_bounds, cf._nearest_without
 
         def counting_init(self, *args, **kwargs):
             builds.append(1)
             init(self, *args, **kwargs)
 
+        def counted(name, fn):
+            def wrapper(*args):
+                work[-1][name] += 1
+                return fn(*args)
+            return wrapper
+
         def counting_pearson(*args):
-            pearsons[-1] += 1
+            work[-1]["pearsons"] += 1
+            work[-1]["rescoring"] += bool(rescoring)
             return pearson(*args)
+
+        def rescoring_nearest_without(*args):
+            rescoring.append(1)
+            try:
+                return nearest_without(*args)
+            finally:
+                rescoring.pop()
 
         monkeypatch.setattr(core.RatingsMatrix, "__init__", counting_init)
         monkeypatch.setattr(core, "pearson", counting_pearson)
-        for _ in range(calls):
-            pearsons.append(0)
-            assert influential_items(fresh, group, target, k=2)
+        monkeypatch.setattr(core, "_scan", counted("scans", scan))
+        monkeypatch.setattr(cf, "_removal_bounds", counted("bound_passes", bounds))
+        monkeypatch.setattr(cf, "_nearest_without", rescoring_nearest_without)
+        for target, k in calls:
+            work.append(dict.fromkeys(("pearsons", "rescoring", "scans", "bound_passes"), 0))
+            assert influential_items(fresh, group, target, k)
         monkeypatch.undo()
-        return pearsons, len(builds)
+        return work, len(builds)
 
     def test_no_matrix_copies_and_bounded_pearson_calls(self, case, monkeypatch):
         matrix, group, target = case
         bound = self.pearson_bound(matrix, group, target)
-        [pearsons], builds = self.count_pearson_calls(matrix, group, target, monkeypatch)
+        [work], builds = self.count_work(matrix, group, [(target, 2)], monkeypatch)
         assert builds == 0
-        assert 0 < pearsons <= bound
+        assert 0 < work["pearsons"] <= bound
 
     def test_bounds_skip_most_rescoring(self, monkeypatch):
         """Fails if every user who co-rated a removed item is re-scored
         (211 calls beyond the first pass here), or if a second call on the
-        same matrix repeats the first pass (149 more calls here)."""
+        same matrix scores any pair again."""
         matrix, group, target = _generated_case()
         first_pass = len(group.members) * (len(matrix.users()) - 1)
         allowance = self.pearson_bound(matrix, group, target) - first_pass
-        (cold, warm), _ = self.count_pearson_calls(
-            matrix, group, target, monkeypatch, calls=2
+        (cold, warm), _ = self.count_work(
+            matrix, group, [(target, 2), (target, 2)], monkeypatch
         )
         assert allowance == 265
-        assert cold - first_pass <= allowance // 4
-        # the second call reads every similarity map and bound from the memo
-        assert warm <= allowance // 4
+        assert cold["pearsons"] - first_pass <= allowance // 4
+        # the second call reads every map, bound, neighbor list and mean
+        assert warm["pearsons"] == 0
+
+    def test_another_target_scores_no_pair_again(self, monkeypatch):
+        """Members ask about one candidate after another. A call with a new
+        target that no member rated, whose members with a prediction all
+        had one in the last call, removes the same items for the same
+        members: it reads every neighbor list and mean from the memo."""
+        matrix, group, _ = _generated_case()
+        rated = {i for m in group.members for i in matrix.items_rated_by(m)}
+        assert not rated & {"i14", "i15"}
+        taking_part = [set(member_predictions(matrix, group, t, 2)) for t in ("i15", "i14")]
+        assert taking_part[1] < taking_part[0]
+        (first, second), _ = self.count_work(
+            matrix, group, [("i15", 2), ("i14", 2)], monkeypatch
+        )
+        assert first["pearsons"] > 0
+        assert second["pearsons"] == 0
+
+    def test_a_new_k_rescores_only_leave_one_out_pairs(self, monkeypatch):
+        """The maps and bounds serve every k; the neighbor lists without an
+        item are kept per k, so a new k re-scores pairs and nothing else."""
+        matrix, group, target = _generated_case()
+        (_, second), _ = self.count_work(
+            matrix, group, [(target, 2), (target, 3)], monkeypatch
+        )
+        assert second["scans"] == second["bound_passes"] == 0
+        assert 0 < second["pearsons"] == second["rescoring"]

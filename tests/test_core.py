@@ -253,6 +253,11 @@ class TestMemo:
         ]
         users = [f"u{n}" for n in range(12)]
         expected = {u: knn_neighbors(RatingsMatrix(ratings), u, 3) for u in users}
+        groups = [Group("g", tuple(users[n:n + 3])) for n in range(0, 12, 3)]
+        influence = {
+            (g, t): influential_items(RatingsMatrix(ratings), g, t, 2)
+            for g in groups for t in ("i1", "i6")
+        }
         monkeypatch.setattr(core, "_MEMO_CAP", 40)  # room for about three users
         shared = RatingsMatrix(ratings)
         failures = []
@@ -264,6 +269,9 @@ class TestMemo:
                     assert knn_neighbors(shared, user, 3) == expected[user]
                     for other in users:
                         shared.user_mean(other)
+                    if round_ % 20 == 0:  # fills and reads the per-item tables
+                        key = list(influence)[(offset + round_) % len(influence)]
+                        assert influential_items(shared, *key, 2) == influence[key]
             except Exception as exc:  # a thread's error would not fail the test
                 failures.append(exc)
 
@@ -280,7 +288,8 @@ class TestMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
         memo = shared._memo
-        assert len(memo) == sum(entry[3] for entry in memo._entries.values()) <= 40
+        kept = sum(entry[core._COST] for entry in memo._entries.values())
+        assert len(memo) == kept <= 40
 
 
 class TestKnn:

@@ -12,7 +12,8 @@ centred sums against exact rational arithmetic, the critique suite
 against a count of each critique by hand, the kernel suite the
 library's neighbors and predictions against the frozen reference kernel
 in ``helpers``, and the two memo suites each call on one shared matrix
-against the same call on a fresh matrix.
+against the same call on a fresh matrix, and the memo's count against a
+recount of the values it keeps.
 """
 
 import math
@@ -641,33 +642,54 @@ MEMO_CALLS = {
 @st.composite
 def call_sequences(draw):
     """A matrix drawn as ``pruned_influence_instances`` draws one (ties, many
-    shared raters), and 2-8 calls in a random order on groups of 1-4 users
-    from a pool of 2-5, so that members recur across groups. The pool may
-    hold a user without ratings."""
+    shared raters), and 2-8 calls on groups of 1-4 users from a pool of 2-5,
+    so that members recur across groups, plus 2-4 ``influential_items``
+    calls on one of those groups with one k and a target drawn for each, as
+    a group asks about one candidate after another; all in a random order.
+    The pool may hold a user without ratings."""
     ratings, _, _, _ = draw(pruned_influence_instances())
     users = sorted({user for user, _, _ in ratings}) + ["nobody"]
     items = sorted({item for _, item, _ in ratings})
     assume(items)
     pool = draw(st.lists(st.sampled_from(users), min_size=2, max_size=5, unique=True))
+    groups = st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True).map(tuple)
     calls = st.tuples(
-        st.sampled_from(sorted(MEMO_CALLS)),
-        st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True).map(tuple),
-        st.sampled_from(items),
-        st.integers(1, 3),
+        st.sampled_from(sorted(MEMO_CALLS)), groups, st.sampled_from(items), st.integers(1, 3)
     )
-    return ratings, draw(st.lists(calls, min_size=2, max_size=8))
+    group, k = draw(groups), draw(st.integers(1, 3))
+    targets = draw(st.lists(st.sampled_from(items), min_size=2, max_size=4))
+    asked = [("influential_items", group, target, k) for target in targets]
+    return ratings, draw(st.permutations(draw(st.lists(calls, min_size=2, max_size=8)) + asked))
+
+
+def kept_values(entry):
+    """The values a memo entry holds, counted from its slots as
+    ``core._MEMO_CAP`` counts them: one per map entry, mean, bound-list
+    entry and kept mean without an item, and per neighbor list without an
+    item its length plus one."""
+    scored, mean, bounds, nearest, means = entry[:core._COST]
+    return (
+        len(scored or ())
+        + (mean is not None)
+        + sum(len(raters) for raters in (bounds or {}).values())
+        + sum(len(neighbors) + 1 for neighbors in (nearest or {}).values())
+        + len(means or ())
+    )
 
 
 def assert_memo_reads_match_fresh_matrices(ratings, calls):
     """Each call on one shared matrix returns what it returns on a fresh
     matrix: ``repr`` tells floats apart bit for bit and shows the order of
-    every list and similarity map. The memo never holds more than its cap."""
+    every list and similarity map. The memo counts every value it keeps,
+    and never holds more than its cap."""
     shared = RatingsMatrix(ratings)
     for name, members, item, k in calls:
         call, group = MEMO_CALLS[name], Group("g", members)
         got = repr(outcome(call, shared, group, item, k))
         assert got == repr(outcome(call, RatingsMatrix(ratings), group, item, k)), name
-        assert len(shared._memo) <= core._MEMO_CAP
+        entries = shared._memo._entries.values()
+        assert all(kept_values(entry) == entry[core._COST] for entry in entries)
+        assert len(shared._memo) == sum(map(kept_values, entries)) <= core._MEMO_CAP
 
 
 @given(sequence=call_sequences())
