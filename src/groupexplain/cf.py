@@ -24,6 +24,7 @@ from .core import (
     _BOUNDS,
     _MEANS_WITHOUT,
     _NEAREST_WITHOUT,
+    _SHIFTS,
     _centred,
     _mean,
     _nearest,
@@ -309,6 +310,9 @@ def _nearest_without(
     return _nearest(rescored, k)
 
 
+_UNKNOWN = object()  # a shift the memo does not hold yet; None means no basis
+
+
 def influential_items(
     matrix: RatingsMatrix, group: Group, target: str, k: int = 2
 ) -> list[ItemInfluence]:
@@ -336,11 +340,15 @@ def influential_items(
     member who did not rate c keeps its neighbors; if none of those who
     rated the target rated c either, its prediction's inputs are all
     unchanged and its shift is 0.0 without recomputing it. A member who
-    rated c is always re-predicted, since its own mean moves. Neither a
+    rated c never takes that shortcut, since its own mean moves. Neither a
     member's k nearest neighbors without c nor a user's mean without c
     depends on the target or the group: each is computed the first time a
     call removes c and kept in the memo, so a later call that removes c
-    again, for any target and group, reads it. The bounds only decide what
+    again, for any target and group, reads it. Nor does a member's shift
+    without c depend on the group: |after - before|, or no basis, is kept
+    keyed (target, k, c), so a later call for any group that holds the
+    member reads it, and a kept no basis still flags c as basis-destroying;
+    only the 0.0 shortcut is computed each time. The bounds only decide what
     to skip: every similarity that is ranked or weighs a prediction comes
     from ``pearson``, so the result equals rebuilding the matrix without
     the item's ratings and calling ``predict_rating`` for each member, bit
@@ -359,12 +367,14 @@ def influential_items(
         member: set().union(*(rows[v] for v, _ in nearest if target in rows[v]))
         for member, (_, nearest, _) in base.items()
     }
-    # The memo's neighbor lists and means without one item, for the members
-    # and for every user who may weigh a prediction of the target, and what
-    # this call adds to them, kept at the end.
+    # The memo's shifts, neighbor lists and means without one item, for the
+    # members and for every user who may weigh a prediction of the target,
+    # and what this call adds to them, kept at the end.
+    kept_shifts = memo.tables(base, _SHIFTS)
     kept_nearest = memo.tables(base, _NEAREST_WITHOUT)
     weighing = {v for scored, _, _ in base.values() for v in scored if target in rows[v]}
     kept_means = memo.tables(weighing.union(base), _MEANS_WITHOUT)
+    new_shifts: dict[str, dict] = {member: {} for member in base}
     new_nearest: dict[str, dict] = {member: {} for member in base}
     new_means: dict[str, dict] = {user: {} for user in kept_means}
     means: dict[str, float] = {}  # read from the memo once per call
@@ -385,33 +395,40 @@ def influential_items(
                 shifted[user] = value
             return shifted[user]
 
+        key = (target, k, candidate)
         deltas = []
         destroying = False
         # A member with a prediction has a neighbor, hence two ratings, so
         # no removal leaves a member without ratings.
         for member, (scored, nearest, before) in base.items():
             own = rows[member]
-            if candidate in own:
-                raters = bounds[member].get(candidate)
-                if raters:
-                    nearest = kept_nearest[member].get((candidate, k))
-                    if nearest is None:
-                        nearest = new_nearest[member][candidate, k] = tuple(
-                            _nearest_without(own, scored, raters, candidate, rows, k)
-                        )
-            elif candidate not in voted[member]:
+            if candidate not in own and candidate not in voted[member]:
                 deltas.append(0.0)
                 continue
-            try:
-                after = _predict(matrix, member, target, nearest, mean)
-            except NoPredictionBasisError:
+            shift = kept_shifts[member].get(key, _UNKNOWN)
+            if shift is _UNKNOWN:
+                if candidate in own:
+                    raters = bounds[member].get(candidate)
+                    if raters:
+                        nearest = kept_nearest[member].get((candidate, k))
+                        if nearest is None:
+                            nearest = new_nearest[member][candidate, k] = tuple(
+                                _nearest_without(own, scored, raters, candidate, rows, k)
+                            )
+                try:
+                    shift = abs(_predict(matrix, member, target, nearest, mean) - before)
+                except NoPredictionBasisError:
+                    shift = None
+                new_shifts[member][key] = shift
+            if shift is None:
                 destroying = True
-                continue
-            deltas.append(abs(after - before))
+            else:
+                deltas.append(shift)
         delta = math.fsum(deltas) / len(deltas) if deltas else 0.0
         results.append(
             ItemInfluence(item=candidate, delta=delta, basis_destroying=destroying)
         )
     memo.extend(_NEAREST_WITHOUT, new_nearest)
     memo.extend(_MEANS_WITHOUT, new_means)
+    memo.extend(_SHIFTS, new_shifts)
     return _ranked(results)

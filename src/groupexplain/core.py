@@ -3,9 +3,11 @@
 Everything downstream (the four explanation paradigms, the renderer, the
 CLI) builds on the types and functions in this module. Every record type
 the loader builds is defined here, so loading a dataset imports no
-paradigm module. All functions are pure; the containers are treated as
-immutable after construction, so a rating matrix computes each user's kNN
-state once.
+paradigm module. Results are pure: the containers are treated as
+immutable after construction, and the same arguments give the same result.
+The only state is kept per rating matrix: each ``RatingsMatrix`` owns a
+locked, bounded memo (``_UserMemo``) of the kNN state it computes once per
+user, and no result depends on what that memo holds.
 """
 
 from __future__ import annotations
@@ -181,23 +183,25 @@ def _duplicate_rating(user: str, item: str) -> InvalidValueError:
 
 #: Most values the per-user memo of one ``RatingsMatrix`` keeps: the
 #: entries of its similarity maps, removal-bound lists and neighbor lists
-#: without an item (plus one per list), and one per mean. Measured with
-#: tracemalloc at 1,000 users, a map entry takes about 52 bytes, a bound or
-#: neighbor-list value about 87 (~307 per list at k = 2-3) and a mean
-#: without an item about 57, so a full memo holds at most ~23 MB: every map
-#: of a 500-user matrix, or the maps and bounds of ~49 members of a
-#: 1,000-user one with 30k ratings.
+#: without an item (plus one per list), and one per mean and per shift.
+#: Measured with tracemalloc at 1,000 users x 200 items x 30k ratings, a map
+#: entry takes about 52 bytes, a bound or neighbor-list value about 87 (~307
+#: per list at k = 2-3), a mean without an item about 57 and a shift, with
+#: its (target, k, item) key, about 118, so a full memo holds at most
+#: ~31 MB: every map of a 500-user matrix, or the maps and bounds of ~49
+#: members of a 1,000-user one.
 _MEMO_CAP = 1 << 18
 
-# The slots of a memo entry: three values, two tables of values filled per
-# removed item, and the count of the entry's values toward the cap. What a
-# value, or a list of values added to a table, counts:
-_SIMILARITIES, _MEAN, _BOUNDS, _NEAREST_WITHOUT, _MEANS_WITHOUT, _COST = range(6)
+# The slots of a memo entry: three values, three tables of values filled
+# per removed item, and the count of the entry's values toward the cap.
+# What a value, or a list of values added to a table, counts:
+_SIMILARITIES, _MEAN, _BOUNDS, _NEAREST_WITHOUT, _MEANS_WITHOUT, _SHIFTS, _COST = range(7)
 _SLOT_COSTS = (
     len,
     lambda mean: 1,
     lambda bounds: sum(map(len, bounds.values())),
     lambda lists: len(lists) + sum(map(len, lists)),
+    len,
     len,
 )
 
@@ -205,10 +209,12 @@ _SLOT_COSTS = (
 class _UserMemo:
     """Per-user kNN state of one matrix, computed once and kept least
     recently used first: a user's similarity map, mean and removal bounds
-    (``cf._removal_bounds``), none of which depends on k, and two tables
+    (``cf._removal_bounds``), none of which depends on k, and three tables
     that ``cf.influential_items`` fills per item c it removes: the user's
-    k nearest neighbors without c, keyed (c, k) and kept as tuples, and the
-    user's mean without c, keyed c. A user's entry is dropped whole.
+    k nearest neighbors without c, keyed (c, k) and kept as tuples, the
+    user's mean without c, keyed c, and the shift of the user's prediction
+    of a target t once c is removed, keyed (t, k, c): |after - before|, or
+    None when the removal leaves no basis. A user's entry is dropped whole.
     """
 
     __slots__ = ("_entries", "_size", "_lock")

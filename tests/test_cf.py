@@ -1,6 +1,8 @@
 """Collaborative explanations: histograms, aggregation texts, influence."""
 
+import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -237,12 +239,13 @@ class TestInfluenceWork:
         return bound
 
     @staticmethod
-    def count_work(matrix, group, calls, monkeypatch):
-        """The work of each (target, k) in *calls*, made in turn as an
-        influential_items call on one fresh copy of *matrix* (so no earlier
-        call has filled its memo): its Pearson calls, those made to re-score
-        a pair without a removed item, its similarity scans and its
-        removal-bound passes. Also the matrix builds the calls made."""
+    def count_work(matrix, calls, monkeypatch):
+        """The work of each (group, target, k) in *calls*, made in turn as
+        an influential_items call on one fresh copy of *matrix* (so no
+        earlier call has filled its memo): its Pearson calls, those made to
+        re-score a pair without a removed item, its similarity scans, its
+        removal-bound passes and its predictions per member, with its
+        ranking. Also the matrix builds the calls made."""
         fresh = RatingsMatrix(
             (user, item, value)
             for user in matrix.users()
@@ -251,6 +254,7 @@ class TestInfluenceWork:
         builds, work, rescoring = [], [], []
         init, pearson = core.RatingsMatrix.__init__, core.pearson
         scan, bounds, nearest_without = core._scan, cf._removal_bounds, cf._nearest_without
+        predict = cf._predict
 
         def counting_init(self, *args, **kwargs):
             builds.append(1)
@@ -274,21 +278,28 @@ class TestInfluenceWork:
             finally:
                 rescoring.pop()
 
+        def counting_predict(matrix, user, *args):
+            work[-1]["predicts"][user] += 1
+            return predict(matrix, user, *args)
+
         monkeypatch.setattr(core.RatingsMatrix, "__init__", counting_init)
         monkeypatch.setattr(core, "pearson", counting_pearson)
         monkeypatch.setattr(core, "_scan", counted("scans", scan))
         monkeypatch.setattr(cf, "_removal_bounds", counted("bound_passes", bounds))
         monkeypatch.setattr(cf, "_nearest_without", rescoring_nearest_without)
-        for target, k in calls:
+        monkeypatch.setattr(cf, "_predict", counting_predict)
+        for group, target, k in calls:
             work.append(dict.fromkeys(("pearsons", "rescoring", "scans", "bound_passes"), 0))
-            assert influential_items(fresh, group, target, k)
+            work[-1]["predicts"] = Counter()
+            work[-1]["ranking"] = influential_items(fresh, group, target, k)
+            assert work[-1]["ranking"]
         monkeypatch.undo()
         return work, len(builds)
 
     def test_no_matrix_copies_and_bounded_pearson_calls(self, case, monkeypatch):
         matrix, group, target = case
         bound = self.pearson_bound(matrix, group, target)
-        [work], builds = self.count_work(matrix, group, [(target, 2)], monkeypatch)
+        [work], builds = self.count_work(matrix, [(group, target, 2)], monkeypatch)
         assert builds == 0
         assert 0 < work["pearsons"] <= bound
 
@@ -300,7 +311,7 @@ class TestInfluenceWork:
         first_pass = len(group.members) * (len(matrix.users()) - 1)
         allowance = self.pearson_bound(matrix, group, target) - first_pass
         (cold, warm), _ = self.count_work(
-            matrix, group, [(target, 2), (target, 2)], monkeypatch
+            matrix, [(group, target, 2), (group, target, 2)], monkeypatch
         )
         assert allowance == 265
         assert cold["pearsons"] - first_pass <= allowance // 4
@@ -311,24 +322,57 @@ class TestInfluenceWork:
         """Members ask about one candidate after another. A call with a new
         target that no member rated, whose members with a prediction all
         had one in the last call, removes the same items for the same
-        members: it reads every neighbor list and mean from the memo."""
+        members: it reads every neighbor list and mean from the memo. The
+        shifts are kept per target, so it reads none of the last call's."""
         matrix, group, _ = _generated_case()
         rated = {i for m in group.members for i in matrix.items_rated_by(m)}
         assert not rated & {"i14", "i15"}
         taking_part = [set(member_predictions(matrix, group, t, 2)) for t in ("i15", "i14")]
         assert taking_part[1] < taking_part[0]
         (first, second), _ = self.count_work(
-            matrix, group, [("i15", 2), ("i14", 2)], monkeypatch
+            matrix, [(group, "i15", 2), (group, "i14", 2)], monkeypatch
         )
         assert first["pearsons"] > 0
         assert second["pearsons"] == 0
+        fresh = influential_items(copy.copy(matrix), group, "i14", 2)
+        assert repr(second["ranking"]) == repr(fresh)
 
     def test_a_new_k_rescores_only_leave_one_out_pairs(self, monkeypatch):
         """The maps and bounds serve every k; the neighbor lists without an
         item are kept per k, so a new k re-scores pairs and nothing else."""
         matrix, group, target = _generated_case()
         (_, second), _ = self.count_work(
-            matrix, group, [(target, 2), (target, 3)], monkeypatch
+            matrix, [(group, target, 2), (group, target, 3)], monkeypatch
         )
         assert second["scans"] == second["bound_passes"] == 0
         assert 0 < second["pearsons"] == second["rescoring"]
+
+    def test_another_group_reads_a_shared_members_shifts(self, monkeypatch):
+        """A member's shift without an item does not depend on the group.
+        After u04 alone and then u00-u03 asked about the target, the group
+        of u03 and u04 asks: every map, bound and neighbor list it needs is
+        kept, so it scores no pair, and every shift of u03's is kept, so
+        u03 is predicted once, for its prediction with every item."""
+        matrix, group, target = _generated_case()
+        other = Group("h", ("u03", "u04"))
+        calls = [(Group("c", ("u04",)), target, 2), (group, target, 2), (other, target, 2)]
+        (_, first, last), _ = self.count_work(matrix, calls, monkeypatch)
+        assert first["predicts"]["u03"] > 1
+        assert last["pearsons"] == 0
+        assert last["predicts"]["u03"] == 1
+        assert repr(last["ranking"]) == repr(influential_items(copy.copy(matrix), other, target, 2))
+
+    def test_a_kept_removal_without_basis_is_flagged_again(self, dataset, g1, monkeypatch):
+        """Removing x11 leaves u1 without a basis for t1 (TestInfluence).
+        The memo keeps that as no basis, not as a shift: the group of u3 and
+        u1 that asks next reads every shift it needs and flags x11, x12, x31
+        and x32 as the group of u1, u2 and u3 did."""
+        other = Group("h", ("u3", "u1"))
+        (_, again), _ = self.count_work(
+            dataset.matrix, [(g1, "t1", 2), (other, "t1", 2)], monkeypatch
+        )
+        assert again["predicts"] == {"u3": 1, "u1": 1}
+        flagged = {r.item for r in again["ranking"] if r.basis_destroying}
+        assert flagged == {"x11", "x12", "x31", "x32"}
+        fresh = influential_items(copy.copy(dataset.matrix), other, "t1", 2)
+        assert repr(again["ranking"]) == repr(fresh)

@@ -246,6 +246,22 @@ class TestMemo:
             ]
             assert knn_neighbors(clone, "a", 3) == warm
 
+    def test_every_slot_has_a_cost(self):
+        assert len(core._SLOT_COSTS) == core._COST
+
+    def test_two_extends_of_one_key_count_it_once(self, four_users):
+        """Two callers read a member's shifts before either keeps any, then
+        both add the same key: the memo counts it once."""
+        memo, key = four_users._memo, ("i4", 2, "i1")
+        first = memo.tables(["a"], core._SHIFTS)
+        second = memo.tables(["a"], core._SHIFTS)
+        assert first == second == {"a": {}}
+        memo.extend(core._SHIFTS, {"a": {key: 0.25}})
+        memo.extend(core._SHIFTS, {"a": {key: 0.25, ("i4", 2, "i2"): None}})
+        entry = memo._entries["a"]
+        assert entry[core._SHIFTS] == {key: 0.25, ("i4", 2, "i2"): None}
+        assert len(memo) == entry[core._COST] == len(entry[core._SHIFTS]) == 2
+
     def test_threads_sharing_a_matrix_keep_the_count(self, monkeypatch):
         ratings = [
             (f"u{n}", f"i{i}", float((n * 7 + i * 3) % 11) / 2)

@@ -645,8 +645,10 @@ def call_sequences(draw):
     shared raters), and 2-8 calls on groups of 1-4 users from a pool of 2-5,
     so that members recur across groups, plus 2-4 ``influential_items``
     calls on one of those groups with one k and a target drawn for each, as
-    a group asks about one candidate after another; all in a random order.
-    The pool may hold a user without ratings."""
+    a group asks about one candidate after another, and 1-3 such calls with
+    the same k and some of those targets on a second group that shares a
+    member with the first, so that it reads the shifts the first kept; all
+    in a random order. The pool may hold a user without ratings."""
     ratings, _, _, _ = draw(pruned_influence_instances())
     users = sorted({user for user, _, _ in ratings}) + ["nobody"]
     items = sorted({item for _, item, _ in ratings})
@@ -658,22 +660,28 @@ def call_sequences(draw):
     )
     group, k = draw(groups), draw(st.integers(1, 3))
     targets = draw(st.lists(st.sampled_from(items), min_size=2, max_size=4))
-    asked = [("influential_items", group, target, k) for target in targets]
+    others = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+    other = draw(st.permutations(sorted({draw(st.sampled_from(group)), *others})))
+    asked = [("influential_items", group, target, k) for target in targets] + [
+        ("influential_items", tuple(other), target, k)
+        for target in draw(st.lists(st.sampled_from(targets), min_size=1, max_size=3))
+    ]
     return ratings, draw(st.permutations(draw(st.lists(calls, min_size=2, max_size=8)) + asked))
 
 
 def kept_values(entry):
     """The values a memo entry holds, counted from its slots as
     ``core._MEMO_CAP`` counts them: one per map entry, mean, bound-list
-    entry and kept mean without an item, and per neighbor list without an
-    item its length plus one."""
-    scored, mean, bounds, nearest, means = entry[:core._COST]
+    entry, kept mean without an item and kept shift, and per neighbor list
+    without an item its length plus one."""
+    scored, mean, bounds, nearest, means, shifts = entry[:core._COST]
     return (
         len(scored or ())
         + (mean is not None)
         + sum(len(raters) for raters in (bounds or {}).values())
         + sum(len(neighbors) + 1 for neighbors in (nearest or {}).values())
         + len(means or ())
+        + len(shifts or ())
     )
 
 
