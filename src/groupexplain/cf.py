@@ -29,7 +29,9 @@ from .core import (
     _mean,
     _nearest,
     _predict,
+    _prediction,
     _ranked,
+    _ranking,
     _similarities,
     _similarity,
 )
@@ -80,21 +82,21 @@ def member_predictions(
     do, with prediction None; with one, only those whose k nearest
     neighbors include a rater of it, with ``predict_rating``'s prediction.
     Raises unknown-user, or no-prediction-basis given an item, when no one
-    takes part. Each member's similarity map is computed once per matrix.
+    takes part. Each member's similarity map, k nearest neighbors and
+    prediction are computed once per matrix and kept in its memo; each call
+    returns new neighbor lists.
     """
     found = {}
     for member in group.members:
         if not matrix.has_user(member):
             continue
-        scored = _similarities(matrix, member)
-        nearest = _nearest(scored, k)
         prediction = None
         if item is not None:
-            try:
-                prediction = _predict(matrix, member, item, nearest, matrix.user_mean)
-            except NoPredictionBasisError:
+            prediction = _prediction(matrix, member, item, k)
+            if prediction is None:
                 continue
-        found[member] = MemberPrediction(scored, nearest, prediction)
+        scored = _similarities(matrix, member)
+        found[member] = MemberPrediction(scored, list(_ranking(matrix, member, k)), prediction)
     if not found and item is None:
         raise UnknownUserError(f"no member of {group.id!r} has ratings")
     if not found:
@@ -284,7 +286,7 @@ def _nearest_without(
     candidate: str,
     rows: Mapping[str, Mapping[str, float]],
     k: int,
-) -> list[tuple[str, float]]:
+) -> tuple[tuple[str, float], ...]:
     """The k nearest neighbors of *own* once *candidate* is removed.
 
     *raters* are the users of *scored* who rated the candidate, keyed as
@@ -307,10 +309,8 @@ def _nearest_without(
         insort(top, sim)
         if len(top) > k:
             del top[0]
-    return _nearest(rescored, k)
-
-
-_UNKNOWN = object()  # a shift the memo does not hold yet; None means no basis
+    # top holds the k best similarities: no user below top[0] can be ranked in
+    return _nearest({u: sim for u, sim in rescored.items() if sim >= top[0]} if top else {}, k)
 
 
 def influential_items(
@@ -324,111 +324,96 @@ def influential_items(
     over members that still have a prediction. Removals that strip a member
     of any basis are flagged basis-destroying rather than treated as errors.
 
-    The matrix is never copied. Each member's similarities to all other
-    users, and the bounds from one more pass over each member/user pair (per
-    co-rated item, an upper bound on the pair's similarity without that
-    item: ``_removal_bounds``), are computed once per matrix and member and
-    kept in the matrix's bounded memo with every user's mean; none depends
-    on k, so later calls for any group and k read them. Removing an item c
-    then changes a member's neighbors only if the member rated c, and only
-    through the users who also rated c: they are re-scored exactly with
-    ``pearson`` on the remaining co-rated items, by descending bound, until
-    k similarities are known and the next bound is strictly below the k-th
-    best (``_nearest_without``). A user skipped then has an exact similarity
-    at most its bound, so strictly below k known ones: it cannot enter the
-    top k, ties included, and the k nearest are those of a full re-scan. A
-    member who did not rate c keeps its neighbors; if none of those who
-    rated the target rated c either, its prediction's inputs are all
-    unchanged and its shift is 0.0 without recomputing it. A member who
-    rated c never takes that shortcut, since its own mean moves. Neither a
-    member's k nearest neighbors without c nor a user's mean without c
-    depends on the target or the group: each is computed the first time a
-    call removes c and kept in the memo, so a later call that removes c
-    again, for any target and group, reads it. Nor does a member's shift
-    without c depend on the group: |after - before|, or no basis, is kept
-    keyed (target, k, c), so a later call for any group that holds the
-    member reads it, and a kept no basis still flags c as basis-destroying;
-    only the 0.0 shortcut is computed each time. The bounds only decide what
-    to skip: every similarity that is ranked or weighs a prediction comes
-    from ``pearson``, so the result equals rebuilding the matrix without
-    the item's ratings and calling ``predict_rating`` for each member, bit
-    for bit.
+    The matrix is never copied, and no shift depends on the group: each
+    member's shifts of the target at k are computed once per matrix, as one
+    row (``_shift_row``) kept in the matrix's bounded memo, and a later
+    call for any group that holds the member reads them. A call then scores
+    each candidate c from its members' rows: an item missing from a row
+    leaves that member's prediction as it is (shift 0.0), and a kept None,
+    no basis, flags c as basis-destroying.
     """
     base = member_predictions(matrix, group, target, k)
-    memo, rows = matrix._memo, matrix._by_user  # rows are read, never changed
-    rated = {item for member in group.members for item in rows.get(member, ())}
-    bounds = {
-        member: memo.get(member, _BOUNDS, _removal_bounds, rows[member], scored, rows)
-        for member, (scored, _, _) in base.items()
-    }
-    # per member, the items rated by the neighbors whose ratings of the
-    # target make its prediction
-    voted = {
-        member: set().union(*(rows[v] for v, _ in nearest if target in rows[v]))
-        for member, (_, nearest, _) in base.items()
-    }
-    # The memo's shifts, neighbor lists and means without one item, for the
-    # members and for every user who may weigh a prediction of the target,
-    # and what this call adds to them, kept at the end.
-    kept_shifts = memo.tables(base, _SHIFTS)
-    kept_nearest = memo.tables(base, _NEAREST_WITHOUT)
-    weighing = {v for scored, _, _ in base.values() for v in scored if target in rows[v]}
-    kept_means = memo.tables(weighing.union(base), _MEANS_WITHOUT)
-    new_shifts: dict[str, dict] = {member: {} for member in base}
-    new_nearest: dict[str, dict] = {member: {} for member in base}
-    new_means: dict[str, dict] = {user: {} for user in kept_means}
-    means: dict[str, float] = {}  # read from the memo once per call
+    member_rows = [
+        matrix._memo.get(member, _SHIFTS, _shift_row, matrix, member, target, k, taking_part,
+                         key=(target, k))
+        for member, taking_part in base.items()
+    ]
+    rated = {item for member in group.members for item in matrix._by_user.get(member, ())}
     results = []
     for candidate in sorted(rated - {target}):
-        shifted: dict[str, float] = {}
-
-        def mean(user: str) -> float:
-            row = rows[user]
-            if candidate not in row:
-                if user not in means:
-                    means[user] = matrix.user_mean(user)
-                return means[user]
-            if user not in shifted:
-                value = kept_means[user].get(candidate)
-                if value is None:
-                    value = new_means[user][candidate] = _mean(row, candidate)
-                shifted[user] = value
-            return shifted[user]
-
-        key = (target, k, candidate)
-        deltas = []
-        destroying = False
-        # A member with a prediction has a neighbor, hence two ratings, so
-        # no removal leaves a member without ratings.
-        for member, (scored, nearest, before) in base.items():
-            own = rows[member]
-            if candidate not in own and candidate not in voted[member]:
-                deltas.append(0.0)
-                continue
-            shift = kept_shifts[member].get(key, _UNKNOWN)
-            if shift is _UNKNOWN:
-                if candidate in own:
-                    raters = bounds[member].get(candidate)
-                    if raters:
-                        nearest = kept_nearest[member].get((candidate, k))
-                        if nearest is None:
-                            nearest = new_nearest[member][candidate, k] = tuple(
-                                _nearest_without(own, scored, raters, candidate, rows, k)
-                            )
-                try:
-                    shift = abs(_predict(matrix, member, target, nearest, mean) - before)
-                except NoPredictionBasisError:
-                    shift = None
-                new_shifts[member][key] = shift
-            if shift is None:
-                destroying = True
-            else:
-                deltas.append(shift)
+        shifts = [row.get(candidate, 0.0) for row in member_rows]
+        deltas = [shift for shift in shifts if shift is not None]
         delta = math.fsum(deltas) / len(deltas) if deltas else 0.0
-        results.append(
-            ItemInfluence(item=candidate, delta=delta, basis_destroying=destroying)
-        )
-    memo.extend(_NEAREST_WITHOUT, new_nearest)
-    memo.extend(_MEANS_WITHOUT, new_means)
-    memo.extend(_SHIFTS, new_shifts)
+        destroying = len(deltas) < len(shifts)
+        results.append(ItemInfluence(item=candidate, delta=delta, basis_destroying=destroying))
     return _ranked(results)
+
+
+def _shift_row(
+    matrix: RatingsMatrix, member: str, target: str, k: int, taking_part: MemberPrediction
+) -> dict[str, float | None]:
+    """The shift of *member*'s prediction of *target* (*taking_part*) per
+    item c whose removal can move it: |after - before|, or None when no
+    basis is left. Those are the items the member rated, whose removal
+    moves its own mean, and the items rated by a neighbor who rated the
+    target, whose removal moves that neighbor's mean. Removing any other
+    item leaves every input of the prediction as it is.
+
+    The member's similarities to all other users, and the bounds from one
+    more pass over each member/user pair (per co-rated item, an upper bound
+    on the pair's similarity without that item: ``_removal_bounds``), are
+    computed once per matrix and member and kept in the memo with every
+    user's mean; none depends on k. Removing an item c changes the member's
+    neighbors only if the member rated c, and only through the users who
+    also rated c: they are re-scored exactly with ``pearson`` on the
+    remaining co-rated items, by descending bound, until k similarities are
+    known and the next bound is strictly below the k-th best
+    (``_nearest_without``). A user skipped then has an exact similarity at
+    most its bound, so strictly below k known ones: it cannot enter the top
+    k, ties included, and the k nearest are those of a full re-scan.
+    Neither the member's k nearest neighbors without c nor a user's mean
+    without c depends on the target: each is kept in the memo the first
+    time it is computed, and read by a later row that removes c. The bounds
+    only decide what to skip: every similarity that is ranked or weighs a
+    prediction comes from ``pearson``, so each shift equals the one from
+    rebuilding the matrix without c's ratings and calling
+    ``predict_rating``, bit for bit. A member with a prediction has a
+    neighbor, hence two ratings, so no removal leaves it without ratings.
+    """
+    memo, rows = matrix._memo, matrix._by_user  # rows are read, never changed
+    own, (scored, nearest, before) = rows[member], taking_part
+    bounds = memo.get(member, _BOUNDS, _removal_bounds, own, scored, rows)
+    voting = [rows[v] for v, _ in nearest if target in rows[v]]
+    weighing = [v for v in scored if target in rows[v]] + [member]
+    kept_nearest = memo.tables([member], _NEAREST_WITHOUT)[member]
+    kept_means = memo.tables(weighing, _MEANS_WITHOUT)
+    new_nearest: dict = {}
+    new_means: dict[str, dict] = {}
+    means: dict[str, float] = {}  # read from the memo once per row
+
+    def mean(user: str) -> float:  # *user*'s mean once *candidate* is removed
+        ratings = rows[user]
+        if candidate not in ratings:
+            if user not in means:
+                means[user] = matrix.user_mean(user)
+            return means[user]
+        value = kept_means[user].get(candidate)
+        if value is None:
+            value = new_means.setdefault(user, {})[candidate] = _mean(ratings, candidate)
+        return value
+
+    row = {}
+    for candidate in set(own).union(*voting) - {target}:
+        without = nearest
+        raters = bounds.get(candidate) if candidate in own else None
+        if raters:
+            without = kept_nearest.get((candidate, k))
+            if without is None:
+                without = new_nearest[candidate, k] = _nearest_without(
+                    own, scored, raters, candidate, rows, k
+                )
+        after = _predict(matrix, member, target, without, mean)
+        row[candidate] = None if after is None else abs(after - before)
+    memo.extend(_NEAREST_WITHOUT, {member: new_nearest})
+    memo.extend(_MEANS_WITHOUT, new_means)
+    return row

@@ -182,39 +182,52 @@ def _duplicate_rating(user: str, item: str) -> InvalidValueError:
 
 
 #: Most values the per-user memo of one ``RatingsMatrix`` keeps: the
-#: entries of its similarity maps, removal-bound lists and neighbor lists
-#: without an item (plus one per list), and one per mean and per shift.
-#: Measured with tracemalloc at 1,000 users x 200 items x 30k ratings, a map
-#: entry takes about 52 bytes, a bound or neighbor-list value about 87 (~307
-#: per list at k = 2-3), a mean without an item about 57 and a shift, with
-#: its (target, k, item) key, about 118, so a full memo holds at most
-#: ~31 MB: every map of a 500-user matrix, or the maps and bounds of ~49
-#: members of a 1,000-user one.
+#: entries of its similarity maps, removal-bound lists and shift rows, its
+#: predictions and means, and the values of its neighbor lists (plus one per
+#: list and per row). Measured with tracemalloc at 1,000 users x 200 items x
+#: 30k ratings, a map entry takes about 52 bytes, a bound or neighbor-list
+#: value about 87 (~307 per list at k = 2-3), a mean without an item about
+#: 57, a prediction with its (item, k) key about TODO and a shift-row entry
+#: about TODO, so a full memo holds at most ~TODO MB: every map of a 500-user
+#: matrix, or the maps and bounds of ~49 members of a 1,000-user one.
 _MEMO_CAP = 1 << 18
 
-# The slots of a memo entry: three values, three tables of values filled
-# per removed item, and the count of the entry's values toward the cap.
-# What a value, or a list of values added to a table, counts:
-_SIMILARITIES, _MEAN, _BOUNDS, _NEAREST_WITHOUT, _MEANS_WITHOUT, _SHIFTS, _COST = range(7)
+# The slots of a memo entry: three values, five tables (keyed k, (item, k),
+# removed item or (target, k)), and the count of the entry's values toward
+# the cap. What a value, or the values added to a table, count:
+(_SIMILARITIES, _MEAN, _BOUNDS, _NEAREST, _PREDICTIONS, _NEAREST_WITHOUT,
+ _MEANS_WITHOUT, _SHIFTS, _COST) = range(9)
+
+
+def _lists(lists) -> int:
+    """What neighbor lists or shift rows count: each its length plus one."""
+    return len(lists) + sum(map(len, lists))
+
+
 _SLOT_COSTS = (
     len,
     lambda mean: 1,
     lambda bounds: sum(map(len, bounds.values())),
-    lambda lists: len(lists) + sum(map(len, lists)),
+    _lists,
     len,
+    _lists,
     len,
+    _lists,
 )
 
 
 class _UserMemo:
     """Per-user kNN state of one matrix, computed once and kept least
     recently used first: a user's similarity map, mean and removal bounds
-    (``cf._removal_bounds``), none of which depends on k, and three tables
-    that ``cf.influential_items`` fills per item c it removes: the user's
-    k nearest neighbors without c, keyed (c, k) and kept as tuples, the
-    user's mean without c, keyed c, and the shift of the user's prediction
-    of a target t once c is removed, keyed (t, k, c): |after - before|, or
-    None when the removal leaves no basis. A user's entry is dropped whole.
+    (``cf._removal_bounds``), none of which depends on k; the user's k
+    nearest neighbors, keyed k, and prediction of an item (None: no basis),
+    keyed (item, k); and three tables that ``cf.influential_items`` fills:
+    the user's k nearest neighbors without an item c, keyed (c, k), the
+    user's mean without c, keyed c, and the user's shift row of a target t,
+    keyed (t, k), which maps each item c whose removal can move the user's
+    prediction of t to |after - before|, or to None when the removal leaves
+    no basis. Neighbor lists are kept as tuples. A user's entry is dropped
+    whole.
     """
 
     __slots__ = ("_entries", "_size", "_lock")
@@ -228,15 +241,20 @@ class _UserMemo:
         """How many values are kept, counted as ``_MEMO_CAP`` counts them."""
         return self._size
 
-    def get(self, user: str, slot: int, compute: Callable[..., Any], *args) -> Any:
-        """*user*'s value in *slot*, ``compute(*args)`` the first time."""
+    def get(self, user: str, slot: int, compute: Callable[..., Any], *args, key=None) -> Any:
+        """*user*'s value in *slot*, or with a *key* the value under it in
+        the user's table there, ``compute(*args)`` the first time."""
         with self._lock:
             entry = self._entries.get(user)
             if entry is not None:
                 self._entries.move_to_end(user)
-                if entry[slot] is not None:
-                    return entry[slot]
+                kept = entry[slot]
+                if kept is not None and (key is None or key in kept):
+                    return kept if key is None else kept[key]
         value = compute(*args)
+        if key is not None:
+            self.extend(slot, {user: {key: value}})
+            return value
         with self._lock:
             entry = self._entries.get(user)
             if entry is None or entry[slot] is None:  # else another thread kept it
@@ -624,11 +642,11 @@ def _ranked(rows: Iterable[Sequence]) -> list:
     return sorted(rows, key=lambda row: (-row[1], row[0]))
 
 
-def _nearest(scored: Mapping[str, float], k: int) -> list[tuple[str, float]]:
+def _nearest(scored: Mapping[str, float], k: int) -> tuple[tuple[str, float], ...]:
     """The k most similar users; ties by ascending user id."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _ranked(scored.items())[:k]
+    return tuple(_ranked(scored.items())[:k])
 
 
 def _predict(
@@ -637,20 +655,36 @@ def _predict(
     item: str,
     neighbors: Sequence[tuple[str, float]],
     mean: Callable[[str], float],
-) -> float:
-    """The clamped mean-centred prediction from ranked (neighbor, sim) pairs.
+) -> float | None:
+    """The clamped mean-centred prediction from ranked (neighbor, sim)
+    pairs, or None when no neighbor rated *item*: no basis.
 
     *mean* gives a user's mean rating; ratings of *item* come from *matrix*.
     """
-    raters = [(v, sim) for v, sim in neighbors if matrix.get(v, item) is not None]
+    rows = matrix._by_user
+    raters = [(v, sim, rows[v][item]) for v, sim in neighbors if item in rows[v]]
     if not raters:
-        raise NoPredictionBasisError(
-            f"no neighbor of {user!r} rated item {item!r}"
-        )
-    numerator = math.fsum(sim * (matrix.get(v, item) - mean(v)) for v, sim in raters)
-    denominator = math.fsum(abs(sim) for _, sim in raters)
+        return None
+    numerator = math.fsum(sim * (rating - mean(v)) for v, sim, rating in raters)
+    denominator = math.fsum(abs(sim) for _, sim, _ in raters)
     deviation = numerator / denominator if denominator > 0.0 else 0.0
     return min(RATING_MAX, max(RATING_MIN, mean(user) + deviation))
+
+
+def _ranking(matrix: RatingsMatrix, user: str, k: int) -> tuple[tuple[str, float], ...]:
+    """*user*'s k nearest neighbors, ranked once per matrix, user and k."""
+    scored = _similarities(matrix, user)
+    return matrix._memo.get(user, _NEAREST, _nearest, scored, k, key=k)
+
+
+def _prediction(matrix: RatingsMatrix, user: str, item: str, k: int) -> float | None:
+    """``predict_rating``'s value, or None without a basis, computed once
+    per matrix, user, item and k."""
+    return matrix._memo.get(
+        user, _PREDICTIONS,
+        lambda: _predict(matrix, user, item, _ranking(matrix, user, k), matrix.user_mean),
+        key=(item, k),
+    )
 
 
 def knn_neighbors(
@@ -660,9 +694,11 @@ def knn_neighbors(
 
     Candidates need at least two co-rated items with *user*; pairs with
     degenerate variance get similarity 0.0 and stay eligible. Sorted by
-    similarity descending, ties by ascending user id.
+    similarity descending, ties by ascending user id. The ranking is made
+    once per matrix, user and k and kept in the matrix's memo; each call
+    returns a new list.
     """
-    return _nearest(_similarities(matrix, user), k)
+    return list(_ranking(matrix, user, k))
 
 
 def predict_rating(matrix: RatingsMatrix, user: str, item: str, k: int = 2) -> float:
@@ -672,7 +708,11 @@ def predict_rating(matrix: RatingsMatrix, user: str, item: str, k: int = 2) -> f
                             / sum(|sim|)
     over the k nearest neighbors that rated the item. With no such
     neighbor there is no basis; with all-zero similarity weights the
-    deviation term is 0.
+    deviation term is 0. The prediction, or its lack of a basis, is
+    computed once per matrix, user, item and k and kept in the matrix's
+    memo.
     """
-    neighbors = knn_neighbors(matrix, user, k)
-    return _predict(matrix, user, item, neighbors, matrix.user_mean)
+    prediction = _prediction(matrix, user, item, k)
+    if prediction is None:
+        raise NoPredictionBasisError(f"no neighbor of {user!r} rated item {item!r}")
+    return prediction

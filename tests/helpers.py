@@ -1,7 +1,7 @@
-"""Matrix helpers the tests build from the public ``RatingsMatrix`` API,
-reference checks of a dataset's ``ratings`` rows and weight maps, a
-frozen reference kNN kernel, frozen per-pair requirement checks and the
-frozen ``decimal`` display rounding."""
+"""Matrix helpers the tests build from the public ``RatingsMatrix`` API, a
+call's outcome as one comparable value, reference checks of a dataset's
+``ratings`` rows and weight maps, a frozen reference kNN kernel, frozen
+per-pair requirement checks and the frozen ``decimal`` display rounding."""
 
 import math
 from decimal import Decimal
@@ -28,6 +28,14 @@ def co_rated(matrix: RatingsMatrix, a: str, b: str) -> tuple[str, ...]:
     """Items rated by both users, ascending."""
     row_a, row_b = matrix.items_rated_by(a), matrix.items_rated_by(b)
     return tuple(sorted(row_a.keys() & row_b.keys()))
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message of its error."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
 
 
 def without_item(matrix: RatingsMatrix, item: str) -> RatingsMatrix:

@@ -244,8 +244,9 @@ class TestInfluenceWork:
         an influential_items call on one fresh copy of *matrix* (so no
         earlier call has filled its memo): its Pearson calls, those made to
         re-score a pair without a removed item, its similarity scans, its
-        removal-bound passes and its predictions per member, with its
-        ranking. Also the matrix builds the calls made."""
+        removal-bound passes, its rankings of a similarity map (with or
+        without an item) and its predictions per member, with its ranking.
+        Also the matrix builds the calls made."""
         fresh = RatingsMatrix(
             (user, item, value)
             for user in matrix.users()
@@ -254,7 +255,7 @@ class TestInfluenceWork:
         builds, work, rescoring = [], [], []
         init, pearson = core.RatingsMatrix.__init__, core.pearson
         scan, bounds, nearest_without = core._scan, cf._removal_bounds, cf._nearest_without
-        predict = cf._predict
+        predict, nearest = core._predict, core._nearest
 
         def counting_init(self, *args, **kwargs):
             builds.append(1)
@@ -287,9 +288,14 @@ class TestInfluenceWork:
         monkeypatch.setattr(core, "_scan", counted("scans", scan))
         monkeypatch.setattr(cf, "_removal_bounds", counted("bound_passes", bounds))
         monkeypatch.setattr(cf, "_nearest_without", rescoring_nearest_without)
+        monkeypatch.setattr(core, "_predict", counting_predict)
         monkeypatch.setattr(cf, "_predict", counting_predict)
+        monkeypatch.setattr(core, "_nearest", counted("rankings", nearest))
+        monkeypatch.setattr(cf, "_nearest", core._nearest)
         for group, target, k in calls:
-            work.append(dict.fromkeys(("pearsons", "rescoring", "scans", "bound_passes"), 0))
+            work.append(dict.fromkeys(
+                ("pearsons", "rescoring", "scans", "bound_passes", "rankings"), 0
+            ))
             work[-1]["predicts"] = Counter()
             work[-1]["ranking"] = influential_items(fresh, group, target, k)
             assert work[-1]["ranking"]
@@ -306,7 +312,8 @@ class TestInfluenceWork:
     def test_bounds_skip_most_rescoring(self, monkeypatch):
         """Fails if every user who co-rated a removed item is re-scored
         (211 calls beyond the first pass here), or if a second call on the
-        same matrix scores any pair again."""
+        same matrix scores any pair, passes over any bounds, ranks any
+        similarity map or predicts anything again."""
         matrix, group, target = _generated_case()
         first_pass = len(group.members) * (len(matrix.users()) - 1)
         allowance = self.pearson_bound(matrix, group, target) - first_pass
@@ -315,8 +322,12 @@ class TestInfluenceWork:
         )
         assert allowance == 265
         assert cold["pearsons"] - first_pass <= allowance // 4
-        # the second call reads every map, bound, neighbor list and mean
-        assert warm["pearsons"] == 0
+        assert cold["bound_passes"] == len(member_predictions(matrix, group, target, 2))
+        assert cold["rankings"] > 0 and cold["predicts"]
+        # the second call reads every prediction, ranking and shift row
+        assert warm["pearsons"] == warm["bound_passes"] == warm["rankings"] == 0
+        assert warm["predicts"] == {}
+        assert repr(warm["ranking"]) == repr(cold["ranking"])
 
     def test_another_target_scores_no_pair_again(self, monkeypatch):
         """Members ask about one candidate after another. A call with a new
@@ -351,27 +362,28 @@ class TestInfluenceWork:
         """A member's shift without an item does not depend on the group.
         After u04 alone and then u00-u03 asked about the target, the group
         of u03 and u04 asks: every map, bound and neighbor list it needs is
-        kept, so it scores no pair, and every shift of u03's is kept, so
-        u03 is predicted once, for its prediction with every item."""
+        kept, so it scores no pair, and u03's prediction and every shift of
+        u03's are kept, so u03 is not predicted at all."""
         matrix, group, target = _generated_case()
         other = Group("h", ("u03", "u04"))
         calls = [(Group("c", ("u04",)), target, 2), (group, target, 2), (other, target, 2)]
         (_, first, last), _ = self.count_work(matrix, calls, monkeypatch)
         assert first["predicts"]["u03"] > 1
         assert last["pearsons"] == 0
-        assert last["predicts"]["u03"] == 1
+        assert last["predicts"]["u03"] == 0
         assert repr(last["ranking"]) == repr(influential_items(copy.copy(matrix), other, target, 2))
 
     def test_a_kept_removal_without_basis_is_flagged_again(self, dataset, g1, monkeypatch):
         """Removing x11 leaves u1 without a basis for t1 (TestInfluence).
         The memo keeps that as no basis, not as a shift: the group of u3 and
-        u1 that asks next reads every shift it needs and flags x11, x12, x31
-        and x32 as the group of u1, u2 and u3 did."""
+        u1 that asks next reads every prediction and shift it needs, so it
+        predicts nothing, and flags x11, x12, x31 and x32 as the group of
+        u1, u2 and u3 did."""
         other = Group("h", ("u3", "u1"))
         (_, again), _ = self.count_work(
             dataset.matrix, [(g1, "t1", 2), (other, "t1", 2)], monkeypatch
         )
-        assert again["predicts"] == {"u3": 1, "u1": 1}
+        assert again["predicts"] == {}
         flagged = {r.item for r in again["ranking"] if r.basis_destroying}
         assert flagged == {"x11", "x12", "x31", "x32"}
         fresh = influential_items(copy.copy(dataset.matrix), other, "t1", 2)

@@ -38,7 +38,7 @@ from groupexplain.errors import (
     RatingOutOfRangeError,
     UnknownUserError,
 )
-from helpers import co_rated, without_item
+from helpers import co_rated, outcome, without_item
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "groupexplain"
 
@@ -217,24 +217,29 @@ class TestMemo:
         assert list(core._similarities(four_users, "a").items()) == list(fresh.items())
 
     def test_least_recently_used_users_go_first(self, four_users, monkeypatch):
-        # each map holds 3 entries and each mean 1: three maps and a mean fill it
-        monkeypatch.setattr(core, "_MEMO_CAP", 10)
+        # each map holds 3 entries, each ranking at k = 2 counts 3 and each
+        # mean 1: three maps, their rankings and a mean fill it
+        monkeypatch.setattr(core, "_MEMO_CAP", 19)
         fresh = RatingsMatrix(self.triples(four_users))
         expected = [knn_neighbors(fresh, u, 2) for u in "abcd"]
         memo = four_users._memo
         assert [knn_neighbors(four_users, u, 2) for u in "abc"] == expected[:3]
         assert four_users.user_mean("a") == 4.0  # "a" is now the most recent
-        assert len(memo) == 10 and list(memo._entries) == ["b", "c", "a"]
+        assert len(memo) == 19 and list(memo._entries) == ["b", "c", "a"]
         assert knn_neighbors(four_users, "d", 2) == expected[3]
-        assert len(memo) == 10 and list(memo._entries) == ["c", "a", "d"]
+        assert len(memo) == 19 and list(memo._entries) == ["c", "a", "d"]
 
     def test_a_value_larger_than_the_cap_is_not_kept(self, four_users, monkeypatch):
+        # a's map holds 3 entries and its ranking at k = 1 counts 2
         monkeypatch.setattr(core, "_MEMO_CAP", 2)
         assert knn_neighbors(four_users, "a", 1) == knn_neighbors(
             RatingsMatrix(self.triples(four_users)), "a", 1
         )
-        assert four_users.user_mean("a") == 4.0
-        assert len(four_users._memo) == 1 and list(four_users._memo._entries) == ["a"]
+        entry = four_users._memo._entries["a"]
+        assert entry[core._SIMILARITIES] is None and list(entry[core._NEAREST]) == [1]
+        assert four_users.user_mean("a") == 4.0  # would take a's entry past the cap
+        assert entry[core._MEAN] is None
+        assert len(four_users._memo) == 2 and list(four_users._memo._entries) == ["a"]
 
     def test_copies_keep_the_ratings_and_start_a_new_memo(self, four_users):
         warm = knn_neighbors(four_users, "a", 3)
@@ -246,21 +251,73 @@ class TestMemo:
             ]
             assert knn_neighbors(clone, "a", 3) == warm
 
+    def test_callers_own_the_lists_they_get(self, four_users):
+        fresh = RatingsMatrix(self.triples(four_users))
+        first = knn_neighbors(four_users, "a", 2)
+        first.clear()
+        assert knn_neighbors(four_users, "a", 2) == knn_neighbors(fresh, "a", 2)
+        group = Group("g", ("a", "b"))
+        for taking_part in member_predictions(four_users, group, "i4", 2).values():
+            taking_part.neighbors.append(("x", 1.0))
+        assert member_predictions(four_users, group, "i4", 2) == member_predictions(
+            fresh, group, "i4", 2
+        )
+
+    def test_an_unknown_user_is_named_before_a_bad_k(self, four_users):
+        knn_neighbors(four_users, "a", 2)  # a warm memo and a fresh one
+        predict_rating(four_users, "a", "i4", 2)
+        for matrix in (four_users, RatingsMatrix(self.triples(four_users))):
+            with pytest.raises(UnknownUserError):
+                knn_neighbors(matrix, "ghost", 0)
+            with pytest.raises(UnknownUserError):
+                predict_rating(matrix, "ghost", "i4", 0)
+            with pytest.raises(ValueError):
+                knn_neighbors(matrix, "a", 0)
+            with pytest.raises(ValueError):
+                predict_rating(matrix, "a", "i4", 0)
+
+    def test_a_kept_lack_of_basis_raises_as_a_fresh_matrix_does(self, four_users):
+        fresh = outcome(predict_rating, RatingsMatrix(self.triples(four_users)), "a", "i9", 2)
+        assert fresh[:2] == ("raised", NoPredictionBasisError)
+        group = Group("g", ("a",))
+        with pytest.raises(NoPredictionBasisError):
+            member_predictions(four_users, group, "i9", 2)  # keeps a's lack of basis
+        assert four_users._memo._entries["a"][core._PREDICTIONS] == {("i9", 2): None}
+        assert outcome(predict_rating, four_users, "a", "i9", 2) == fresh
+        assert outcome(predict_rating, four_users, "a", "i9", 2) == fresh
+
+    def test_each_user_and_k_is_ranked_once(self, four_users, monkeypatch):
+        rankings, nearest = [], core._nearest
+
+        def counting_nearest(scored, k):
+            rankings.append(k)
+            return nearest(scored, k)
+
+        monkeypatch.setattr(core, "_nearest", counting_nearest)
+        for _ in range(3):
+            for k in (1, 2, 3):
+                for user in "abcd":
+                    knn_neighbors(four_users, user, k)
+                    outcome(predict_rating, four_users, user, "i4", k)
+                    outcome(predict_rating, four_users, user, "i1", k)
+        assert sorted(rankings) == [1] * 4 + [2] * 4 + [3] * 4
+
     def test_every_slot_has_a_cost(self):
         assert len(core._SLOT_COSTS) == core._COST
 
     def test_two_extends_of_one_key_count_it_once(self, four_users):
-        """Two callers read a member's shifts before either keeps any, then
-        both add the same key: the memo counts it once."""
-        memo, key = four_users._memo, ("i4", 2, "i1")
+        """Two callers read a member's shift rows before either keeps any,
+        then both add the same key: the memo counts its row once."""
+        memo, key, row = four_users._memo, ("i4", 2), {"i1": 0.25, "i2": None}
         first = memo.tables(["a"], core._SHIFTS)
         second = memo.tables(["a"], core._SHIFTS)
         assert first == second == {"a": {}}
-        memo.extend(core._SHIFTS, {"a": {key: 0.25}})
-        memo.extend(core._SHIFTS, {"a": {key: 0.25, ("i4", 2, "i2"): None}})
+        memo.extend(core._SHIFTS, {"a": {key: row}})
+        memo.extend(core._SHIFTS, {"a": {key: dict(row), ("i4", 3): {"i1": 0.5}}})
         entry = memo._entries["a"]
-        assert entry[core._SHIFTS] == {key: 0.25, ("i4", 2, "i2"): None}
-        assert len(memo) == entry[core._COST] == len(entry[core._SHIFTS]) == 2
+        assert entry[core._SHIFTS] == {key: row, ("i4", 3): {"i1": 0.5}}
+        # a row counts its entries plus one
+        assert len(memo) == entry[core._COST] == 3 + 2
 
     def test_threads_sharing_a_matrix_keep_the_count(self, monkeypatch):
         ratings = [
@@ -269,6 +326,8 @@ class TestMemo:
         ]
         users = [f"u{n}" for n in range(12)]
         expected = {u: knn_neighbors(RatingsMatrix(ratings), u, 3) for u in users}
+        predicted = {(u, t): outcome(predict_rating, RatingsMatrix(ratings), u, t, 2)
+                     for u in users for t in ("i1", "i6")}
         groups = [Group("g", tuple(users[n:n + 3])) for n in range(0, 12, 3)]
         influence = {
             (g, t): influential_items(RatingsMatrix(ratings), g, t, 2)
@@ -285,7 +344,9 @@ class TestMemo:
                     assert knn_neighbors(shared, user, 3) == expected[user]
                     for other in users:
                         shared.user_mean(other)
-                    if round_ % 20 == 0:  # fills and reads the per-item tables
+                    key = list(predicted)[(offset + round_ * 3) % len(predicted)]
+                    assert outcome(predict_rating, shared, *key, 2) == predicted[key]
+                    if round_ % 20 == 0:  # fills and reads the shift rows
                         key = list(influence)[(offset + round_) % len(influence)]
                         assert influential_items(shared, *key, 2) == influence[key]
             except Exception as exc:  # a thread's error would not fail the test

@@ -62,6 +62,7 @@ from groupexplain.errors import (
 from helpers import (
     Count,
     co_rated,
+    outcome,
     reference_causally_relevant,
     reference_knn_neighbors,
     reference_predict_rating,
@@ -268,14 +269,6 @@ def requirement_catalogs(draw):
         for _ in range(draw(st.integers(0, 6)))
     ]
     return requirements, items
-
-
-def outcome(fn, *args):
-    """The result of ``fn(*args)``, or the type and message of its error."""
-    try:
-        return "returned", fn(*args)
-    except Exception as exc:
-        return "raised", type(exc), str(exc)
 
 
 @given(instance=requirement_catalogs())
@@ -648,11 +641,17 @@ def call_sequences(draw):
     a group asks about one candidate after another, and 1-3 such calls with
     the same k and some of those targets on a second group that shares a
     member with the first, so that it reads the shifts the first kept; all
-    in a random order. The pool may hold a user without ratings."""
+    in a random order. A ``predict_rating`` of one member of the first group
+    and of a user with no basis, at one of its targets, comes right before
+    and right after the first influence call on that target, so a kept
+    prediction, or a kept lack of basis, is read by both paths. The pool
+    may hold a user without ratings and the user with no basis, who rated
+    one item and so has no neighbor."""
     ratings, _, _, _ = draw(pruned_influence_instances())
-    users = sorted({user for user, _, _ in ratings}) + ["nobody"]
     items = sorted({item for _, item, _ in ratings})
     assume(items)
+    ratings = ratings + [("loner", items[0], 3.0)]
+    users = sorted({user for user, _, _ in ratings}) + ["nobody"]
     pool = draw(st.lists(st.sampled_from(users), min_size=2, max_size=5, unique=True))
     groups = st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True).map(tuple)
     calls = st.tuples(
@@ -666,22 +665,29 @@ def call_sequences(draw):
         ("influential_items", tuple(other), target, k)
         for target in draw(st.lists(st.sampled_from(targets), min_size=1, max_size=3))
     ]
-    return ratings, draw(st.permutations(draw(st.lists(calls, min_size=2, max_size=8)) + asked))
+    sequence = draw(st.permutations(draw(st.lists(calls, min_size=2, max_size=8)) + asked))
+    target = draw(st.sampled_from(targets))
+    probe = ("predict_rating", tuple({draw(st.sampled_from(group)): 0, "loner": 0}), target, k)
+    at = sequence.index(("influential_items", group, target, k))
+    sequence[at:at + 1] = [probe, sequence[at], probe]
+    return ratings, sequence
 
 
 def kept_values(entry):
     """The values a memo entry holds, counted from its slots as
     ``core._MEMO_CAP`` counts them: one per map entry, mean, bound-list
-    entry, kept mean without an item and kept shift, and per neighbor list
-    without an item its length plus one."""
-    scored, mean, bounds, nearest, means, shifts = entry[:core._COST]
+    entry, prediction and kept mean without an item, and per ranking,
+    neighbor list without an item and shift row its length plus one."""
+    scored, mean, bounds, ranked, predictions, nearest, means, shifts = entry[:core._COST]
     return (
         len(scored or ())
         + (mean is not None)
         + sum(len(raters) for raters in (bounds or {}).values())
+        + sum(len(neighbors) + 1 for neighbors in (ranked or {}).values())
+        + len(predictions or ())
         + sum(len(neighbors) + 1 for neighbors in (nearest or {}).values())
         + len(means or ())
-        + len(shifts or ())
+        + sum(len(row) + 1 for row in (shifts or {}).values())
     )
 
 
