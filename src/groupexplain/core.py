@@ -186,10 +186,11 @@ def _duplicate_rating(user: str, item: str) -> InvalidValueError:
 #: predictions and means, and the values of its neighbor lists (plus one per
 #: list and per row). Measured with tracemalloc at 1,000 users x 200 items x
 #: 30k ratings, a map entry takes about 52 bytes, a bound or neighbor-list
-#: value about 87 (~307 per list at k = 2-3), a mean without an item about
-#: 57, a prediction with its (item, k) key about TODO and a shift-row entry
-#: about TODO, so a full memo holds at most ~TODO MB: every map of a 500-user
-#: matrix, or the maps and bounds of ~49 members of a 1,000-user one.
+#: value, kept ranking included, about 87 (~304 per list at k = 2-3), a mean
+#: without an item about 57, a shift-row entry about 50 and a prediction,
+#: with its (item, k) key, about 120, so a full memo holds at most ~31 MB:
+#: every map of a 500-user matrix, or the maps and bounds of ~49 members of
+#: a 1,000-user one.
 _MEMO_CAP = 1 << 18
 
 # The slots of a memo entry: three values, five tables (keyed k, (item, k),

@@ -290,8 +290,9 @@ class TestInfluenceWork:
         monkeypatch.setattr(cf, "_nearest_without", rescoring_nearest_without)
         monkeypatch.setattr(core, "_predict", counting_predict)
         monkeypatch.setattr(cf, "_predict", counting_predict)
-        monkeypatch.setattr(core, "_nearest", counted("rankings", nearest))
-        monkeypatch.setattr(cf, "_nearest", core._nearest)
+        counting_nearest = counted("rankings", nearest)
+        monkeypatch.setattr(core, "_nearest", counting_nearest)
+        monkeypatch.setattr(cf, "_nearest", counting_nearest)
         for group, target, k in calls:
             work.append(dict.fromkeys(
                 ("pearsons", "rescoring", "scans", "bound_passes", "rankings"), 0
