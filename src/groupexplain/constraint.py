@@ -8,9 +8,9 @@ minimal relaxations when the requirements filter everything away.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, repeat
 from operator import not_
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     DecisionHistory,
@@ -18,7 +18,8 @@ from .core import (
     InterestDimension,
     Item,
     Requirement,
-    _column_holds,
+    _column,
+    _fast_compare,
     _ranked,
 )
 from .errors import (
@@ -44,19 +45,33 @@ def requirement_relevance(group: Group, requirement: Requirement) -> float:
     return math.fsum(weights) / len(weights)
 
 
+def _verdicts(
+    requirement: Requirement, read: tuple[list, set], items: Sequence[Item]
+) -> Iterable[bool]:
+    """``requirement.matches`` per item, over the column *read* of ``core._column``.
+
+    A well-formed column (``core._fast_compare``) gives a lazy C-level
+    ``map``, which a caller may stop early. Any other column is checked
+    item by item at once, every item, so the first item in catalog order
+    that lacks the attribute raises ``MissingAttributeError``, or under
+    ``<=``/``>=`` holds a non-number raises ``InvalidValueError``.
+    """
+    column, kinds = read
+    compare = _fast_compare(requirement.operator, kinds)
+    if compare is None:
+        return [requirement.matches(item) for item in items]
+    return map(compare, column, repeat(requirement.bound))
+
+
 def causally_relevant(requirement: Requirement, items: Sequence[Item]) -> bool:
     """True when the requirement actually filters something out.
 
-    One column pass over the catalog (``core._column_holds``), O(items):
-    the attribute is read once per item and the column is compared with
-    one C-level ``map``. A column with a missing attribute, or under
-    ``<=``/``>=`` a value that is not a plain ``int`` or ``float``, goes
-    item by item instead, with the same verdicts. Every item is checked,
-    so the first item in catalog order that lacks the attribute raises
-    ``MissingAttributeError``, or under ``<=``/``>=`` holds a non-number
-    raises ``InvalidValueError``. False on an empty catalog.
+    The attribute column is read once and its value types checked, so any
+    error is raised as ``_verdicts`` says; a well-formed column is then
+    compared only up to the first item it filters out. False on an empty
+    catalog.
     """
-    return not all(_column_holds(requirement, items))
+    return not all(_verdicts(requirement, _column(requirement.attribute, items), items))
 
 
 def constrained_items(
@@ -64,7 +79,7 @@ def constrained_items(
 ) -> list[Item]:
     """The items, by id, that carry every attribute the requirements talk about."""
     needed = {req.attribute for req in requirements}
-    return [item for _, item in sorted(items.items()) if needed <= set(item.attributes)]
+    return [item for _, item in sorted(items.items()) if item.attributes.keys() >= needed]
 
 
 def rank_requirements(
@@ -175,12 +190,12 @@ def relaxation_proposals(
     every requirement the item violates. So the minimal R are the
     inclusion-minimal sets among the items' violation sets, and the
     survivors of R are the items whose violation set lies inside R.
-    Each requirement is checked over the whole catalog in one column pass
-    (``core._column_holds``: one attribute read per item and one C-level
-    compare per requirement when the column is well formed, item by item
-    otherwise), O(items x requirements) checks in all; each item's
-    violation set is then picked out of its row of verdicts. There is no
-    cap on the number of requirements.
+    Each attribute column is read once (``core._column``) and each
+    requirement checked over it as ``_verdicts`` says, O(items x
+    requirements) checks in all. The verdicts are zipped into one pattern
+    per item at C level, and all further work is done once per distinct
+    pattern: its violation set, the minimality test and the survivors.
+    There is no cap on the number of requirements.
     Every pair is evaluated. If a column raises, the pairs are checked
     again item by item, each item's requirements in the order their ids
     first appear, and the first error is raised: that of the first failing
@@ -196,7 +211,9 @@ def relaxation_proposals(
         raise EmptyCatalogError("item catalog is empty")
     by_id = {req.id: req for req in requirements}
     try:
-        columns = [_column_holds(req, items) for req in by_id.values()]
+        reads = {at: _column(at, items) for at in {req.attribute for req in by_id.values()}}
+        rows = [_verdicts(req, reads[req.attribute], items) for req in by_id.values()]
+        patterns = list(zip(*rows))
     except Exception:  # whatever a check raised, the pair-by-pair order decides
         try:
             for item in items:
@@ -205,21 +222,22 @@ def relaxation_proposals(
         except Exception as first:
             raise first from None
         raise
-    violated = [frozenset(compress(by_id, map(not_, row))) for row in zip(*columns)]
-    if not all(violated):
+    violated = {
+        pattern: frozenset(compress(by_id, map(not_, pattern)))
+        for pattern in dict.fromkeys(patterns)
+    }
+    if not all(violated.values()):
         return []
     # a strict subset is shorter, so it is kept before any of its supersets
     minimal: list[frozenset[str]] = []
-    for own in sorted(set(violated), key=len):
-        if not any(kept <= own for kept in minimal):
+    for own in sorted(violated.values(), key=len):
+        if not any(map(own.issuperset, minimal)):
             minimal.append(own)
     minimal.sort(key=lambda removed: (len(removed), sorted(removed)))
-    return [
-        RelaxationProposal(
-            removed=tuple(sorted(removed)),
-            survivors=tuple(
-                sorted(item.id for item, own in zip(items, violated) if own <= removed)
-            ),
-        )
-        for removed in minimal
-    ]
+    ids = [item.id for item in items]
+    proposals = []
+    for removed in minimal:
+        inside = {pattern for pattern, own in violated.items() if own <= removed}
+        survivors = compress(ids, map(inside.__contains__, patterns))
+        proposals.append(RelaxationProposal(tuple(sorted(removed)), tuple(sorted(survivors))))
+    return proposals

@@ -16,7 +16,6 @@ import enum
 import math
 from _thread import allocate_lock
 from collections import OrderedDict
-from itertools import repeat
 from operator import eq, ge, itemgetter, le, mul
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -472,23 +471,28 @@ _MISSING = object()  # an absent attribute; type object sends a column item by i
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _column_holds(requirement: Requirement, items: Sequence[Item]) -> list:
-    """``[requirement.matches(item) for item in items]``.
-
-    The attribute column is read once and compared with one C-level ``map``
-    when every item has the attribute and, for a numeric operator, every
-    value has exact type ``int`` or ``float`` (so no bool).
-    Any other column goes item by item through ``_attribute_holds``: the
-    same verdicts, and the same first error in item order.
-    """
-    attribute, operator = requirement.attribute, requirement.operator
+def _column(attribute: str, items: Sequence[Item]) -> tuple[list, set]:
+    """Each item's value of *attribute* (``_MISSING`` where it lacks it),
+    read once, and the set of the values' types."""
     column = [item.attributes.get(attribute, _MISSING) for item in items]
+    return column, set(map(type, column))
+
+
+def _fast_compare(operator: str, kinds: set) -> Callable | None:
+    """The C-level compare of *operator* for a column of value types *kinds*.
+
+    None unless the column is well formed: every item has the attribute
+    and, for a numeric operator, every value has exact type ``int`` or
+    ``float`` (so no bool). A column that is not goes item by item through
+    ``Requirement.matches``: the same verdicts, and the same first error
+    in item order. The verdict depends on the operator's class as well as
+    the column, so it is never shared between ``=`` and ``<=``/``>=``.
+    """
     if operator in OPERATORS:
         compare, numeric = _OPERATOR_TABLE[operator]
-        kinds = set(map(type, column))
         if (kinds <= _NUMBER_TYPES) if numeric else (object not in kinds):
-            return list(map(compare, column, repeat(requirement.bound)))
-    return [_attribute_holds(requirement, item) for item in items]
+            return compare
+    return None
 
 
 class Requirement(Frozen):

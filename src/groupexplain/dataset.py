@@ -245,7 +245,9 @@ def load_dataset(path: str | Path) -> Dataset:
         spot = f"items[{item_id}]"
         attributes = _section(_object(entry, spot), "attributes", dict, spot, {})
         for name, value in attributes.items():
-            _finite(value, f"{spot}.attributes.{name}")
+            # the location is built only for a value _finite rejects
+            if type(value) is float and not math.isfinite(value):
+                _finite(value, f"{spot}.attributes.{name}")
         weights = {
             name: _unit_weights(entry.get(name, {}), f"{spot}.{name}")
             for name in _ITEM_WEIGHTS

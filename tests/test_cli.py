@@ -418,16 +418,25 @@ class TestExitCodes:
         assert err.startswith("usage error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "old,new",
+        "old,new,line",
         [
-            ('"bound": 250', '"bound": NaN'),
-            ('"bound": 250', '"bound": -Infinity'),
-            ('"bound": 250', '"bound": 1e999'),
-            ('"price": 100', '"price": Infinity'),
-            ('"price": 100', '"price": -1e999'),
-            ('["a", "i1", 4]', '["a", "i1", 1e999]'),
-            ('["a", "i1", 4]', '["a", "i1", 1' + "0" * 400 + "]"),
-            ('["a", "i1", 4]', '["a", "i1", 1' + "0" * 5000 + "]"),
+            ('"bound": 250', '"bound": NaN',
+             "malformed-dataset: {path}: non-finite number NaN is not allowed\n"),
+            ('"bound": 250', '"bound": -Infinity',
+             "malformed-dataset: {path}: non-finite number -Infinity is not allowed\n"),
+            ('"bound": 250', '"bound": 1e999',
+             "invalid-value: requirements[0].bound: inf is not a finite number\n"),
+            ('"price": 100', '"price": Infinity',
+             "malformed-dataset: {path}: non-finite number Infinity is not allowed\n"),
+            ('"price": 100', '"price": -1e999',
+             "invalid-value: items[i1].attributes.price: -inf is not a finite number\n"),
+            ('["a", "i1", 4]', '["a", "i1", 1e999]',
+             "invalid-value: ratings[0]: inf is not a finite number\n"),
+            ('["a", "i1", 4]', '["a", "i1", 1' + "0" * 400 + "]",
+             "invalid-value: ratings[0]: integer too large for a float\n"),
+            # the rest of this line is the interpreter's own wording
+            ('["a", "i1", 4]', '["a", "i1", 1' + "0" * 5000 + "]",
+             "malformed-dataset: {path}: "),
         ],
         ids=[
             "nan-bound", "neg-inf-bound", "overflow-bound", "inf-attribute",
@@ -435,14 +444,15 @@ class TestExitCodes:
             "past-digit-limit",
         ],
     )
-    def test_non_finite_numbers_rejected(self, capsys, tmp_path, old, new):
+    def test_non_finite_numbers_rejected(self, capsys, tmp_path, old, new, line):
         text = json.dumps(NUMERIC_DATASET)
         assert old in text
         path = tmp_path / "bad.json"
         path.write_text(text.replace(old, new), encoding="utf-8")
         code, out, err = run(capsys, "relax", "--data", str(path))
         assert code == EXIT_DATASET and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # a *line* ending in a newline is the whole of stderr
+        assert err.startswith("error: " + line.format(path=path)) and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "content",

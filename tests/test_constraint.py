@@ -17,7 +17,7 @@ from groupexplain import (
     relaxation_proposals,
     requirement_relevance,
 )
-from groupexplain import core
+from groupexplain import constraint, core
 from groupexplain.constraint import rank_requirements
 from groupexplain.errors import (
     EmptyCatalogError,
@@ -28,7 +28,7 @@ from groupexplain.errors import (
     UnknownUserError,
 )
 from groupexplain.render import display_round
-from helpers import Count
+from helpers import Count, reference_relaxation_proposals
 
 MAUT_TABLE = {
     "t1": {"dim1": 0.05, "dim2": 0.14, "dim3": 0.15},
@@ -216,6 +216,43 @@ class TestRelaxation:
             ((f"r{n}",), (f"i{n}",)) for n in names
         ]
 
+    @staticmethod
+    def few_pattern_catalog():
+        """12 requirements over 2,000 items drawn from 9 attribute profiles,
+        in shuffled id order: a few violation patterns, each proposal with
+        hundreds of survivors."""
+        rng = random.Random(23)
+        profiles = [
+            {f"a{m}": rng.choice([0, 1, 2.5, 4]) for m in range(12)} for _ in range(9)
+        ]
+        ids = [f"i{n:04d}" for n in range(2000)]
+        rng.shuffle(ids)
+        items = [Item(id=i, attributes=dict(rng.choice(profiles))) for i in ids]
+        reqs = [_req("lo", "a0", "<=", 1), _req("hi", "a0", ">=", 2)]
+        reqs += [_req(f"f{m}", f"a{m}", rng.choice(["<=", ">=", "="]), 2.5) for m in range(1, 11)]
+        return reqs, items
+
+    def test_large_catalog_with_few_patterns_matches_the_reference(self):
+        reqs, items = self.few_pattern_catalog()
+        proposals = relaxation_proposals(reqs, items)
+        assert len(reqs) == 12 and len(proposals) > 1
+        assert sum(map(len, (p.survivors for p in proposals))) > 500
+        assert proposals == reference_relaxation_proposals(reqs, items)
+
+    def test_work_is_per_distinct_pattern_not_per_item(self, monkeypatch):
+        # compress picks a violation set out of a pattern, and the
+        # survivors of a proposal out of the catalog
+        reqs, items = self.few_pattern_catalog()
+        calls = []
+
+        def counting(*args, _original=constraint.compress):
+            calls.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(constraint, "compress", counting)
+        proposals = relaxation_proposals(reqs, items)
+        assert 0 < len(calls) <= 9 + len(proposals)
+
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)], ids=["r2-last", "r2-first"])
     def test_missing_attribute_regardless_of_order(self, order):
         items = [
@@ -293,6 +330,21 @@ class TestColumnWork:
         )
         assert proposals and any(causal) and len(ranked) == len(requirements)
         assert calls == 0
+
+    def test_causal_relevance_compares_up_to_the_first_filtered_item(self, monkeypatch):
+        _, requirements, items = self.catalog_case()
+        # the items "lo" (a0 <= 30) keeps first, then those it filters out
+        catalog = sorted(items.values(), key=lambda item: item.attributes["a0"] > 30)
+        cut = next(n for n, item in enumerate(catalog) if item.attributes["a0"] > 30)
+        compared = []
+
+        def counting(value, bound, _original=core._OPERATOR_TABLE["<="][0]):
+            compared.append(value)
+            return _original(value, bound)
+
+        monkeypatch.setitem(core._OPERATOR_TABLE, "<=", (counting, True))
+        assert causally_relevant(requirements[0], catalog)
+        assert len(compared) == cut + 1
 
     def test_an_int_subclass_value_is_checked_pair_by_pair(self, monkeypatch):
         group, requirements, items = self.catalog_case()

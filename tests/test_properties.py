@@ -271,9 +271,29 @@ def requirement_catalogs(draw):
     return requirements, items
 
 
+def _r(rid, attribute, operator, bound):
+    return Requirement(rid, attribute, operator, bound, {"m": 0.5})
+
+
 @given(instance=requirement_catalogs())
 @example(instance=([], [Item(id="p0", attributes={"a": 1})]))
-@example(instance=([Requirement("r0", "a", "<=", 1, {"m": 0.5})], []))
+@example(instance=([_r("r0", "a", "<=", 1)], []))
+# item p0 is filtered out, but p1's bool under <= still raises: the answer
+# known at p0 must not be returned before the column's kinds are checked
+@example(instance=(
+    [_r("r0", "a", "<=", 1)],
+    [Item(id="p0", attributes={"a": 2}), Item(id="p1", attributes={"a": True})],
+))
+# one string column: well formed for =, not for <= (which must raise)
+@example(instance=(
+    [_r("r0", "a", "=", "x"), _r("r1", "a", "<=", "y")],
+    [Item(id="p0", attributes={"a": "x"}), Item(id="p1", attributes={"a": "w"})],
+))
+# a repeated id counts as its last occurrence, on another attribute
+@example(instance=(
+    [_r("r0", "a", "<=", 1), _r("r0", "b", "<=", 1), _r("r1", "a", ">=", 3)],
+    [Item(id="p0", attributes={"a": 5, "b": 0}), Item(id="p1", attributes={"a": 0, "b": 5})],
+))
 @RUNS
 def test_column_checks_match_the_per_pair_reference(instance):
     requirements, items = instance
