@@ -277,7 +277,7 @@ def _r(rid, attribute, operator, bound):
 
 @given(instance=requirement_catalogs())
 @example(instance=([], [Item(id="p0", attributes={"a": 1})]))
-@example(instance=([_r("r0", "a", "<=", 1)], []))
+@example(instance=([Requirement("r0", "a", "<=", 1, {"m": 0.5})], []))
 # item p0 is filtered out, but p1's bool under <= still raises: the answer
 # known at p0 must not be returned before the column's kinds are checked
 @example(instance=(
