@@ -1,44 +1,30 @@
-"""Collaborative-filtering explanations.
+"""Collaborative-filtering explanations and the kNN path they share with ``core``.
 
 Histograms over neighbor ratings, verbal aggregation explanations and the
 leave-one-item-out influence analysis described by the social style of
-explaining a prediction.
+explaining a prediction. The only state is kept per rating matrix: its
+first kNN read gives a ``RatingsMatrix`` a locked, bounded memo
+(``_UserMemo``) of the kNN state computed once per user, and no result
+depends on what that memo holds.
 """
 
 from __future__ import annotations
 
 import math
+from _thread import allocate_lock
 from bisect import insort
+from collections import OrderedDict
+from functools import partial
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
-    NN_MODE_INTERSECTION,
-    NN_MODE_UNION,
-    AggregationStrategy,
-    Group,
-    RatingsMatrix,
-    aggregate,
-    categorize_rating,
-    RatingBucket,
-    _BOUNDS,
-    _MEANS_WITHOUT,
-    _NEAREST_WITHOUT,
-    _SHIFTS,
-    _centred,
-    _mean,
-    _nearest,
-    _predict,
-    _prediction,
-    _ranked,
-    _ranking,
-    _similarities,
-    _similarity,
+    NN_MODE_INTERSECTION, NN_MODE_UNION, RATING_MAX, RATING_MIN, AggregationStrategy, Group,
+    RatingBucket, RatingsMatrix, _centred, _mean, _ranked, aggregate, categorize_rating, pearson,
 )
 from .errors import (
-    EmptyGroupSetError,
-    MissingRatingError,
-    NoPredictionBasisError,
+    DegenerateVarianceError, EmptyGroupSetError, MissingRatingError, NoPredictionBasisError,
     UnknownUserError,
 )
 from .render import Explanation, PRIVACY_NAMED, render_explanation
@@ -71,6 +57,239 @@ class MemberPrediction(NamedTuple):
     similarities: Mapping[str, float]
     neighbors: list[tuple[str, float]]
     prediction: float | None
+
+
+#: Most values the memo of one ``RatingsMatrix`` (``_memo_of``) keeps: the
+#: entries of its similarity maps, removal-bound lists and shift rows, its
+#: predictions and means, and the values of its neighbor lists (plus one per
+#: list and per row). Measured with tracemalloc at 1,000 users x 200 items x
+#: 30k ratings, a map entry takes about 52 bytes, a bound or neighbor-list
+#: value, kept ranking included, about 87 (~304 per list at k = 2-3), a mean
+#: without an item about 57, a shift-row entry about 50 and a prediction,
+#: with its (item, k) key, about 120, so a full memo holds at most ~31 MB:
+#: every map of a 500-user matrix, or the maps and bounds of ~49 members of
+#: a 1,000-user one.
+_MEMO_CAP = 1 << 18
+
+# The slots of a memo entry: three values, five tables (keyed k, (item, k),
+# removed item or (target, k)), and the count of the entry's values toward
+# the cap. What a value, or the values added to a table, count:
+(_SIMILARITIES, _MEAN, _BOUNDS, _NEAREST, _PREDICTIONS, _NEAREST_WITHOUT,
+ _MEANS_WITHOUT, _SHIFTS, _COST) = range(9)
+
+
+def _lists(lists) -> int:
+    """What neighbor lists or shift rows count: each its length plus one."""
+    return len(lists) + sum(map(len, lists))
+
+
+_SLOT_COSTS = (
+    len,
+    lambda mean: 1,
+    lambda bounds: sum(map(len, bounds.values())),
+    _lists,
+    len,
+    _lists,
+    len,
+    _lists,
+)
+
+
+class _UserMemo:
+    """Per-user kNN state of one matrix, computed once and kept least
+    recently used first: a user's similarity map, mean and removal bounds
+    (``_removal_bounds``), none of which depends on k; the user's k
+    nearest neighbors, keyed k, and prediction of an item (None: no basis),
+    keyed (item, k); and three tables that ``influential_items`` fills:
+    the user's k nearest neighbors without an item c, keyed (c, k), the
+    user's mean without c, keyed c, and the user's shift row of a target t,
+    keyed (t, k), which maps each item c whose removal can move the user's
+    prediction of t to |after - before|, or to None when the removal leaves
+    no basis. Neighbor lists are kept as tuples. A user's entry is dropped
+    whole. A matrix gets its memo from ``_memo_of``, on its first kNN read.
+    """
+
+    __slots__ = ("_entries", "_size", "_lock")
+
+    def __init__(self):
+        self._entries: OrderedDict[str, list] = OrderedDict()  # user -> [*slots, cost]
+        self._size = 0
+        self._lock = allocate_lock()
+
+    def __len__(self) -> int:
+        """How many values are kept, counted as ``_MEMO_CAP`` counts them."""
+        return self._size
+
+    def get(self, user: str, slot: int, compute: Callable[..., Any], *args, key=None) -> Any:
+        """*user*'s value in *slot*, or with a *key* the value under it in
+        the user's table there, ``compute(*args)`` the first time."""
+        with self._lock:
+            entry = self._entries.get(user)
+            if entry is not None:
+                self._entries.move_to_end(user)
+                kept = entry[slot]
+                if kept is not None and (key is None or key in kept):
+                    return kept if key is None else kept[key]
+        value = compute(*args)
+        if key is not None:
+            self.extend(slot, {user: {key: value}})
+            return value
+        with self._lock:
+            entry = self._entries.get(user)
+            if entry is None or entry[slot] is None:  # else another thread kept it
+                entry = self._admit(user, entry, _SLOT_COSTS[slot](value))
+                if entry is not None:
+                    entry[slot] = value
+        return value
+
+    def tables(self, users: Iterable[str], slot: int) -> dict[str, Mapping]:
+        """Each user's table in *slot* (a new empty dict if none), to read;
+        ``extend`` adds to them."""
+        found = {}
+        with self._lock:
+            for user in users:
+                entry = self._entries.get(user)
+                if entry is None or entry[slot] is None:
+                    found[user] = {}
+                else:
+                    self._entries.move_to_end(user)
+                    found[user] = entry[slot]
+        return found
+
+    def extend(self, slot: int, new: Mapping[str, dict]) -> None:
+        """Add each user's values in *new*, computed by the caller, to the
+        user's table in *slot*. The memo may keep a values dict itself: the
+        caller drops it."""
+        with self._lock:
+            for user, values in new.items():
+                if not values:
+                    continue
+                entry = self._entries.get(user)
+                table = None if entry is None else entry[slot]
+                if table is not None:  # a key another thread added meanwhile counts once
+                    values = {key: value for key, value in values.items() if key not in table}
+                entry = self._admit(user, entry, _SLOT_COSTS[slot](values.values()))
+                if entry is None:
+                    continue
+                if table is None:
+                    entry[slot] = values
+                else:
+                    table.update(values)
+
+    def _admit(self, user: str, entry: list | None, cost: int) -> list | None:
+        """*user*'s *entry* (None: a new one) counting *cost* more values,
+        now the most recently used; the caller holds the lock and stores
+        the values. None, and nothing changed, if they would take the entry
+        past the whole cap. Least recently used users are dropped until the
+        kept values fit."""
+        if entry is None:
+            entry = [None] * _COST + [0]
+        if entry[_COST] + cost > _MEMO_CAP:
+            return None
+        entry[_COST] += cost
+        self._size += cost
+        self._entries[user] = entry
+        self._entries.move_to_end(user)
+        while self._size > _MEMO_CAP:  # the entry admitted is last
+            _, dropped = self._entries.popitem(last=False)
+            self._size -= dropped[_COST]
+        return entry
+
+
+def _memo_of(matrix: RatingsMatrix) -> _UserMemo:
+    """*matrix*'s memo, made on first use; a copy or pickle keeps only rows."""
+    try:
+        return matrix._memo
+    except AttributeError:  # one setdefault: racing first uses keep one memo
+        return vars(matrix).setdefault("_memo", _UserMemo())
+
+
+def _user_mean(matrix: RatingsMatrix, user: str) -> float:
+    """The mean rating of *user*, who has ratings, computed once per matrix."""
+    return _memo_of(matrix).get(user, _MEAN, _mean, matrix._by_user[user])
+
+
+def _similarity(
+    own: Mapping[str, float], other: Mapping[str, float], without: str | None = None
+) -> float | None:
+    """Pearson over the items both rows rate, in set order, leaving out *without*.
+
+    None when fewer than two such items remain: the pair is not eligible
+    as neighbors. A degenerate pair scores 0.0 and stays eligible.
+    """
+    common = own.keys() & other.keys()
+    common.discard(without)
+    if len(common) < 2:  # a one-key itemgetter returns a bare value
+        return None
+    pick = itemgetter(*common)
+    try:
+        return pearson(pick(own), pick(other))
+    except DegenerateVarianceError:
+        return 0.0
+
+
+def _similarities(matrix: RatingsMatrix, user: str) -> Mapping[str, float]:
+    """Every other user eligible as *user*'s neighbor, with their similarity,
+    in ascending id order.
+
+    Computed once per matrix and user (the matrix's memo), and read-only.
+    """
+    return _memo_of(matrix).get(user, _SIMILARITIES, _scan, matrix, user)
+
+
+def _scan(matrix: RatingsMatrix, user: str) -> Mapping[str, float]:
+    rows = matrix._by_user
+    if user not in rows:  # a user without ratings has no memo entry
+        raise UnknownUserError(f"user {user!r} has no ratings")
+    sims = ((v, _similarity(rows[user], rows[v])) for v in sorted(rows) if v != user)
+    return MappingProxyType({v: sim for v, sim in sims if sim is not None})
+
+
+def _nearest(scored: Mapping[str, float], k: int) -> tuple[tuple[str, float], ...]:
+    """The k most similar users; ties by ascending user id."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return tuple(_ranked(scored.items())[:k])
+
+
+def _predict(
+    matrix: RatingsMatrix,
+    user: str,
+    item: str,
+    neighbors: Sequence[tuple[str, float]],
+    mean: Callable[[str], float],
+) -> float | None:
+    """The clamped mean-centred prediction from ranked (neighbor, sim)
+    pairs, or None when no neighbor rated *item*: no basis.
+
+    *mean* gives a user's mean rating; ratings of *item* come from *matrix*.
+    """
+    rows = matrix._by_user
+    raters = [(v, sim, rows[v][item]) for v, sim in neighbors if item in rows[v]]
+    if not raters:
+        return None
+    numerator = math.fsum(sim * (rating - mean(v)) for v, sim, rating in raters)
+    denominator = math.fsum(abs(sim) for _, sim, _ in raters)
+    deviation = numerator / denominator if denominator > 0.0 else 0.0
+    return min(RATING_MAX, max(RATING_MIN, mean(user) + deviation))
+
+
+def _ranking(matrix: RatingsMatrix, user: str, k: int) -> tuple[tuple[str, float], ...]:
+    """*user*'s k nearest neighbors, ranked once per matrix, user and k. Only
+    ranking reads the similarity map, which names an unknown user before a bad k."""
+    return _memo_of(matrix).get(
+        user, _NEAREST, lambda: _nearest(_similarities(matrix, user), k), key=k
+    )
+
+
+def _prediction(matrix: RatingsMatrix, user: str, item: str, k: int) -> float | None:
+    """``predict_rating``'s value, or None without a basis, computed once
+    per matrix, user, item and k."""
+    return _memo_of(matrix).get(
+        user, _PREDICTIONS,
+        lambda: _predict(matrix, user, item, _ranking(matrix, user, k), partial(_user_mean, matrix)),
+        key=(item, k),
+    )
 
 
 def member_predictions(
@@ -333,9 +552,10 @@ def influential_items(
     no basis, flags c as basis-destroying.
     """
     base = member_predictions(matrix, group, target, k)
+    memo = _memo_of(matrix)
     member_rows = [
-        matrix._memo.get(member, _SHIFTS, _shift_row, matrix, member, target, k, taking_part,
-                         key=(target, k))
+        memo.get(member, _SHIFTS, _shift_row, matrix, member, target, k, taking_part,
+                 key=(target, k))
         for member, taking_part in base.items()
     ]
     rated = {item for member in group.members for item in matrix._by_user.get(member, ())}
@@ -380,7 +600,7 @@ def _shift_row(
     ``predict_rating``, bit for bit. A member with a prediction has a
     neighbor, hence two ratings, so no removal leaves it without ratings.
     """
-    memo, rows = matrix._memo, matrix._by_user  # rows are read, never changed
+    memo, rows = _memo_of(matrix), matrix._by_user  # rows are read, never changed
     own, (scored, nearest, before) = rows[member], taking_part
     bounds = memo.get(member, _BOUNDS, _removal_bounds, own, scored, rows)
     voting = [rows[v] for v, _ in nearest if target in rows[v]]
@@ -395,7 +615,7 @@ def _shift_row(
         ratings = rows[user]
         if candidate not in ratings:
             if user not in means:
-                means[user] = matrix.user_mean(user)
+                means[user] = memo.get(user, _MEAN, _mean, ratings)
             return means[user]
         value = kept_means[user].get(candidate)
         if value is None:

@@ -5,20 +5,19 @@ CLI) builds on the types and functions in this module. Every record type
 the loader builds is defined here, so loading a dataset imports no
 paradigm module. Results are pure: the containers are treated as
 immutable after construction, and the same arguments give the same result.
-The only state is kept per rating matrix: each ``RatingsMatrix`` owns a
-locked, bounded memo (``_UserMemo``) of the kNN state it computes once per
-user, and no result depends on what that memo holds.
+This module keeps no state: ``cf`` computes ``knn_neighbors`` and
+``predict_rating`` and keeps the kNN state of each rating matrix.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from _thread import allocate_lock
-from collections import OrderedDict
-from operator import eq, ge, itemgetter, le, mul
+import sys
+from importlib import import_module
+from operator import eq, ge, le, mul
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegenerateVarianceError,
@@ -180,148 +179,10 @@ def _duplicate_rating(user: str, item: str) -> InvalidValueError:
     return InvalidValueError(f"duplicate rating for ({user!r}, {item!r})")
 
 
-#: Most values the per-user memo of one ``RatingsMatrix`` keeps: the
-#: entries of its similarity maps, removal-bound lists and shift rows, its
-#: predictions and means, and the values of its neighbor lists (plus one per
-#: list and per row). Measured with tracemalloc at 1,000 users x 200 items x
-#: 30k ratings, a map entry takes about 52 bytes, a bound or neighbor-list
-#: value, kept ranking included, about 87 (~304 per list at k = 2-3), a mean
-#: without an item about 57, a shift-row entry about 50 and a prediction,
-#: with its (item, k) key, about 120, so a full memo holds at most ~31 MB:
-#: every map of a 500-user matrix, or the maps and bounds of ~49 members of
-#: a 1,000-user one.
-_MEMO_CAP = 1 << 18
-
-# The slots of a memo entry: three values, five tables (keyed k, (item, k),
-# removed item or (target, k)), and the count of the entry's values toward
-# the cap. What a value, or the values added to a table, count:
-(_SIMILARITIES, _MEAN, _BOUNDS, _NEAREST, _PREDICTIONS, _NEAREST_WITHOUT,
- _MEANS_WITHOUT, _SHIFTS, _COST) = range(9)
-
-
-def _lists(lists) -> int:
-    """What neighbor lists or shift rows count: each its length plus one."""
-    return len(lists) + sum(map(len, lists))
-
-
-_SLOT_COSTS = (
-    len,
-    lambda mean: 1,
-    lambda bounds: sum(map(len, bounds.values())),
-    _lists,
-    len,
-    _lists,
-    len,
-    _lists,
-)
-
-
-class _UserMemo:
-    """Per-user kNN state of one matrix, computed once and kept least
-    recently used first: a user's similarity map, mean and removal bounds
-    (``cf._removal_bounds``), none of which depends on k; the user's k
-    nearest neighbors, keyed k, and prediction of an item (None: no basis),
-    keyed (item, k); and three tables that ``cf.influential_items`` fills:
-    the user's k nearest neighbors without an item c, keyed (c, k), the
-    user's mean without c, keyed c, and the user's shift row of a target t,
-    keyed (t, k), which maps each item c whose removal can move the user's
-    prediction of t to |after - before|, or to None when the removal leaves
-    no basis. Neighbor lists are kept as tuples. A user's entry is dropped
-    whole.
-    """
-
-    __slots__ = ("_entries", "_size", "_lock")
-
-    def __init__(self):
-        self._entries: OrderedDict[str, list] = OrderedDict()  # user -> [*slots, cost]
-        self._size = 0
-        self._lock = allocate_lock()
-
-    def __len__(self) -> int:
-        """How many values are kept, counted as ``_MEMO_CAP`` counts them."""
-        return self._size
-
-    def get(self, user: str, slot: int, compute: Callable[..., Any], *args, key=None) -> Any:
-        """*user*'s value in *slot*, or with a *key* the value under it in
-        the user's table there, ``compute(*args)`` the first time."""
-        with self._lock:
-            entry = self._entries.get(user)
-            if entry is not None:
-                self._entries.move_to_end(user)
-                kept = entry[slot]
-                if kept is not None and (key is None or key in kept):
-                    return kept if key is None else kept[key]
-        value = compute(*args)
-        if key is not None:
-            self.extend(slot, {user: {key: value}})
-            return value
-        with self._lock:
-            entry = self._entries.get(user)
-            if entry is None or entry[slot] is None:  # else another thread kept it
-                entry = self._admit(user, entry, _SLOT_COSTS[slot](value))
-                if entry is not None:
-                    entry[slot] = value
-        return value
-
-    def tables(self, users: Iterable[str], slot: int) -> dict[str, Mapping]:
-        """Each user's table in *slot* (a new empty dict if none), to read;
-        ``extend`` adds to them."""
-        found = {}
-        with self._lock:
-            for user in users:
-                entry = self._entries.get(user)
-                if entry is None or entry[slot] is None:
-                    found[user] = {}
-                else:
-                    self._entries.move_to_end(user)
-                    found[user] = entry[slot]
-        return found
-
-    def extend(self, slot: int, new: Mapping[str, dict]) -> None:
-        """Add each user's values in *new*, computed by the caller, to the
-        user's table in *slot*. The memo may keep a values dict itself: the
-        caller drops it."""
-        with self._lock:
-            for user, values in new.items():
-                if not values:
-                    continue
-                entry = self._entries.get(user)
-                table = None if entry is None else entry[slot]
-                if table is not None:  # a key another thread added meanwhile counts once
-                    values = {key: value for key, value in values.items() if key not in table}
-                entry = self._admit(user, entry, _SLOT_COSTS[slot](values.values()))
-                if entry is None:
-                    continue
-                if table is None:
-                    entry[slot] = values
-                else:
-                    table.update(values)
-
-    def _admit(self, user: str, entry: list | None, cost: int) -> list | None:
-        """*user*'s *entry* (None: a new one) counting *cost* more values,
-        now the most recently used; the caller holds the lock and stores
-        the values. None, and nothing changed, if they would take the entry
-        past the whole cap. Least recently used users are dropped until the
-        kept values fit."""
-        if entry is None:
-            entry = [None] * _COST + [0]
-        if entry[_COST] + cost > _MEMO_CAP:
-            return None
-        entry[_COST] += cost
-        self._size += cost
-        self._entries[user] = entry
-        self._entries.move_to_end(user)
-        while self._size > _MEMO_CAP:  # the entry admitted is last
-            _, dropped = self._entries.popitem(last=False)
-            self._size -= dropped[_COST]
-        return entry
-
-
 class RatingsMatrix:
     """Sparse user x item rating store on the fixed [0, 5] scale.
 
-    Immutable after construction, so each user's kNN state is computed
-    once per matrix and kept in a bounded memo (``_UserMemo``).
+    Immutable after construction, so ``cf`` can keep its kNN state with it.
     """
 
     def __init__(self, ratings: Iterable[tuple[str, str, float]]):
@@ -337,7 +198,6 @@ class RatingsMatrix:
                 raise _duplicate_rating(user, item)
             row[item] = value
         self._by_user = by_user
-        self._memo = _UserMemo()
 
     @classmethod
     def _checked(cls, by_user: dict[str, dict[str, float]]) -> "RatingsMatrix":
@@ -349,10 +209,9 @@ class RatingsMatrix:
         """
         matrix = cls.__new__(cls)
         matrix._by_user = by_user
-        matrix._memo = _UserMemo()
         return matrix
 
-    def __reduce__(self):  # copy and pickle keep the rows, not the memo
+    def __reduce__(self):  # copy and pickle keep the rows and nothing kept with them
         return type(self)._checked, (self._by_user,)
 
     def __len__(self) -> int:
@@ -374,7 +233,7 @@ class RatingsMatrix:
         row = self._by_user.get(user)
         if not row:
             raise UnknownUserError(f"no ratings for user {user!r}")
-        return self._memo.get(user, _MEAN, _mean, row)
+        return _mean(row)
 
 
 class TagApplications:
@@ -601,95 +460,12 @@ def _mean(row: Mapping[str, float], without: str | None = None) -> float:
     return math.fsum(values) / len(values)
 
 
-def _similarity(
-    own: Mapping[str, float], other: Mapping[str, float], without: str | None = None
-) -> float | None:
-    """Pearson over the items both rows rate, in set order, leaving out *without*.
-
-    None when fewer than two such items remain: the pair is not eligible
-    as neighbors. A degenerate pair scores 0.0 and stays eligible.
-    """
-    common = own.keys() & other.keys()
-    common.discard(without)
-    if len(common) < 2:  # a one-key itemgetter returns a bare value
-        return None
-    pick = itemgetter(*common)
-    try:
-        return pearson(pick(own), pick(other))
-    except DegenerateVarianceError:
-        return 0.0
-
-
-def _similarities(matrix: RatingsMatrix, user: str) -> Mapping[str, float]:
-    """Every other user eligible as *user*'s neighbor, with their similarity,
-    in ascending id order.
-
-    Computed once per matrix and user (the matrix's memo), and read-only.
-    """
-    if not matrix.has_user(user):
-        raise UnknownUserError(f"user {user!r} has no ratings")
-    return matrix._memo.get(user, _SIMILARITIES, _scan, matrix, user)
-
-
-def _scan(matrix: RatingsMatrix, user: str) -> Mapping[str, float]:
-    own = matrix.items_rated_by(user)
-    scored: dict[str, float] = {}
-    for other in matrix.users():
-        if other != user:
-            sim = _similarity(own, matrix.items_rated_by(other))
-            if sim is not None:
-                scored[other] = sim
-    return MappingProxyType(scored)
-
-
 def _ranked(rows: Iterable[Sequence]) -> list:
     """(id, value, ...) rows by descending value, ties by ascending id."""
     return sorted(rows, key=lambda row: (-row[1], row[0]))
 
 
-def _nearest(scored: Mapping[str, float], k: int) -> tuple[tuple[str, float], ...]:
-    """The k most similar users; ties by ascending user id."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return tuple(_ranked(scored.items())[:k])
-
-
-def _predict(
-    matrix: RatingsMatrix,
-    user: str,
-    item: str,
-    neighbors: Sequence[tuple[str, float]],
-    mean: Callable[[str], float],
-) -> float | None:
-    """The clamped mean-centred prediction from ranked (neighbor, sim)
-    pairs, or None when no neighbor rated *item*: no basis.
-
-    *mean* gives a user's mean rating; ratings of *item* come from *matrix*.
-    """
-    rows = matrix._by_user
-    raters = [(v, sim, rows[v][item]) for v, sim in neighbors if item in rows[v]]
-    if not raters:
-        return None
-    numerator = math.fsum(sim * (rating - mean(v)) for v, sim, rating in raters)
-    denominator = math.fsum(abs(sim) for _, sim, _ in raters)
-    deviation = numerator / denominator if denominator > 0.0 else 0.0
-    return min(RATING_MAX, max(RATING_MIN, mean(user) + deviation))
-
-
-def _ranking(matrix: RatingsMatrix, user: str, k: int) -> tuple[tuple[str, float], ...]:
-    """*user*'s k nearest neighbors, ranked once per matrix, user and k."""
-    scored = _similarities(matrix, user)
-    return matrix._memo.get(user, _NEAREST, _nearest, scored, k, key=k)
-
-
-def _prediction(matrix: RatingsMatrix, user: str, item: str, k: int) -> float | None:
-    """``predict_rating``'s value, or None without a basis, computed once
-    per matrix, user, item and k."""
-    return matrix._memo.get(
-        user, _PREDICTIONS,
-        lambda: _predict(matrix, user, item, _ranking(matrix, user, k), matrix.user_mean),
-        key=(item, k),
-    )
+_CF = f"{__package__}.cf"  # read from sys.modules: an import costs ~20 times more
 
 
 def knn_neighbors(
@@ -700,10 +476,11 @@ def knn_neighbors(
     Candidates need at least two co-rated items with *user*; pairs with
     degenerate variance get similarity 0.0 and stay eligible. Sorted by
     similarity descending, ties by ascending user id. The ranking is made
-    once per matrix, user and k and kept in the matrix's memo; each call
-    returns a new list.
+    once per matrix, user and k and kept in ``cf``'s memo of the matrix;
+    each call returns a new list.
     """
-    return list(_ranking(matrix, user, k))
+    cf = sys.modules.get(_CF) or import_module(_CF)
+    return list(cf._ranking(matrix, user, k))
 
 
 def predict_rating(matrix: RatingsMatrix, user: str, item: str, k: int = 2) -> float:
@@ -714,10 +491,11 @@ def predict_rating(matrix: RatingsMatrix, user: str, item: str, k: int = 2) -> f
     over the k nearest neighbors that rated the item. With no such
     neighbor there is no basis; with all-zero similarity weights the
     deviation term is 0. The prediction, or its lack of a basis, is
-    computed once per matrix, user, item and k and kept in the matrix's
-    memo.
+    computed once per matrix, user, item and k and kept in ``cf``'s memo of
+    the matrix.
     """
-    prediction = _prediction(matrix, user, item, k)
+    cf = sys.modules.get(_CF) or import_module(_CF)
+    prediction = cf._prediction(matrix, user, item, k)
     if prediction is None:
         raise NoPredictionBasisError(f"no neighbor of {user!r} rated item {item!r}")
     return prediction

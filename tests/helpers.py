@@ -1,13 +1,14 @@
 """Matrix helpers the tests build from the public ``RatingsMatrix`` API, a
-call's outcome as one comparable value, reference checks of a dataset's
-``ratings`` rows and weight maps, a frozen reference kNN kernel, frozen
-per-pair requirement checks and the frozen ``decimal`` display rounding."""
+call's outcome as one comparable value, a recount of a kNN memo entry's
+values, reference checks of a dataset's ``ratings`` rows and weight maps,
+a frozen reference kNN kernel, frozen per-pair requirement checks and the
+frozen ``decimal`` display rounding."""
 
 import math
 from decimal import Decimal
 from typing import Callable, Iterable, Mapping, Sequence
 
-from groupexplain import RatingsMatrix, RelaxationProposal
+from groupexplain import RatingsMatrix, RelaxationProposal, cf
 from groupexplain.constraint import constrained_items, requirement_relevance
 from groupexplain.core import RATING_MAX, RATING_MIN
 from groupexplain.errors import (
@@ -36,6 +37,24 @@ def outcome(fn, *args):
         return "returned", fn(*args)
     except Exception as exc:
         return "raised", type(exc), str(exc)
+
+
+def kept_values(entry):
+    """The values a memo entry holds, counted from its slots as
+    ``cf._MEMO_CAP`` counts them: one per map entry, mean, bound-list
+    entry, prediction and kept mean without an item, and per ranking,
+    neighbor list without an item and shift row its length plus one."""
+    scored, mean, bounds, ranked, predictions, nearest, means, shifts = entry[:cf._COST]
+    return (
+        len(scored or ())
+        + (mean is not None)
+        + sum(len(raters) for raters in (bounds or {}).values())
+        + sum(len(neighbors) + 1 for neighbors in (ranked or {}).values())
+        + len(predictions or ())
+        + sum(len(neighbors) + 1 for neighbors in (nearest or {}).values())
+        + len(means or ())
+        + sum(len(row) + 1 for row in (shifts or {}).values())
+    )
 
 
 def without_item(matrix: RatingsMatrix, item: str) -> RatingsMatrix:

@@ -253,9 +253,9 @@ class TestInfluenceWork:
             for item, value in matrix.items_rated_by(user).items()
         )
         builds, work, rescoring = [], [], []
-        init, pearson = core.RatingsMatrix.__init__, core.pearson
-        scan, bounds, nearest_without = core._scan, cf._removal_bounds, cf._nearest_without
-        predict, nearest = core._predict, core._nearest
+        init, pearson = core.RatingsMatrix.__init__, cf.pearson
+        scan, bounds, nearest_without = cf._scan, cf._removal_bounds, cf._nearest_without
+        predict, nearest = cf._predict, cf._nearest
 
         def counting_init(self, *args, **kwargs):
             builds.append(1)
@@ -284,15 +284,12 @@ class TestInfluenceWork:
             return predict(matrix, user, *args)
 
         monkeypatch.setattr(core.RatingsMatrix, "__init__", counting_init)
-        monkeypatch.setattr(core, "pearson", counting_pearson)
-        monkeypatch.setattr(core, "_scan", counted("scans", scan))
+        monkeypatch.setattr(cf, "pearson", counting_pearson)  # where _similarity reads it
+        monkeypatch.setattr(cf, "_scan", counted("scans", scan))
         monkeypatch.setattr(cf, "_removal_bounds", counted("bound_passes", bounds))
         monkeypatch.setattr(cf, "_nearest_without", rescoring_nearest_without)
-        monkeypatch.setattr(core, "_predict", counting_predict)
         monkeypatch.setattr(cf, "_predict", counting_predict)
-        counting_nearest = counted("rankings", nearest)
-        monkeypatch.setattr(core, "_nearest", counting_nearest)
-        monkeypatch.setattr(cf, "_nearest", counting_nearest)
+        monkeypatch.setattr(cf, "_nearest", counted("rankings", nearest))
         for group, target, k in calls:
             work.append(dict.fromkeys(
                 ("pearsons", "rescoring", "scans", "bound_passes", "rankings"), 0

@@ -27,7 +27,7 @@ from groupexplain import (
     pearson,
     predict_rating,
 )
-from groupexplain import core
+from groupexplain import cf, core
 from groupexplain.core import satisfies
 from groupexplain.errors import (
     DegenerateVarianceError,
@@ -38,7 +38,7 @@ from groupexplain.errors import (
     RatingOutOfRangeError,
     UnknownUserError,
 )
-from helpers import co_rated, outcome, without_item
+from helpers import co_rated, kept_values, outcome, without_item
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "groupexplain"
 
@@ -186,7 +186,7 @@ class TestMemo:
     def state(matrix):
         users = matrix.users()
         return [
-            (list(core._similarities(matrix, u).items()), knn_neighbors(matrix, u, 2),
+            (list(cf._similarities(matrix, u).items()), knn_neighbors(matrix, u, 2),
              matrix.user_mean(u), predict_rating(matrix, u, "i4", 3))
             for u in users
         ] + [influential_items(matrix, Group("g", users), "i4", 2)]
@@ -207,45 +207,47 @@ class TestMemo:
         assert self.state(four_users) == before
 
     def test_similarity_maps_are_read_only(self, four_users):
-        scored = core._similarities(four_users, "a")
+        scored = cf._similarities(four_users, "a")
         with pytest.raises(TypeError):
             scored["b"] = 0.0
         taking_part = member_predictions(four_users, Group("g", ("a",)), None, 2)
         with pytest.raises(TypeError):
             taking_part["a"].similarities["b"] = 0.0
-        fresh = core._similarities(RatingsMatrix(self.triples(four_users)), "a")
-        assert list(core._similarities(four_users, "a").items()) == list(fresh.items())
+        fresh = cf._similarities(RatingsMatrix(self.triples(four_users)), "a")
+        assert list(cf._similarities(four_users, "a").items()) == list(fresh.items())
 
     def test_least_recently_used_users_go_first(self, four_users, monkeypatch):
         # each map holds 3 entries, each ranking at k = 2 counts 3 and each
         # mean 1: three maps, their rankings and a mean fill it
-        monkeypatch.setattr(core, "_MEMO_CAP", 19)
+        monkeypatch.setattr(cf, "_MEMO_CAP", 19)
         fresh = RatingsMatrix(self.triples(four_users))
         expected = [knn_neighbors(fresh, u, 2) for u in "abcd"]
-        memo = four_users._memo
+        memo = cf._memo_of(four_users)
         assert [knn_neighbors(four_users, u, 2) for u in "abc"] == expected[:3]
-        assert four_users.user_mean("a") == 4.0  # "a" is now the most recent
+        assert cf._user_mean(four_users, "a") == 4.0  # "a" is now the most recent
         assert len(memo) == 19 and list(memo._entries) == ["b", "c", "a"]
         assert knn_neighbors(four_users, "d", 2) == expected[3]
         assert len(memo) == 19 and list(memo._entries) == ["c", "a", "d"]
 
     def test_a_value_larger_than_the_cap_is_not_kept(self, four_users, monkeypatch):
         # a's map holds 3 entries and its ranking at k = 1 counts 2
-        monkeypatch.setattr(core, "_MEMO_CAP", 2)
+        monkeypatch.setattr(cf, "_MEMO_CAP", 2)
         assert knn_neighbors(four_users, "a", 1) == knn_neighbors(
             RatingsMatrix(self.triples(four_users)), "a", 1
         )
-        entry = four_users._memo._entries["a"]
-        assert entry[core._SIMILARITIES] is None and list(entry[core._NEAREST]) == [1]
-        assert four_users.user_mean("a") == 4.0  # would take a's entry past the cap
-        assert entry[core._MEAN] is None
-        assert len(four_users._memo) == 2 and list(four_users._memo._entries) == ["a"]
+        memo = cf._memo_of(four_users)
+        entry = memo._entries["a"]
+        assert entry[cf._SIMILARITIES] is None and list(entry[cf._NEAREST]) == [1]
+        assert cf._user_mean(four_users, "a") == 4.0  # would take a's entry past the cap
+        assert entry[cf._MEAN] is None
+        assert len(memo) == 2 and list(memo._entries) == ["a"]
 
     def test_copies_keep_the_ratings_and_start_a_new_memo(self, four_users):
         warm = knn_neighbors(four_users, "a", 3)
         for clone in (copy.copy(four_users), copy.deepcopy(four_users),
                       pickle.loads(pickle.dumps(four_users))):
-            assert len(clone._memo) == 0 and clone._memo is not four_users._memo
+            memo = cf._memo_of(clone)
+            assert len(memo) == 0 and memo is not cf._memo_of(four_users)
             assert [dict(clone.items_rated_by(u)) for u in clone.users()] == [
                 dict(four_users.items_rated_by(u)) for u in four_users.users()
             ]
@@ -282,18 +284,18 @@ class TestMemo:
         group = Group("g", ("a",))
         with pytest.raises(NoPredictionBasisError):
             member_predictions(four_users, group, "i9", 2)  # keeps a's lack of basis
-        assert four_users._memo._entries["a"][core._PREDICTIONS] == {("i9", 2): None}
+        assert cf._memo_of(four_users)._entries["a"][cf._PREDICTIONS] == {("i9", 2): None}
         assert outcome(predict_rating, four_users, "a", "i9", 2) == fresh
         assert outcome(predict_rating, four_users, "a", "i9", 2) == fresh
 
     def test_each_user_and_k_is_ranked_once(self, four_users, monkeypatch):
-        rankings, nearest = [], core._nearest
+        rankings, nearest = [], cf._nearest
 
         def counting_nearest(scored, k):
             rankings.append(k)
             return nearest(scored, k)
 
-        monkeypatch.setattr(core, "_nearest", counting_nearest)
+        monkeypatch.setattr(cf, "_nearest", counting_nearest)
         for _ in range(3):
             for k in (1, 2, 3):
                 for user in "abcd":
@@ -303,21 +305,21 @@ class TestMemo:
         assert sorted(rankings) == [1] * 4 + [2] * 4 + [3] * 4
 
     def test_every_slot_has_a_cost(self):
-        assert len(core._SLOT_COSTS) == core._COST
+        assert len(cf._SLOT_COSTS) == cf._COST
 
     def test_two_extends_of_one_key_count_it_once(self, four_users):
         """Two callers read a member's shift rows before either keeps any,
         then both add the same key: the memo counts its row once."""
-        memo, key, row = four_users._memo, ("i4", 2), {"i1": 0.25, "i2": None}
-        first = memo.tables(["a"], core._SHIFTS)
-        second = memo.tables(["a"], core._SHIFTS)
+        memo, key, row = cf._memo_of(four_users), ("i4", 2), {"i1": 0.25, "i2": None}
+        first = memo.tables(["a"], cf._SHIFTS)
+        second = memo.tables(["a"], cf._SHIFTS)
         assert first == second == {"a": {}}
-        memo.extend(core._SHIFTS, {"a": {key: row}})
-        memo.extend(core._SHIFTS, {"a": {key: dict(row), ("i4", 3): {"i1": 0.5}}})
+        memo.extend(cf._SHIFTS, {"a": {key: row}})
+        memo.extend(cf._SHIFTS, {"a": {key: dict(row), ("i4", 3): {"i1": 0.5}}})
         entry = memo._entries["a"]
-        assert entry[core._SHIFTS] == {key: row, ("i4", 3): {"i1": 0.5}}
+        assert entry[cf._SHIFTS] == {key: row, ("i4", 3): {"i1": 0.5}}
         # a row counts its entries plus one
-        assert len(memo) == entry[core._COST] == 3 + 2
+        assert len(memo) == entry[cf._COST] == 3 + 2
 
     def test_threads_sharing_a_matrix_keep_the_count(self, monkeypatch):
         ratings = [
@@ -333,7 +335,7 @@ class TestMemo:
             (g, t): influential_items(RatingsMatrix(ratings), g, t, 2)
             for g in groups for t in ("i1", "i6")
         }
-        monkeypatch.setattr(core, "_MEMO_CAP", 40)  # room for about three users
+        monkeypatch.setattr(cf, "_MEMO_CAP", 40)  # room for about three users
         shared = RatingsMatrix(ratings)
         failures = []
 
@@ -343,7 +345,7 @@ class TestMemo:
                     user = users[(offset + round_ * 5) % len(users)]
                     assert knn_neighbors(shared, user, 3) == expected[user]
                     for other in users:
-                        shared.user_mean(other)
+                        cf._user_mean(shared, other)
                     key = list(predicted)[(offset + round_ * 3) % len(predicted)]
                     assert outcome(predict_rating, shared, *key, 2) == predicted[key]
                     if round_ % 20 == 0:  # fills and reads the shift rows
@@ -364,9 +366,105 @@ class TestMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
-        memo = shared._memo
-        kept = sum(entry[core._COST] for entry in memo._entries.values())
+        memo = cf._memo_of(shared)
+        kept = sum(entry[cf._COST] for entry in memo._entries.values())
         assert len(memo) == kept <= 40
+
+    def test_racing_first_uses_keep_one_memo(self, monkeypatch):
+        """Six threads make the first kNN reads of each of 400 fresh
+        matrices at once: each matrix ends with one memo, the one every
+        read used, counting the values it keeps."""
+        ratings = [
+            (f"u{n}", f"i{i}", float((n * 7 + i * 3) % 11) / 2)
+            for n in range(12) for i in range(8) if (n + i) % 4
+        ]
+        users = [f"u{n}" for n in range(12)]
+        used, get = [], cf._UserMemo.get
+
+        def recording_get(memo, *args, **kwargs):
+            used.append(memo)
+            return get(memo, *args, **kwargs)
+
+        monkeypatch.setattr(cf._UserMemo, "get", recording_get)
+        matrices = [RatingsMatrix(ratings) for _ in range(400)]
+        start, failures = threading.Barrier(6, timeout=60), []
+
+        def work(offset):
+            try:
+                for matrix in matrices:
+                    start.wait()
+                    user = users[offset]
+                    if offset % 2:
+                        knn_neighbors(matrix, user, 3)
+                    else:
+                        outcome(predict_rating, matrix, user, "i1", 2)
+            except Exception as exc:  # a thread's error would not fail the test
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        memos = [cf._memo_of(matrix) for matrix in matrices]
+        assert {id(memo) for memo in used} == {id(memo) for memo in memos}
+        for memo in memos:
+            assert len(memo) == sum(map(kept_values, memo._entries.values())) > 0
+
+
+class TestCfStateLayout:
+    """The kNN memo and the kNN path are defined in ``cf`` alone; ``core``
+    keeps the public kNN functions, which reach ``cf`` without an import
+    statement."""
+
+    MEMO = {
+        "_UserMemo", "_MEMO_CAP", "_SLOT_COSTS", "_lists", "_SIMILARITIES", "_MEAN", "_BOUNDS",
+        "_NEAREST", "_PREDICTIONS", "_NEAREST_WITHOUT", "_MEANS_WITHOUT", "_SHIFTS", "_COST",
+    }
+    KNN = {"_similarity", "_similarities", "_scan", "_nearest", "_predict", "_ranking",
+           "_prediction"}
+
+    @staticmethod
+    def _body(file):
+        return ast.parse((SRC_DIR / file).read_text(encoding="utf-8")).body
+
+    def _defined(self, file):
+        """The names *file* binds at module level."""
+        names = set()
+        for node in self._body(file):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        return names
+
+    def test_cf_and_not_core_defines_the_memo_and_the_knn_path(self):
+        assert not self._defined("core.py") & (self.MEMO | self.KNN)
+        assert self.MEMO | self.KNN <= self._defined("cf.py")
+
+    def test_cf_imports_no_memo_name_from_core(self):
+        imported = {
+            alias.name
+            for node in self._body("cf.py")
+            if isinstance(node, ast.ImportFrom) and node.module.endswith("core")
+            for alias in node.names
+        }
+        assert imported and not imported & (self.MEMO | self.KNN)
+
+    def test_the_public_knn_functions_import_nothing(self):
+        functions = {
+            node.name: node for node in self._body("core.py") if isinstance(node, ast.FunctionDef)
+        }
+        for name in ("knn_neighbors", "predict_rating"):
+            assert not any(isinstance(n, ast.ImportFrom) for n in ast.walk(functions[name]))
 
 
 class TestKnn:

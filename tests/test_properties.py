@@ -50,7 +50,7 @@ from groupexplain import (
     support_matrix,
     tag_cloud,
 )
-from groupexplain import core
+from groupexplain import cf, core
 from groupexplain.cf import _removal_bounds
 from groupexplain.constraint import rank_requirements
 from groupexplain.errors import (
@@ -62,6 +62,7 @@ from groupexplain.errors import (
 from helpers import (
     Count,
     co_rated,
+    kept_values,
     outcome,
     reference_causally_relevant,
     reference_knn_neighbors,
@@ -470,7 +471,7 @@ def test_removal_bounds_bound_the_exact_similarity(rows):
     assert bounds.keys() == common
     for item in common:
         [(key, user)] = bounds[item]
-        exact = core._similarity(own, other, item)
+        exact = cf._similarity(own, other, item)
         assert user == "v"
         if len(common) == 2:  # one co-rated item left: the pair drops out
             assert exact is None and -key == -math.inf
@@ -693,24 +694,6 @@ def call_sequences(draw):
     return ratings, sequence
 
 
-def kept_values(entry):
-    """The values a memo entry holds, counted from its slots as
-    ``core._MEMO_CAP`` counts them: one per map entry, mean, bound-list
-    entry, prediction and kept mean without an item, and per ranking,
-    neighbor list without an item and shift row its length plus one."""
-    scored, mean, bounds, ranked, predictions, nearest, means, shifts = entry[:core._COST]
-    return (
-        len(scored or ())
-        + (mean is not None)
-        + sum(len(raters) for raters in (bounds or {}).values())
-        + sum(len(neighbors) + 1 for neighbors in (ranked or {}).values())
-        + len(predictions or ())
-        + sum(len(neighbors) + 1 for neighbors in (nearest or {}).values())
-        + len(means or ())
-        + sum(len(row) + 1 for row in (shifts or {}).values())
-    )
-
-
 def assert_memo_reads_match_fresh_matrices(ratings, calls):
     """Each call on one shared matrix returns what it returns on a fresh
     matrix: ``repr`` tells floats apart bit for bit and shows the order of
@@ -721,9 +704,10 @@ def assert_memo_reads_match_fresh_matrices(ratings, calls):
         call, group = MEMO_CALLS[name], Group("g", members)
         got = repr(outcome(call, shared, group, item, k))
         assert got == repr(outcome(call, RatingsMatrix(ratings), group, item, k)), name
-        entries = shared._memo._entries.values()
-        assert all(kept_values(entry) == entry[core._COST] for entry in entries)
-        assert len(shared._memo) == sum(map(kept_values, entries)) <= core._MEMO_CAP
+        memo = cf._memo_of(shared)
+        entries = memo._entries.values()
+        assert all(kept_values(entry) == entry[cf._COST] for entry in entries)
+        assert len(memo) == sum(map(kept_values, entries)) <= cf._MEMO_CAP
 
 
 @given(sequence=call_sequences())
@@ -737,7 +721,7 @@ def test_memo_reads_match_fresh_matrices(sequence):
 def test_memo_reads_match_fresh_matrices_under_eviction(sequence, cap):
     # a cap of a few entries: users are dropped and recomputed, and a map
     # or bound list larger than the cap is returned without being kept
-    with patch.object(core, "_MEMO_CAP", cap):
+    with patch.object(cf, "_MEMO_CAP", cap):
         assert_memo_reads_match_fresh_matrices(*sequence)
 
 
