@@ -59,23 +59,21 @@ class MemberPrediction(NamedTuple):
     prediction: float | None
 
 
-#: Most values the memo of one ``RatingsMatrix`` (``_memo_of``) keeps: the
-#: entries of its similarity maps, removal-bound lists and shift rows, its
-#: predictions and means, and the values of its neighbor lists (plus one per
-#: list and per row). Measured with tracemalloc at 1,000 users x 200 items x
-#: 30k ratings, a map entry takes about 52 bytes, a bound or neighbor-list
-#: value, kept ranking included, about 87 (~304 per list at k = 2-3), a mean
-#: without an item about 57, a shift-row entry about 50 and a prediction,
-#: with its (item, k) key, about 120, so a full memo holds at most ~31 MB:
-#: every map of a 500-user matrix, or the maps and bounds of ~49 members of
-#: a 1,000-user one.
+#: Most values the memo of one ``RatingsMatrix`` (``_memo_of``) keeps, over
+#: all the tables of ``_UserMemo``: the entries of its similarity maps,
+#: removal-bound lists and shift rows, its predictions and means, and the
+#: values of its neighbor lists (plus one per list and per row). Measured
+#: with tracemalloc at 1,000 users x 200 items x 30k ratings, a map entry
+#: takes about 52 bytes, a bound or neighbor-list value, kept ranking
+#: included, about 87 (~304 per list at k = 2-3), a kept mean about 57, a
+#: shift-row entry about 50 and a prediction, with its (item, k) key, about
+#: 120, so a full memo holds at most ~31 MB: every map of a 500-user matrix,
+#: or the maps and bounds of ~49 members of a 1,000-user one.
 _MEMO_CAP = 1 << 18
 
-# The slots of a memo entry: three values, five tables (keyed k, (item, k),
-# removed item or (target, k)), and the count of the entry's values toward
-# the cap. What a value, or the values added to a table, count:
-(_SIMILARITIES, _MEAN, _BOUNDS, _NEAREST, _PREDICTIONS, _NEAREST_WITHOUT,
- _MEANS_WITHOUT, _SHIFTS, _COST) = range(9)
+# The tables of a memo entry, then the count of the entry's values toward
+# the cap (see ``_UserMemo`` for their keys).
+_SIMILARITIES, _MEANS, _BOUNDS, _NEAREST, _PREDICTIONS, _SHIFTS, _COST = range(7)
 
 
 def _lists(lists) -> int:
@@ -83,12 +81,11 @@ def _lists(lists) -> int:
     return len(lists) + sum(map(len, lists))
 
 
+# What the values added to each table count.
 _SLOT_COSTS = (
+    lambda maps: sum(map(len, maps)),
     len,
-    lambda mean: 1,
-    lambda bounds: sum(map(len, bounds.values())),
-    _lists,
-    len,
+    lambda tables: sum(len(raters) for bounds in tables for raters in bounds.values()),
     _lists,
     len,
     _lists,
@@ -97,16 +94,20 @@ _SLOT_COSTS = (
 
 class _UserMemo:
     """Per-user kNN state of one matrix, computed once and kept least
-    recently used first: a user's similarity map, mean and removal bounds
-    (``_removal_bounds``), none of which depends on k; the user's k
-    nearest neighbors, keyed k, and prediction of an item (None: no basis),
-    keyed (item, k); and three tables that ``influential_items`` fills:
-    the user's k nearest neighbors without an item c, keyed (c, k), the
-    user's mean without c, keyed c, and the user's shift row of a target t,
-    keyed (t, k), which maps each item c whose removal can move the user's
-    prediction of t to |after - before|, or to None when the removal leaves
-    no basis. Neighbor lists are kept as tuples. A user's entry is dropped
-    whole. A matrix gets its memo from ``_memo_of``, on its first kNN read.
+    recently used first. Each user's entry holds one table per slot, keyed
+    as listed, where a removed item of None means no item is removed:
+
+    - ``_SIMILARITIES`` {None: the user's similarity map};
+    - ``_MEANS`` {None or an item c the user rated: the mean without c};
+    - ``_BOUNDS`` {None: the removal bounds (``_removal_bounds``)};
+    - ``_NEAREST`` {(None or an item c the user rated, k): the k nearest
+      neighbors without c, a tuple};
+    - ``_PREDICTIONS`` {(item, k): the prediction, or None: no basis};
+    - ``_SHIFTS`` {(target t, k): the shift row of t (``_shift_row``)}.
+
+    ``get`` reads one value, ``tables`` a user's whole table, and
+    ``extend`` is the only write. A user's entry is dropped whole. A matrix
+    gets its memo from ``_memo_of``, on its first kNN read.
     """
 
     __slots__ = ("_entries", "_size", "_lock")
@@ -120,26 +121,18 @@ class _UserMemo:
         """How many values are kept, counted as ``_MEMO_CAP`` counts them."""
         return self._size
 
-    def get(self, user: str, slot: int, compute: Callable[..., Any], *args, key=None) -> Any:
-        """*user*'s value in *slot*, or with a *key* the value under it in
-        the user's table there, ``compute(*args)`` the first time."""
+    def get(self, user: str, slot: int, key, compute: Callable[..., Any], *args) -> Any:
+        """The value under *key* in *user*'s table in *slot*,
+        ``compute(*args)`` the first time."""
         with self._lock:
             entry = self._entries.get(user)
             if entry is not None:
                 self._entries.move_to_end(user)
-                kept = entry[slot]
-                if kept is not None and (key is None or key in kept):
-                    return kept if key is None else kept[key]
+                table = entry[slot]
+                if table is not None and key in table:
+                    return table[key]
         value = compute(*args)
-        if key is not None:
-            self.extend(slot, {user: {key: value}})
-            return value
-        with self._lock:
-            entry = self._entries.get(user)
-            if entry is None or entry[slot] is None:  # else another thread kept it
-                entry = self._admit(user, entry, _SLOT_COSTS[slot](value))
-                if entry is not None:
-                    entry[slot] = value
+        self.extend(slot, {user: {key: value}})
         return value
 
     def tables(self, users: Iterable[str], slot: int) -> dict[str, Mapping]:
@@ -206,7 +199,7 @@ def _memo_of(matrix: RatingsMatrix) -> _UserMemo:
 
 def _user_mean(matrix: RatingsMatrix, user: str) -> float:
     """The mean rating of *user*, who has ratings, computed once per matrix."""
-    return _memo_of(matrix).get(user, _MEAN, _mean, matrix._by_user[user])
+    return _memo_of(matrix).get(user, _MEANS, None, _mean, matrix._by_user[user])
 
 
 def _similarity(
@@ -234,7 +227,7 @@ def _similarities(matrix: RatingsMatrix, user: str) -> Mapping[str, float]:
 
     Computed once per matrix and user (the matrix's memo), and read-only.
     """
-    return _memo_of(matrix).get(user, _SIMILARITIES, _scan, matrix, user)
+    return _memo_of(matrix).get(user, _SIMILARITIES, None, _scan, matrix, user)
 
 
 def _scan(matrix: RatingsMatrix, user: str) -> Mapping[str, float]:
@@ -278,7 +271,7 @@ def _ranking(matrix: RatingsMatrix, user: str, k: int) -> tuple[tuple[str, float
     """*user*'s k nearest neighbors, ranked once per matrix, user and k. Only
     ranking reads the similarity map, which names an unknown user before a bad k."""
     return _memo_of(matrix).get(
-        user, _NEAREST, lambda: _nearest(_similarities(matrix, user), k), key=k
+        user, _NEAREST, (None, k), lambda: _nearest(_similarities(matrix, user), k)
     )
 
 
@@ -286,9 +279,8 @@ def _prediction(matrix: RatingsMatrix, user: str, item: str, k: int) -> float | 
     """``predict_rating``'s value, or None without a basis, computed once
     per matrix, user, item and k."""
     return _memo_of(matrix).get(
-        user, _PREDICTIONS,
+        user, _PREDICTIONS, (item, k),
         lambda: _predict(matrix, user, item, _ranking(matrix, user, k), partial(_user_mean, matrix)),
-        key=(item, k),
     )
 
 
@@ -554,8 +546,8 @@ def influential_items(
     base = member_predictions(matrix, group, target, k)
     memo = _memo_of(matrix)
     member_rows = [
-        memo.get(member, _SHIFTS, _shift_row, matrix, member, target, k, taking_part,
-                 key=(target, k))
+        memo.get(member, _SHIFTS, (target, k), _shift_row, matrix, member, target, k,
+                 taking_part)
         for member, taking_part in base.items()
     ]
     rated = {item for member in group.members for item in matrix._by_user.get(member, ())}
@@ -593,7 +585,8 @@ def _shift_row(
     k, ties included, and the k nearest are those of a full re-scan.
     Neither the member's k nearest neighbors without c nor a user's mean
     without c depends on the target: each is kept in the memo the first
-    time it is computed, and read by a later row that removes c. The bounds
+    time it is computed, and read by a later row that removes c. A user who
+    did not rate c keeps its mean, read under the key None. The bounds
     only decide what to skip: every similarity that is ranked or weighs a
     prediction comes from ``pearson``, so each shift equals the one from
     rebuilding the matrix without c's ratings and calling
@@ -602,24 +595,20 @@ def _shift_row(
     """
     memo, rows = _memo_of(matrix), matrix._by_user  # rows are read, never changed
     own, (scored, nearest, before) = rows[member], taking_part
-    bounds = memo.get(member, _BOUNDS, _removal_bounds, own, scored, rows)
+    bounds = memo.get(member, _BOUNDS, None, _removal_bounds, own, scored, rows)
     voting = [rows[v] for v, _ in nearest if target in rows[v]]
     weighing = [v for v in scored if target in rows[v]] + [member]
-    kept_nearest = memo.tables([member], _NEAREST_WITHOUT)[member]
-    kept_means = memo.tables(weighing, _MEANS_WITHOUT)
+    kept_nearest = memo.tables([member], _NEAREST)[member]
+    kept_means = memo.tables(weighing, _MEANS)
     new_nearest: dict = {}
     new_means: dict[str, dict] = {}
-    means: dict[str, float] = {}  # read from the memo once per row
 
     def mean(user: str) -> float:  # *user*'s mean once *candidate* is removed
         ratings = rows[user]
-        if candidate not in ratings:
-            if user not in means:
-                means[user] = memo.get(user, _MEAN, _mean, ratings)
-            return means[user]
-        value = kept_means[user].get(candidate)
+        removed = candidate if candidate in ratings else None
+        value = kept_means[user].get(removed)
         if value is None:
-            value = new_means.setdefault(user, {})[candidate] = _mean(ratings, candidate)
+            value = new_means.setdefault(user, {})[removed] = _mean(ratings, removed)
         return value
 
     row = {}
@@ -634,6 +623,6 @@ def _shift_row(
                 )
         after = _predict(matrix, member, target, without, mean)
         row[candidate] = None if after is None else abs(after - before)
-    memo.extend(_NEAREST_WITHOUT, {member: new_nearest})
-    memo.extend(_MEANS_WITHOUT, new_means)
+    memo.extend(_NEAREST, {member: new_nearest})
+    memo.extend(_MEANS, new_means)
     return row

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple, Sequence
 
@@ -564,7 +565,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GroupExplainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    sys.stdout.write(output)
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:  # a full disk or a closed pipe
+        # fd 1 goes to devnull, so the flush at shutdown stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: output-failed: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
     return EXIT_OK
 
 

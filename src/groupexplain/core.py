@@ -27,7 +27,6 @@ from .errors import (
     MissingAttributeError,
     NoPredictionBasisError,
     RatingOutOfRangeError,
-    UnknownUserError,
 )
 
 RATING_MIN = 0.0
@@ -228,12 +227,6 @@ class RatingsMatrix:
 
     def items_rated_by(self, user: str) -> Mapping[str, float]:
         return MappingProxyType(self._by_user.get(user, {}))
-
-    def user_mean(self, user: str) -> float:
-        row = self._by_user.get(user)
-        if not row:
-            raise UnknownUserError(f"no ratings for user {user!r}")
-        return _mean(row)
 
 
 class TagApplications:

@@ -111,9 +111,16 @@ def _reject_constant(path, constant: str):
 
 
 def _finite(value, where: str):
-    """Reject the infinity json.loads makes of an overflowing literal like 1e999."""
+    """Reject the infinity json.loads makes of an overflowing literal like
+    1e999, also inside *value*'s lists and objects."""
     if isinstance(value, float) and not math.isfinite(value):
         raise InvalidValueError(f"{where}: {value} is not a finite number")
+    if isinstance(value, list):
+        for index, inner in enumerate(value):
+            _finite(inner, f"{where}[{index}]")
+    elif isinstance(value, dict):
+        for key, inner in value.items():
+            _finite(inner, f"{where}.{key}")
     return value
 
 
@@ -245,8 +252,8 @@ def load_dataset(path: str | Path) -> Dataset:
         spot = f"items[{item_id}]"
         attributes = _section(_object(entry, spot), "attributes", dict, spot, {})
         for name, value in attributes.items():
-            # the location is built only for a value _finite rejects
-            if type(value) is float and not math.isfinite(value):
+            # the location is built only for a value _finite may reject
+            if (type(value) is float and not math.isfinite(value)) or type(value) in (list, dict):
                 _finite(value, f"{spot}.attributes.{name}")
         weights = {
             name: _unit_weights(entry.get(name, {}), f"{spot}.{name}")

@@ -40,20 +40,20 @@ def outcome(fn, *args):
 
 
 def kept_values(entry):
-    """The values a memo entry holds, counted from its slots as
+    """The values a memo entry holds, counted from its tables as
     ``cf._MEMO_CAP`` counts them: one per map entry, mean, bound-list
-    entry, prediction and kept mean without an item, and per ranking,
-    neighbor list without an item and shift row its length plus one."""
-    scored, mean, bounds, ranked, predictions, nearest, means, shifts = entry[:cf._COST]
+    entry and prediction, and per neighbor list and shift row its length
+    plus one."""
+    scored, means, bounds, nearest, predictions, shifts = (
+        (table or {}).values() for table in entry[:cf._COST]
+    )
     return (
-        len(scored or ())
-        + (mean is not None)
-        + sum(len(raters) for raters in (bounds or {}).values())
-        + sum(len(neighbors) + 1 for neighbors in (ranked or {}).values())
-        + len(predictions or ())
-        + sum(len(neighbors) + 1 for neighbors in (nearest or {}).values())
-        + len(means or ())
-        + sum(len(row) + 1 for row in (shifts or {}).values())
+        sum(map(len, scored))
+        + len(means)
+        + sum(len(raters) for table in bounds for raters in table.values())
+        + sum(len(neighbors) + 1 for neighbors in nearest)
+        + len(predictions)
+        + sum(len(row) + 1 for row in shifts)
     )
 
 

@@ -386,3 +386,40 @@ class TestInfluenceWork:
         assert flagged == {"x11", "x12", "x31", "x32"}
         fresh = influential_items(copy.copy(dataset.matrix), other, "t1", 2)
         assert repr(again["ranking"]) == repr(fresh)
+
+
+class TestMemoLayout:
+    """Every slot of a memo entry is a table, keyed as ``cf._UserMemo``
+    lists: a removed item is None (none removed) or an item the user rated."""
+
+    @staticmethod
+    def assert_layout(matrix):
+        entries = cf._memo_of(matrix)._entries
+        assert entries
+        for user, entry in entries.items():
+            rated = matrix.items_rated_by(user).keys()
+            tables = entry[:cf._COST]
+            assert all(table is None or type(table) is dict for table in tables), user
+            scored, means, bounds, nearest, _, _ = (table or {} for table in tables)
+            assert set(scored) <= {None} and set(bounds) <= {None}
+            assert all(removed is None or removed in rated for removed in means), user
+            for key in nearest:
+                assert type(key) is tuple and len(key) == 2, key
+                removed, k = key
+                assert (removed is None or removed in rated) and k >= 1, key
+
+    def test_every_table_is_keyed_by_what_it_removes(self, dataset, g1):
+        matrix = copy.copy(dataset.matrix)  # a new, empty memo
+        influential_items(matrix, g1, "t1", 2)
+        for k in (1, 2, 3):
+            for user in matrix.users():
+                core.knn_neighbors(matrix, user, k)
+                try:
+                    predict_rating(matrix, user, "t1", k)
+                except NoPredictionBasisError:
+                    pass
+        self.assert_layout(matrix)
+        matrix, group, target = _generated_case()
+        for item in (target, "i14"):
+            influential_items(matrix, group, item, 2)
+        self.assert_layout(matrix)

@@ -432,6 +432,12 @@ class TestExitCodes:
              "invalid-value: items[i1].attributes.price: -inf is not a finite number\n"),
             ('["a", "i1", 4]', '["a", "i1", 1e999]',
              "invalid-value: ratings[0]: inf is not a finite number\n"),
+            ('"price": 100', '"price": [1e999, {"x": -1e999}]',
+             "invalid-value: items[i1].attributes.price[0]: inf is not a finite number\n"),
+            ('"price": 100', '"price": [1, {"x": -1e999}]',
+             "invalid-value: items[i1].attributes.price[1].x: -inf is not a finite number\n"),
+            ('"operator": "<=", "bound": 250', '"operator": "=", "bound": [1e999]',
+             "invalid-value: requirements[0].bound[0]: inf is not a finite number\n"),
             ('["a", "i1", 4]', '["a", "i1", 1' + "0" * 400 + "]",
              "invalid-value: ratings[0]: integer too large for a float\n"),
             # the rest of this line is the interpreter's own wording
@@ -440,7 +446,8 @@ class TestExitCodes:
         ],
         ids=[
             "nan-bound", "neg-inf-bound", "overflow-bound", "inf-attribute",
-            "overflow-attribute", "overflow-rating", "huge-int-rating",
+            "overflow-attribute", "overflow-rating", "nested-attribute",
+            "nested-object-attribute", "nested-bound", "huge-int-rating",
             "past-digit-limit",
         ],
     )
@@ -453,6 +460,35 @@ class TestExitCodes:
         assert code == EXIT_DATASET and out == ""
         # a *line* ending in a newline is the whole of stderr
         assert err.startswith("error: " + line.format(path=path)) and err.count("\n") == 1
+
+    @staticmethod
+    def run_into(stdout):
+        """``groupexplain relax`` in a subprocess writing to *stdout*."""
+        return subprocess.run(
+            [sys.executable, "-m", "groupexplain.cli", "relax"],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+
+    def test_output_to_a_closed_pipe_fails_in_one_line(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = self.run_into(write)
+        finally:
+            os.close(write)
+        assert result.returncode == EXIT_COMPUTE
+        assert result.stderr == "error: output-failed: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_output_to_a_full_device_fails_in_one_line(self):
+        with open("/dev/full", "w") as full:
+            result = self.run_into(full)
+        assert result.returncode == EXIT_COMPUTE
+        assert result.stderr == "error: output-failed: [Errno 28] No space left on device\n"
 
     @pytest.mark.parametrize(
         "content",

@@ -157,7 +157,7 @@ class TestRatingsMatrix:
         assert four_users.get("a", "i1") == 4.0
         assert four_users.get("a", "i4") is None
         assert co_rated(four_users, "a", "b") == ("i1", "i2", "i3")
-        assert four_users.user_mean("a") == pytest.approx(4.0)
+        assert cf._user_mean(four_users, "a") == pytest.approx(4.0)
         assert len(four_users) == 15
 
     def test_without_item(self, four_users):
@@ -165,10 +165,6 @@ class TestRatingsMatrix:
         assert reduced.get("a", "i1") is None
         assert reduced.get("a", "i2") == 3.0
         assert len(reduced) == 11
-
-    def test_unknown_user_mean(self, four_users):
-        with pytest.raises(UnknownUserError):
-            four_users.user_mean("ghost")
 
 
 class TestMemo:
@@ -187,7 +183,7 @@ class TestMemo:
         users = matrix.users()
         return [
             (list(cf._similarities(matrix, u).items()), knn_neighbors(matrix, u, 2),
-             matrix.user_mean(u), predict_rating(matrix, u, "i4", 3))
+             cf._user_mean(matrix, u), predict_rating(matrix, u, "i4", 3))
             for u in users
         ] + [influential_items(matrix, Group("g", users), "i4", 2)]
 
@@ -237,9 +233,9 @@ class TestMemo:
         )
         memo = cf._memo_of(four_users)
         entry = memo._entries["a"]
-        assert entry[cf._SIMILARITIES] is None and list(entry[cf._NEAREST]) == [1]
+        assert entry[cf._SIMILARITIES] is None and list(entry[cf._NEAREST]) == [(None, 1)]
         assert cf._user_mean(four_users, "a") == 4.0  # would take a's entry past the cap
-        assert entry[cf._MEAN] is None
+        assert entry[cf._MEANS] is None
         assert len(memo) == 2 and list(memo._entries) == ["a"]
 
     def test_copies_keep_the_ratings_and_start_a_new_memo(self, four_users):
@@ -425,8 +421,8 @@ class TestCfStateLayout:
     statement."""
 
     MEMO = {
-        "_UserMemo", "_MEMO_CAP", "_SLOT_COSTS", "_lists", "_SIMILARITIES", "_MEAN", "_BOUNDS",
-        "_NEAREST", "_PREDICTIONS", "_NEAREST_WITHOUT", "_MEANS_WITHOUT", "_SHIFTS", "_COST",
+        "_UserMemo", "_MEMO_CAP", "_SLOT_COSTS", "_lists", "_SIMILARITIES", "_MEANS", "_BOUNDS",
+        "_NEAREST", "_PREDICTIONS", "_SHIFTS", "_COST",
     }
     KNN = {"_similarity", "_similarities", "_scan", "_nearest", "_predict", "_ranking",
            "_prediction"}
