@@ -15,7 +15,8 @@ from _thread import allocate_lock
 from bisect import insort
 from collections import OrderedDict
 from functools import partial
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import itemgetter, truediv
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -538,10 +539,16 @@ def influential_items(
     The matrix is never copied, and no shift depends on the group: each
     member's shifts of the target at k are computed once per matrix, as one
     row (``_shift_row``) kept in the matrix's bounded memo, and a later
-    call for any group that holds the member reads them. A call then scores
-    each candidate c from its members' rows: an item missing from a row
-    leaves that member's prediction as it is (shift 0.0), and a kept None,
-    no basis, flags c as basis-destroying.
+    call for any group that holds the member reads them.
+
+    A call scores the candidates as columns: one column per member, read
+    from its row over the id-sorted candidates, where an item missing from
+    a row leaves that member's prediction as it is (shift 0.0) and a kept
+    None means no basis. The columns zip into one tuple of shifts per
+    candidate; a candidate with a None in its tuple is basis-destroying and
+    is scored over the other members, and one with no member left scores
+    0.0. One stable sort by descending delta keeps the id order among
+    equal deltas.
     """
     base = member_predictions(matrix, group, target, k)
     memo = _memo_of(matrix)
@@ -551,14 +558,16 @@ def influential_items(
         for member, taking_part in base.items()
     ]
     rated = {item for member in group.members for item in matrix._by_user.get(member, ())}
-    results = []
-    for candidate in sorted(rated - {target}):
-        shifts = [row.get(candidate, 0.0) for row in member_rows]
-        deltas = [shift for shift in shifts if shift is not None]
-        delta = math.fsum(deltas) / len(deltas) if deltas else 0.0
-        destroying = len(deltas) < len(shifts)
-        results.append(ItemInfluence(item=candidate, delta=delta, basis_destroying=destroying))
-    return _ranked(results)
+    rated.discard(target)
+    candidates = sorted(rated)
+    shifts = list(zip(*[map(row.get, candidates, repeat(0.0)) for row in member_rows]))
+    missing = list(map(tuple.count, shifts, repeat(None)))
+    for at in compress(range(len(shifts)), missing):  # no member left: delta 0.0 / 1
+        shifts[at] = tuple(shift for shift in shifts[at] if shift is not None) or (0.0,)
+    deltas = map(truediv, map(math.fsum, shifts), map(len, shifts))
+    results = list(map(ItemInfluence, candidates, deltas, map(bool, missing)))
+    results.sort(key=itemgetter(1), reverse=True)
+    return results
 
 
 def _shift_row(

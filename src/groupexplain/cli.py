@@ -51,14 +51,43 @@ class _CliUsageError(Exception):
     """A command line that does not parse or does not fit the mode; exit 2."""
 
 
+class _OutputFailed(Exception):
+    """A write to stdout failed; exit 4."""
+
+
+def _write(stream, text: str) -> None:
+    """Write *text* to *stream*, stdout or stderr, and flush it.
+
+    Every byte ``main`` writes goes through here. A failed write (a full
+    disk, a closed pipe) points the stream's descriptor at ``os.devnull``,
+    so the flush at shutdown stays silent. A failed stdout write then
+    raises ``_OutputFailed``; a failed stderr write is dropped, so the
+    request keeps the exit code of the failure it was reporting.
+    """
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        if stream is sys.stdout:
+            raise _OutputFailed(exc) from None
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors instead of printing a usage block and exiting.
+    """Raises usage errors instead of printing a usage block and exiting,
+    and writes its help through ``_write``.
 
     ``add_subparsers`` makes its subparsers of the same class.
     """
 
     def error(self, message: str):
         raise _CliUsageError(message)
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            _write(file or sys.stderr, message)
 
 
 class CommandResult(NamedTuple):
@@ -549,31 +578,23 @@ def _emit(result: CommandResult, args) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         dataset = load_dataset(args.data if args.data else builtin_dataset_path())
-        output = _emit(_run(dataset, args), args)
+        _write(sys.stdout, _emit(_run(dataset, args), args))
+        return EXIT_OK
     except SystemExit as exc:  # only --help exits: it has printed the help
         return int(exc.code or 0)
     except _CliUsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, line = EXIT_USAGE, f"usage error: {exc}"
     except DATASET_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATASET
+        code, line = EXIT_DATASET, f"error: {exc}"
     except GroupExplainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    try:
-        sys.stdout.write(output)
-        sys.stdout.flush()
-    except OSError as exc:  # a full disk or a closed pipe
-        # fd 1 goes to devnull, so the flush at shutdown stays silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: output-failed: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    return EXIT_OK
+        code, line = EXIT_COMPUTE, f"error: {exc}"
+    except _OutputFailed as exc:  # a full disk or a closed pipe
+        code, line = EXIT_COMPUTE, f"error: output-failed: {exc}"
+    _write(sys.stderr, line + "\n")
+    return code
 
 
 if __name__ == "__main__":
