@@ -1,5 +1,5 @@
-"""Matrix helpers the tests build from the public ``RatingsMatrix`` API, a
-call's outcome as one comparable value, a recount of a kNN memo entry's
+"""Matrix helpers the tests build from the public ``RatingsMatrix`` API, the
+leave-one-out influence oracle, a call's outcome as one comparable value, a recount of a kNN memo entry's
 values, reference checks of a dataset's ``ratings`` rows and weight maps,
 a frozen reference kNN kernel, frozen per-pair requirement checks and the
 frozen ``decimal`` display rounding."""
@@ -8,7 +8,7 @@ import math
 from decimal import Decimal
 from typing import Callable, Iterable, Mapping, Sequence
 
-from groupexplain import RatingsMatrix, RelaxationProposal, cf
+from groupexplain import ItemInfluence, RatingsMatrix, RelaxationProposal, cf, predict_rating
 from groupexplain.constraint import constrained_items, requirement_relevance
 from groupexplain.core import RATING_MAX, RATING_MIN
 from groupexplain.errors import (
@@ -57,6 +57,11 @@ def kept_values(entry):
     )
 
 
+def rating_rows(**rows: Mapping[str, float]) -> list[tuple[str, str, float]]:
+    """(user, item, value) triples from one keyword per user: its row."""
+    return [(user, item, value) for user, row in rows.items() for item, value in row.items()]
+
+
 def without_item(matrix: RatingsMatrix, item: str) -> RatingsMatrix:
     """A new matrix with every rating of *item* removed."""
     return RatingsMatrix(
@@ -65,6 +70,37 @@ def without_item(matrix: RatingsMatrix, item: str) -> RatingsMatrix:
         for rated, value in matrix.items_rated_by(user).items()
         if rated != item
     )
+
+
+def leave_one_out(matrix, group, target, k):
+    """Independent oracle: ``influential_items`` by its definition.
+
+    Each candidate item is removed with ``without_item`` (a rebuilt copy of
+    the matrix, not the library's incremental scan) and every member's
+    prediction is recomputed from scratch on the reduced copy.
+    """
+
+    def predictions(ratings):
+        found = {}
+        for member in group.members:
+            try:
+                found[member] = predict_rating(ratings, member, target, k)
+            except (NoPredictionBasisError, UnknownUserError):
+                pass
+        return found
+
+    base = predictions(matrix)
+    if not base:
+        return None
+    rated = {i for member in group.members for i in matrix.items_rated_by(member)}
+    results = []
+    for candidate in sorted(rated - {target}):
+        after = predictions(without_item(matrix, candidate))
+        deltas = [abs(after[m] - before) for m, before in base.items() if m in after]
+        delta = math.fsum(deltas) / len(deltas) if deltas else 0.0
+        results.append(ItemInfluence(candidate, delta, len(deltas) < len(base)))
+    results.sort(key=lambda r: (-r.delta, r.item))
+    return results
 
 
 def checked_ratings(rows, users, items) -> list[tuple[str, str, float]]:

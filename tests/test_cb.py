@@ -191,6 +191,7 @@ class TestTags:
         assert tags.share("m2", "alpha") == 0.0
         assert tags.share("m3", "alpha") == 1.0
         assert tags.total("m9") == 0
+        assert tags.share("m9", "alpha") == 0.0  # an item without tags
 
     def test_no_tagged_ratings(self, tagged_world):
         matrix, _ = tagged_world

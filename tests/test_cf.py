@@ -26,6 +26,7 @@ from groupexplain.errors import (
     NoPredictionBasisError,
     UnknownUserError,
 )
+from helpers import leave_one_out, rating_rows
 
 # expected bucket counts per item over the six assigned neighbors
 NEIGHBOR_BUCKETS = {
@@ -80,6 +81,10 @@ class TestNeighborHistogram:
         assert assignment.effective_users() == ()
         histogram = nn_rating_histogram(dataset.matrix, assignment, "t1")
         assert tuple(histogram.counts) == (0, 0, 0)
+
+    def test_no_lists_no_neighbors(self):
+        for mode in ("union", "intersection"):
+            assert NeighborAssignment(neighbors={}, mode=mode).effective_users() == ()
 
     def test_missing_rating(self, dataset):
         assignment = NeighborAssignment(neighbors={"u1": ("nn11",)})
@@ -195,6 +200,60 @@ class TestInfluence:
         matrix = RatingsMatrix([("a", "i1", 3.0), ("b", "i2", 2.0)])
         with pytest.raises(NoPredictionBasisError):
             influential_items(matrix, Group("g", ("a", "b")), "i2", k=2)
+
+
+class TestInfluenceScoring:
+    """Candidates are scored from the members' shift rows. At k = 1, m1's
+    one neighbor is a, over the co-rated c and i1, and m2's is b, over i1
+    and i2: removing c leaves m1 without a neighbor and moves m2's own
+    mean by 1.0, and removing i1 leaves both without one."""
+
+    MATRIX = rating_rows(
+        m1=dict(c=1.0, i1=4.0),
+        a=dict(c=2.0, i1=5.0, t=4.0),
+        m2=dict(c=5.0, i1=1.0, i2=3.0),
+        b=dict(i1=1.0, i2=3.0, t=2.0),
+    )
+    GROUP = Group("g", ("m1", "m2"))
+
+    def ranking(self):
+        return influential_items(RatingsMatrix(self.MATRIX), self.GROUP, "t", 1)
+
+    def test_a_candidate_that_removes_one_basis_is_scored_over_the_others(self):
+        by_item = {r.item: r for r in self.ranking()}
+        # m1 has no basis without c; m2 shifts by |2.0 - 3.0|, alone
+        assert by_item["c"] == cf.ItemInfluence("c", 1.0, True)
+        # without i2, m2 moves by 1/3 and m1, who keeps its prediction, by 0.0
+        assert by_item["i2"].delta == pytest.approx((1.0 / 3.0 + 0.0) / 2, abs=1e-12)
+        assert not by_item["i2"].basis_destroying
+
+    def test_a_candidate_that_removes_every_basis_scores_zero(self):
+        by_item = {r.item: r for r in self.ranking()}
+        assert by_item["i1"] == cf.ItemInfluence("i1", 0.0, True)
+
+    def test_equal_deltas_rank_by_ascending_id(self):
+        # m's only neighbor rating t is b, over i1 and i2; removing p or q
+        # moves m's mean by the same amount, removing i1 or i2 its basis
+        matrix = RatingsMatrix(rating_rows(
+            m=dict(i1=1.0, i2=3.0, q=5.0, p=5.0),
+            b=dict(i1=1.0, i2=3.0, t=2.0),
+            c=dict(i1=3.0, i2=1.0, t=4.0),
+        ))
+        ranking = influential_items(matrix, Group("g", ("m",)), "t", 1)
+        assert ranking == [
+            cf.ItemInfluence("p", 0.5, False),
+            cf.ItemInfluence("q", 0.5, False),
+            cf.ItemInfluence("i1", 0.0, True),
+            cf.ItemInfluence("i2", 0.0, True),
+        ]
+
+    def test_a_warm_call_equals_the_first_and_the_oracle(self):
+        matrix = RatingsMatrix(self.MATRIX)
+        first = influential_items(matrix, self.GROUP, "t", 1)
+        assert cf._memo_of(matrix)._entries["m1"][cf._SHIFTS]  # kept: read again
+        assert repr(influential_items(matrix, self.GROUP, "t", 1)) == repr(first)
+        assert first == leave_one_out(RatingsMatrix(self.MATRIX), self.GROUP, "t", 1)
+        assert [r.item for r in first] == ["c", "i2", "i1"]
 
 
 def _generated_case():

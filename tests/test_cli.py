@@ -406,6 +406,24 @@ class TestExitCodes:
         assert code == EXIT_DATASET
         assert err.startswith("error: malformed-dataset")
 
+    @pytest.mark.parametrize(
+        "groups,argv,line",
+        [
+            (None, ["explain-constraint", "--mode", "requirements"],
+             "error: unresolved-id: dataset defines no groups\n"),
+            ({"g": ["a", "b"]}, ["fairness-adapt"],
+             "error: unresolved-id: dataset has no decision_history section\n"),
+        ],
+        ids=["no-groups", "no-decision-history"],
+    )
+    def test_a_missing_section_is_unresolved(self, capsys, tmp_path, groups, argv, line):
+        doc = dict(NUMERIC_DATASET)
+        if groups is not None:
+            doc["groups"] = groups
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(capsys, *argv, "--data", str(path)) == (EXIT_DATASET, "", line)
+
     def test_malformed_data_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -490,6 +508,52 @@ class TestExitCodes:
         assert result.returncode == EXIT_COMPUTE
         assert result.stderr == "error: output-failed: [Errno 28] No space left on device\n"
 
+    # Requests of every outcome, each with the exit code it has when both
+    # streams work and whether it writes to stdout.
+    STREAM_REQUESTS = {
+        "success": (["relax"], EXIT_OK, True),
+        "help": (["--help"], EXIT_OK, True),
+        "usage-error": (["relax", "--frobnicate"], EXIT_USAGE, False),
+        "dataset-error": (["relax", "--data", "/nonexistent/data.json"], EXIT_DATASET, False),
+        "compute-error": (["explain-cb", "--mode", "opinion", "--item", "x11"],
+                          EXIT_COMPUTE, False),
+    }
+
+    @pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    @pytest.mark.parametrize("request_", sorted(STREAM_REQUESTS))
+    def test_a_failed_stream_keeps_the_exit_code(self, stream, sink, request_):
+        """A failed stdout write of the result or the help exits 4 with
+        output-failed; a failed stderr write keeps the code of the failure
+        it reported. No traceback reaches the stream that still works."""
+        argv, code, writes_stdout = self.STREAM_REQUESTS[request_]
+        if sink == "full-device" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        working = "stderr" if stream == "stdout" else "stdout"
+        if sink == "closed-pipe":
+            read, broken = os.pipe()
+            os.close(read)
+        else:
+            broken = os.open("/dev/full", os.O_WRONLY)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "groupexplain.cli", *argv],
+                **{stream: broken, working: subprocess.PIPE},
+                text=True,
+                timeout=60,
+                env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+            )
+        finally:
+            os.close(broken)
+        seen = getattr(result, working)
+        assert "Traceback" not in seen
+        if stream == "stdout" and writes_stdout:
+            assert result.returncode == EXIT_COMPUTE
+            assert seen.startswith("error: output-failed: ") and seen.count("\n") == 1
+        else:
+            assert result.returncode == code
+            assert bool(seen) == (stream == "stdout" or writes_stdout)
+
     @pytest.mark.parametrize(
         "content",
         [b"\xff\xfe{}", b"[" * 200_000],
@@ -508,10 +572,12 @@ class TestExitCodes:
             (["explain-cb", "--mode", "opinion", "--item", "t1", "--threshold", "nan"],
              "--threshold"),
             (["explain-cb", "--mode", "tags", "--threshold=-inf"], "--threshold"),
+            (["explain-cb", "--mode", "tags", "--threshold", "abc"], "--threshold"),
             (["relax", "--group", "g9"], "--group"),
             (["explain-cb", "--mode", "tags", "--item", "zz9"], "--item"),
         ],
-        ids=["nan-threshold", "neg-inf-threshold", "relax-group", "tags-item"],
+        ids=["nan-threshold", "neg-inf-threshold", "text-threshold", "relax-group",
+             "tags-item"],
     )
     def test_unused_or_non_finite_argument(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)

@@ -30,7 +30,6 @@ from groupexplain import (
     DecisionHistory,
     Group,
     Item,
-    ItemInfluence,
     RatingBucket,
     RatingsMatrix,
     Requirement,
@@ -63,7 +62,9 @@ from helpers import (
     Count,
     co_rated,
     kept_values,
+    leave_one_out,
     outcome,
+    rating_rows,
     reference_causally_relevant,
     reference_knn_neighbors,
     reference_predict_rating,
@@ -311,37 +312,6 @@ def test_column_checks_match_the_per_pair_reference(instance):
     )
 
 
-def leave_one_out(matrix, group, target, k):
-    """Independent oracle: ``influential_items`` by its definition.
-
-    Each candidate item is removed with ``without_item`` (a rebuilt copy of
-    the matrix, not the library's incremental scan) and every member's
-    prediction is recomputed from scratch on the reduced copy.
-    """
-
-    def predictions(ratings):
-        found = {}
-        for member in group.members:
-            try:
-                found[member] = predict_rating(ratings, member, target, k)
-            except (NoPredictionBasisError, UnknownUserError):
-                pass
-        return found
-
-    base = predictions(matrix)
-    if not base:
-        return None
-    rated = {i for member in group.members for i in matrix.items_rated_by(member)}
-    results = []
-    for candidate in sorted(rated - {target}):
-        after = predictions(without_item(matrix, candidate))
-        deltas = [abs(after[m] - before) for m, before in base.items() if m in after]
-        delta = math.fsum(deltas) / len(deltas) if deltas else 0.0
-        results.append(ItemInfluence(candidate, delta, len(deltas) < len(base)))
-    results.sort(key=lambda r: (-r.delta, r.item))
-    return results
-
-
 def assert_influence_is_leave_one_out(ratings, members, target, k):
     matrix = RatingsMatrix(ratings)
     group = Group("g", members)
@@ -540,16 +510,12 @@ def test_knn_and_prediction_match_the_reference_kernel(ratings):
                     assert predict_rating(matrix, user, item, k) == expected
 
 
-def _rows(**rows):
-    return [(u, i, v) for u, row in rows.items() for i, v in row.items()]
-
-
 # Situations the incremental scan must get exactly right, each checked
 # to hold before the comparison.
 FORCED = {
     # m's only rating is a candidate; m has no prediction at all
     "only-rating-is-candidate": (
-        _rows(
+        rating_rows(
             a=dict(i1=1.0, i2=3.0, i3=5.0),
             b=dict(i1=2.0, i2=3.0, i3=4.0, t=4.0),
             c=dict(i1=5.0, i2=1.0, i3=2.0, t=1.0),
@@ -560,7 +526,7 @@ FORCED = {
     ),
     # removing i1 leaves a and b one co-rated item, so b stops being a neighbor
     "one-co-rated-item-left": (
-        _rows(
+        rating_rows(
             a=dict(i1=1.0, i2=4.0, i3=2.0),
             b=dict(i1=2.0, i2=5.0, t=3.0),
             c=dict(i1=1.0, i2=3.0, i3=2.0, t=1.0),
@@ -571,7 +537,7 @@ FORCED = {
     ),
     # without i1, a's co-rated ratings are constant: similarities become 0.0
     "constant-after-removal": (
-        _rows(
+        rating_rows(
             a=dict(i1=1.0, i2=2.0, i3=2.0),
             b=dict(i1=5.0, i2=3.0, i3=4.0, t=4.0),
             c=dict(i1=3.0, i2=1.0, i3=2.0, t=2.0),
@@ -581,7 +547,7 @@ FORCED = {
     ),
     # b and c are equally similar to a; the lower id wins the one slot
     "tied-similarities": (
-        _rows(
+        rating_rows(
             a=dict(i1=1.0, i2=3.0, i3=5.0),
             b=dict(i1=2.0, i2=3.0, i3=4.0, t=5.0),
             c=dict(i1=2.0, i2=3.0, i3=4.0, t=1.0),
@@ -593,7 +559,7 @@ FORCED = {
     ),
     # only m rated c: no neighbor changes, but m's own mean moves
     "member-is-the-only-rater": (
-        _rows(
+        rating_rows(
             m=dict(i1=1.0, i2=2.0, i3=4.0, c=5.0),
             a=dict(i1=2.0, i2=3.0, i3=4.0, t=4.0),
             b=dict(i1=4.0, i2=2.0, i3=1.0, t=2.0),
@@ -608,7 +574,7 @@ FORCED = {
     # (who did not) for the one slot, with a bound right at the tie: b's
     # lower id must win, so b must not be skipped
     "bound-tie-at-kth": (
-        _rows(
+        rating_rows(
             m=dict(i1=1.0, i2=2.0, i3=3.0, c=4.0),
             b=dict(i1=1.0, i2=2.0, i3=3.0, c=1.0, t=5.0),
             z=dict(i1=1.5, i2=2.5, i3=3.5, t=1.0),

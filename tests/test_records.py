@@ -6,7 +6,8 @@ from keywords, reprs as ``Name(field=value, ...)`` in field order, equals
 a twin built from the same values, hashes like its twin when all its
 values hash, copies to an equal record, and builds each mutable default
 afresh. An immutable record
-refuses field assignment with ``AttributeError``.
+refuses field assignment and deletion with ``AttributeError``, and a
+``Frozen`` record equals no object of another type.
 """
 
 import copy
@@ -33,6 +34,7 @@ from groupexplain import (
     TagApplications,
 )
 from groupexplain.cli import CommandResult, _Mode
+from groupexplain.core import Frozen
 from groupexplain.errors import EmptyGroupError, InvalidValueError
 
 MATRIX = RatingsMatrix([("a", "t1", 4.0)])
@@ -72,6 +74,7 @@ CASES = [
 ]
 IDS = [cls.__name__ for cls, *_ in CASES]
 FROZEN = [case for case in CASES if case[3]]
+SLOTTED = [case for case in CASES if issubclass(case[0], Frozen)]  # not tuples
 
 
 @pytest.mark.parametrize("cls,required,defaults,frozen", CASES, ids=IDS)
@@ -115,6 +118,27 @@ def test_immutable_records_refuse_assignment(cls, required, defaults, frozen):
     for name, value in {**required, **defaults}.items():
         with pytest.raises(AttributeError):
             setattr(record, name, value)
+
+
+@pytest.mark.parametrize(
+    "cls,required,defaults,frozen", FROZEN, ids=[case[0].__name__ for case in FROZEN]
+)
+def test_immutable_records_refuse_deletion(cls, required, defaults, frozen):
+    record = cls(**required)
+    for name in {**required, **defaults}:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(**required)
+
+
+@pytest.mark.parametrize(
+    "cls,required,defaults,frozen", SLOTTED, ids=[case[0].__name__ for case in SLOTTED]
+)
+def test_slotted_records_equal_no_other_type(cls, required, defaults, frozen):
+    record = cls(**required)
+    values = tuple(getattr(record, name) for name in record.__slots__)
+    assert record.__eq__(values) is NotImplemented
+    assert record != values and record != object()
 
 
 @pytest.mark.parametrize("cls,required,defaults,frozen", CASES, ids=IDS)
