@@ -251,9 +251,6 @@ class TagApplications:
     def has_tags(self, item: str) -> bool:
         return self._totals.get(item, 0) > 0
 
-    def total(self, item: str) -> int:
-        return self._totals.get(item, 0)
-
     def share(self, item: str, tag: str) -> float:
         """Fraction of the item's tag applications that used this tag."""
         total = self._totals.get(item, 0)

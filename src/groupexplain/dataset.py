@@ -144,15 +144,12 @@ def _unit_weights(raw, where: str) -> dict[str, float]:
     weights: dict[str, float] = {}
     for key, value in _object(raw, where).items():
         # A valid value passes this inline check (json.loads makes exact
-        # int and float); any other goes on to _number and the range check,
-        # which raise its error, so the location is built only then.
-        if (type(value) is float or type(value) is int) and 0.0 <= value <= 1.0:
-            weights[key] = float(value)
-            continue
-        number = _number(value, f"{where}.{key}")
-        if not 0.0 <= number <= 1.0:
-            raise InvalidValueError(f"{where}.{key}: {number} outside [0, 1]")
-        weights[key] = number
+        # int and float); any other fails it, and _number raises its error
+        # first if it has one, so the location is built only then.
+        if not ((type(value) is float or type(value) is int) and 0.0 <= value <= 1.0):
+            spot = f"{where}.{key}"
+            raise InvalidValueError(f"{spot}: {_number(value, spot)} outside [0, 1]")
+        weights[key] = float(value)
     return weights
 
 
@@ -164,15 +161,14 @@ def _known(ident, known, noun: str, where: str) -> str:
     return ident
 
 
-def _rating_row(row, where: str, known_users, items) -> tuple[str, str, float]:
-    """One ``ratings`` row checked field by field, in error precedence order."""
+def _check_rating_row(row, where: str, known_users, items) -> None:
+    """Raise the error of a ``ratings`` row that failed the inline check,
+    its fields checked in error precedence order."""
     if not isinstance(row, list) or len(row) != 3:
         raise MalformedDatasetError(f"{where}: expected [user, item, value]")
-    return (
-        _known(row[0], known_users, "user", where),
-        _known(row[1], items, "item", where),
-        _rating(row[2], where),
-    )
+    _known(row[0], known_users, "user", where)
+    _known(row[1], items, "item", where)
+    _rating(row[2], where)
 
 
 def _weights_by_id(raw: Mapping, known, noun: str, where: str):
@@ -268,8 +264,8 @@ def load_dataset(path: str | Path) -> Dataset:
     duplicate = None
     for index, row in enumerate(_section(raw, "ratings", list, _TOP, [])):
         # A valid row passes these inline checks (json.loads makes exact
-        # str, int and float); any other row goes to _rating_row, which
-        # raises its error, so the location is built only then.
+        # str, int and float); any other row goes to _check_rating_row,
+        # which raises its error, so the location is built only then.
         if type(row) is list and len(row) == 3:
             user, item, value = row
         else:
@@ -282,7 +278,7 @@ def load_dataset(path: str | Path) -> Dataset:
             and (type(value) is float or type(value) is int)
             and RATING_MIN <= value <= RATING_MAX
         ):
-            user, item, value = _rating_row(row, f"ratings[{index}]", known_users, items)
+            _check_rating_row(row, f"ratings[{index}]", known_users, items)
         rated = by_user.get(user)
         if rated is None:
             rated = by_user[user] = {}

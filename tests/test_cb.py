@@ -190,7 +190,6 @@ class TestTags:
         assert tags.share("m1", "alpha") == 0.5
         assert tags.share("m2", "alpha") == 0.0
         assert tags.share("m3", "alpha") == 1.0
-        assert tags.total("m9") == 0
         assert tags.share("m9", "alpha") == 0.0  # an item without tags
 
     def test_no_tagged_ratings(self, tagged_world):
@@ -201,6 +200,17 @@ class TestTags:
         single = TagApplications({"m1": {"alpha": 1}})
         with pytest.raises(NoTaggedRatingsError):
             tag_relevance(matrix, single, "v", "alpha")
+
+    def test_anonymous_group_relevance_needs_two_tagged_items(self, tagged_world):
+        matrix, _ = tagged_world
+        single = TagApplications({"m1": {"alpha": 1}})
+        with pytest.raises(NoTaggedRatingsError) as raised:
+            group_tag_relevance(
+                matrix, single, Group("vw", ("v", "w")), "alpha", privacy="anonymous"
+            )
+        assert str(raised.value) == (
+            "no-tagged-ratings: group 'vw' rated fewer than two items carrying tags"
+        )
 
     @pytest.mark.parametrize("count", [True, False])
     def test_bool_count_rejected(self, count):

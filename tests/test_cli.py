@@ -461,12 +461,15 @@ class TestExitCodes:
             # the rest of this line is the interpreter's own wording
             ('["a", "i1", 4]', '["a", "i1", 1' + "0" * 5000 + "]",
              "malformed-dataset: {path}: "),
+            # a loader check that is not about numbers: a user id that is not a string
+            ('"users": ["a", "b"]', '"users": [1]',
+             "malformed-dataset: users: ids must be strings\n"),
         ],
         ids=[
             "nan-bound", "neg-inf-bound", "overflow-bound", "inf-attribute",
             "overflow-attribute", "overflow-rating", "nested-attribute",
             "nested-object-attribute", "nested-bound", "huge-int-rating",
-            "past-digit-limit",
+            "past-digit-limit", "non-string-user",
         ],
     )
     def test_non_finite_numbers_rejected(self, capsys, tmp_path, old, new, line):

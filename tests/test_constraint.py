@@ -267,6 +267,27 @@ class TestRelaxation:
         with pytest.raises(MissingAttributeError):
             relaxation_proposals([reqs[i] for i in order], items)
 
+    def test_a_column_error_the_item_by_item_check_misses_is_raised(self):
+        class FirstEqRaises:
+            """An attribute value whose first ``==`` raises; later ones hold."""
+
+            calls = 0
+
+            def __eq__(self, other):
+                self.calls += 1
+                if self.calls == 1:
+                    raise RuntimeError("first comparison")
+                return True
+
+        value = FirstEqRaises()
+        items = [Item(id="x", attributes={"kind": value, "price": 900})]
+        reqs = [_req("r0", "kind", "=", "tent"), _req("r1", "price", "<=", 100)]
+        # the column raises, the item-by-item re-check does not: the
+        # column's error comes back, never proposals from a partial column
+        with pytest.raises(RuntimeError, match="^first comparison$"):
+            relaxation_proposals(reqs, items)
+        assert value.calls == 2
+
 
 class TestColumnWork:
     """On a well-formed catalog no requirement is checked pair by pair."""

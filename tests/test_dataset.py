@@ -146,6 +146,17 @@ def test_rating_row_shape(tmp_path):
         load_dataset(write(tmp_path, variant(ratings=[["u1", "t1", "high"]])))
 
 
+@pytest.mark.parametrize("pair", [[1], [1, 2, 3], [1, "2"], [True, 2], "1/2"])
+def test_history_count_shape(tmp_path, pair):
+    data = variant()
+    data["decision_history"]["counts"]["u1"] = pair
+    with pytest.raises(MalformedDatasetError) as raised:
+        load_dataset(write(tmp_path, data))
+    assert raised.value.message == (
+        "decision_history.counts[u1]: expected [supported, decisions]"
+    )
+
+
 def test_non_object_weights(tmp_path):
     data = variant()
     data["items"]["t1"]["category_weights"] = [0.5]
@@ -257,6 +268,25 @@ class TestInvalidValues:
         data = variant(user_category_weights={"u1": {"cat1": 1.5}})
         with pytest.raises(InvalidValueError):
             load_dataset(write(tmp_path, data))
+
+    @pytest.mark.parametrize(
+        "value,error,message",
+        [
+            (2, InvalidValueError, "2.0 outside [0, 1]"),
+            (-0.5, InvalidValueError, "-0.5 outside [0, 1]"),
+            ("0.5", MalformedDatasetError, "expected a number, got '0.5'"),
+            (True, MalformedDatasetError, "expected a number, got True"),
+            (10**400, InvalidValueError, "integer too large for a float"),
+        ],
+        ids=["int-above", "below", "text", "bool", "huge-int"],
+    )
+    def test_a_weight_error_comes_from_the_number_check(
+        self, tmp_path, value, error, message
+    ):
+        data = variant(user_category_weights={"u1": {"cat1": value}})
+        with pytest.raises(error) as raised:
+            load_dataset(write(tmp_path, data))
+        assert raised.value.message == f"user_category_weights[u1].cat1: {message}"
 
     def test_negative_tag_count(self, tmp_path):
         data = variant(tags={"t1": {"beach": -1}})

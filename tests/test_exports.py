@@ -1,5 +1,7 @@
 """The public surface: ``from groupexplain import *`` binds exactly ``__all__``."""
 
+import sys
+
 import groupexplain
 
 
@@ -27,6 +29,16 @@ def test_exports_read_the_module_attribute_each_time(monkeypatch):
 def test_modules_and_unknown_names():
     assert groupexplain.svg.render_svg is groupexplain.render_svg
     assert not hasattr(groupexplain, "no_such_name")
+
+
+def test_a_submodule_not_yet_imported_is_imported_on_read(monkeypatch):
+    import groupexplain.svg
+
+    old = sys.modules["groupexplain.svg"]
+    monkeypatch.delitem(sys.modules, "groupexplain.svg")
+    monkeypatch.delattr(groupexplain, "svg")
+    fresh = groupexplain.svg  # through the package's __getattr__
+    assert fresh is sys.modules["groupexplain.svg"] and fresh is not old
 
 
 def test_exports_skip_the_module_getattr_hook(monkeypatch):

@@ -280,6 +280,15 @@ class TestSvg:
         text = render_svg(tag_cloud({"beach": 1.0}))
         assert 'font-size="36.00"' in text  # 12 * (1 + 2*1.0)
 
+    def test_tag_cloud_names_who_likes_a_tag(self):
+        chart = tag_cloud({"beach": 0.5, "city": 0.0}, {"beach": ("u2", "a&b")})
+        text = render_svg(chart)
+        assert text.count('text-anchor="end"') == 1
+        assert (
+            '<text x="440" y="60.00" text-anchor="end" font-size="10">(a&amp;b, u2)</text>'
+            in text
+        )
+
     def test_label_escaping(self):
         from groupexplain.render import ChartData
 
