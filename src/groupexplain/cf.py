@@ -106,8 +106,9 @@ class _UserMemo:
     - ``_PREDICTIONS`` {(item, k): the prediction, or None: no basis};
     - ``_SHIFTS`` {(target t, k): the shift row of t (``_shift_row``)}.
 
-    ``get`` reads one value, ``tables`` a user's whole table, and
-    ``extend`` is the only write. A user's entry is dropped whole. A matrix
+    ``get`` reads one value, ``every`` one key's value for each of a group
+    of users or none, ``tables`` a user's whole table, and ``extend`` is
+    the only write. A user's entry is dropped whole. A matrix
     gets its memo from ``_memo_of``, on its first kNN read.
     """
 
@@ -148,6 +149,21 @@ class _UserMemo:
                 else:
                     self._entries.move_to_end(user)
                     found[user] = entry[slot]
+        return found
+
+    def every(self, users: Sequence[str], slot: int, key) -> list | None:
+        """The value under *key* in each user's table in *slot*, in order,
+        each user then the most recently used in that order; None, and no
+        user moved, if any user has none."""
+        found = []
+        with self._lock:
+            for user in users:
+                entry = self._entries.get(user)
+                if entry is None or entry[slot] is None or key not in entry[slot]:
+                    return None
+                found.append(entry[slot][key])
+            for user in users:
+                self._entries.move_to_end(user)
         return found
 
     def extend(self, slot: int, new: Mapping[str, dict]) -> None:
@@ -539,7 +555,13 @@ def influential_items(
     The matrix is never copied, and no shift depends on the group: each
     member's shifts of the target at k are computed once per matrix, as one
     row (``_shift_row``) kept in the matrix's bounded memo, and a later
-    call for any group that holds the member reads them.
+    call for any group that holds the member reads them. When every
+    member has a kept row for the target at k, the call reads all the rows
+    in one locked memo read (``_UserMemo.every``) and nothing else: only a
+    member ``member_predictions`` admitted on this matrix has a row.
+    Otherwise (a member never asked, evicted, without ratings or without
+    a prediction) ``member_predictions`` picks the members, raising any
+    error, and each row is read or computed.
 
     A call scores the candidates as columns: one column per member, read
     from its row over the id-sorted candidates, where an item missing from
@@ -550,13 +572,15 @@ def influential_items(
     0.0. One stable sort by descending delta keeps the id order among
     equal deltas.
     """
-    base = member_predictions(matrix, group, target, k)
     memo = _memo_of(matrix)
-    member_rows = [
-        memo.get(member, _SHIFTS, (target, k), _shift_row, matrix, member, target, k,
-                 taking_part)
-        for member, taking_part in base.items()
-    ]
+    member_rows = memo.every(group.members, _SHIFTS, (target, k))
+    if member_rows is None:
+        base = member_predictions(matrix, group, target, k)
+        member_rows = [
+            memo.get(member, _SHIFTS, (target, k), _shift_row, matrix, member, target, k,
+                     taking_part)
+            for member, taking_part in base.items()
+        ]
     rated = {item for member in group.members for item in matrix._by_user.get(member, ())}
     rated.discard(target)
     candidates = sorted(rated)

@@ -52,6 +52,8 @@ _RELAX = "tests/test_constraint.py::TestRelaxation::"
 _PER_PAIR = "tests/test_properties.py::test_column_checks_match_the_per_pair_reference"
 _LAYOUT = "tests/test_cf.py::TestMemoLayout::test_every_table_is_keyed_by_what_it_removes"
 _SCORING = "tests/test_cf.py::TestInfluenceScoring::"
+_WORK = "tests/test_cf.py::TestInfluenceWork::"
+_GROUP_READ = "tests/test_core.py::TestMemo::test_a_group_read_moves_users_only_when_each_has_the_key"
 
 MUTANTS = (
     # relaxation patterns and the causal short-circuit
@@ -169,6 +171,61 @@ MUTANTS = (
             _SCORING + "test_equal_deltas_rank_by_ascending_id",
             "tests/test_cf.py::TestInfluence::test_sorted_by_delta_then_id",
         ),
+    ),
+    # the group read of the kept shift rows
+    Mutant(
+        "the group read keyed (target, 2), not (target, k)",
+        _CF,
+        "memo.every(group.members, _SHIFTS, (target, k))",
+        "memo.every(group.members, _SHIFTS, (target, 2))",
+        (_WORK + "test_a_kept_group_at_a_new_k",),
+    ),
+    Mutant(
+        "a member without a kept row left out of the group read, not a miss",
+        _CF,
+        "                    return None\n                found.append(",
+        "                    continue\n                found.append(",
+        (_WORK + "test_two_members_kept_and_two_new",),
+    ),
+    Mutant(
+        "the rows before the first member without one used, no fallback",
+        _CF,
+        "                    return None\n                found.append(",
+        "                    return found or None\n                found.append(",
+        (_WORK + "test_two_members_kept_and_two_new",),
+    ),
+    Mutant(
+        "a group read that misses moves the users read before the miss",
+        _CF,
+        "                found.append(entry[slot][key])\n"
+        "            for user in users:\n                self._entries.move_to_end(user)\n",
+        "                found.append(entry[slot][key])\n"
+        "                self._entries.move_to_end(user)\n",
+        (_GROUP_READ,),
+    ),
+    Mutant(
+        "a group read that hits moves no user",
+        _CF,
+        "            for user in users:\n                self._entries.move_to_end(user)\n"
+        "        return found\n",
+        "        return found\n",
+        (_GROUP_READ, _WORK + "test_the_group_read_leaves_the_memo_as_member_reads_do"),
+    ),
+    # the shift row's candidates
+    Mutant(
+        "no _predict for a member who is the only rater of a removed item",
+        _CF,
+        "        raters = bounds.get(candidate) if candidate in own else None\n",
+        "        raters = bounds.get(candidate) if candidate in own else None\n"
+        "        if candidate in own and not raters:\n            continue\n",
+        ("tests/test_properties.py::test_influence_forced_cases",),
+    ),
+    Mutant(
+        "the 0.0 shortcut taken for an item only a neighbor who rated the target rated",
+        _CF,
+        "    for candidate in set(own).union(*voting) - {target}:",
+        "    for candidate in set(own) - {target}:",
+        ("tests/test_properties.py::test_influence_forced_cases",),
     ),
     # the loader's and the relaxation's raise-only checks
     Mutant(

@@ -26,7 +26,7 @@ from groupexplain.errors import (
     NoPredictionBasisError,
     UnknownUserError,
 )
-from helpers import leave_one_out, rating_rows
+from helpers import kept_values, leave_one_out, outcome, rating_rows
 
 # expected bucket counts per item over the six assigned neighbors
 NEIGHBOR_BUCKETS = {
@@ -445,6 +445,155 @@ class TestInfluenceWork:
         assert flagged == {"x11", "x12", "x31", "x32"}
         fresh = influential_items(copy.copy(dataset.matrix), other, "t1", 2)
         assert repr(again["ranking"]) == repr(fresh)
+
+    # Every member has a prediction for i01 at k = 2 and at k = 3.
+    WARM = Group("w", ("u00", "u01", "u02", "u04"))
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        """From now on, count each memo read, each member_predictions call
+        and each similarity scan, ranking, prediction and Pearson call."""
+        calls = Counter()
+        for owner, name in (
+            (cf._UserMemo, "get"), (cf._UserMemo, "tables"), (cf._UserMemo, "every"),
+            (cf, "member_predictions"), (cf, "_scan"), (cf, "_nearest"), (cf, "_predict"),
+            (cf, "pearson"),
+        ):
+            def counted(*args, _fn=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @staticmethod
+    def fresh(matrix, group, target, k):
+        return repr(influential_items(copy.copy(matrix), group, target, k))
+
+    def test_a_repeated_call_reads_the_memo_once(self, monkeypatch):
+        """Fails if a warm call reads the memo member by member: four
+        locked reads per member, 16 for this group."""
+        matrix, _, _ = _generated_case()
+        first = influential_items(matrix, self.WARM, "i01", 2)
+        calls = self.count_reads(monkeypatch)
+        again = influential_items(matrix, self.WARM, "i01", 2)
+        monkeypatch.undo()
+        assert calls == {"every": 1}
+        assert repr(again) == repr(first) == self.fresh(matrix, self.WARM, "i01", 2)
+
+    def test_two_members_kept_and_two_new(self, monkeypatch):
+        """u00 and u01 have rows; u02 and u04 are known to the memo but
+        were never asked about i01. The call takes the member path for
+        all four, reading the two kept rows and computing the others."""
+        matrix, _, _ = _generated_case()
+        influential_items(matrix, Group("k", ("u00", "u01")), "i01", 2)
+        for user in ("u02", "u04"):
+            core.knn_neighbors(matrix, user, 2)
+        calls = self.count_reads(monkeypatch)
+        got = influential_items(matrix, self.WARM, "i01", 2)
+        monkeypatch.undo()
+        assert calls["every"] == calls["member_predictions"] == 1
+        assert repr(got) == self.fresh(matrix, self.WARM, "i01", 2)
+
+    def test_a_kept_group_at_a_new_k(self):
+        matrix, _, _ = _generated_case()
+        at_2 = influential_items(matrix, self.WARM, "i01", 2)
+        at_3 = influential_items(matrix, self.WARM, "i01", 3)
+        assert repr(at_3) != repr(at_2)
+        assert repr(at_3) == self.fresh(matrix, self.WARM, "i01", 3)
+        assert repr(influential_items(matrix, self.WARM, "i01", 2)) == repr(at_2)
+
+    def test_a_kept_group_gains_a_member_without_ratings(self):
+        matrix, _, _ = _generated_case()
+        kept = influential_items(matrix, self.WARM, "i01", 2)
+        grown = Group("n", (*self.WARM.members, "nobody"))
+        got = influential_items(matrix, grown, "i01", 2)
+        assert repr(got) == self.fresh(matrix, grown, "i01", 2) == repr(kept)
+
+    def test_warm_calls_raise_as_a_fresh_matrix_does(self):
+        """k = 0, a target no member's neighbors rated, and a group whose
+        one member has no ratings raise the errors of a fresh matrix."""
+        matrix, _, _ = _generated_case()
+        for k in (2, 3):
+            influential_items(matrix, self.WARM, "i01", k)
+        unrated = Group("z", ("nobody",))
+        for group, target, k, error in (
+            (self.WARM, "i01", 0, ValueError),
+            (self.WARM, "i99", 2, NoPredictionBasisError),
+            (unrated, "i01", 2, NoPredictionBasisError),
+        ):
+            got = outcome(influential_items, matrix, group, target, k)
+            assert got == outcome(influential_items, copy.copy(matrix), group, target, k)
+            assert got[:2] == ("raised", error)
+        assert outcome(influential_items, matrix, self.WARM, "i99", 2)[2] == (
+            "no-prediction-basis: no member of 'w' has a prediction for 'i99'"
+        )
+
+    @pytest.mark.parametrize("kept", [4, 2], ids=["every-row-kept", "two-rows-kept"])
+    def test_another_call_evicts_the_group_right_after_its_read(self, kept, monkeypatch):
+        """A call reads its group's rows, and before it goes on, another
+        group's call evicts every row it read (forced in one thread, with
+        no timing). A kept row stays valid once read, and a miss computes
+        what it needs again: the ranking is a fresh matrix's, and the memo
+        counts what it keeps."""
+        matrix, _, _ = _generated_case()
+        one_group = copy.copy(matrix)
+        influential_items(one_group, self.WARM, "i01", 2)
+        cap = len(cf._memo_of(one_group))  # room for about one group's state
+        monkeypatch.setattr(cf, "_MEMO_CAP", cap)
+        influential_items(matrix, Group("k", self.WARM.members[:kept]), "i01", 2)
+        other = Group("o", tuple(f"u{n:02d}" for n in range(5, 17)))
+        read, reads = cf._UserMemo.every, []
+
+        def read_then_evict(memo, users, slot, key):
+            rows = read(memo, users, slot, key)
+            if not reads:
+                reads.append(rows is not None)
+                influential_items(matrix, other, "i01", 2)
+                tables = [(memo._entries.get(user) or [None] * cf._COST)[slot] for user in users]
+                assert not any(key in (table or {}) for table in tables)
+            return rows
+
+        monkeypatch.setattr(cf._UserMemo, "every", read_then_evict)
+        got = influential_items(matrix, self.WARM, "i01", 2)
+        monkeypatch.undo()
+        assert reads == [kept == 4]
+        assert repr(got) == self.fresh(matrix, self.WARM, "i01", 2)
+        memo = cf._memo_of(matrix)
+        assert len(memo) == sum(map(kept_values, memo._entries.values())) <= cap
+
+    def test_the_group_read_leaves_the_memo_as_member_reads_do(self, monkeypatch):
+        """Under the default cap, after each call of a mixed sequence, the
+        memo's user order, kept values and count are those of the same
+        calls when influential_items always takes the member path."""
+        matrix, group, _ = _generated_case()
+        reversed_warm = Group("r", self.WARM.members[::-1])
+        calls = [
+            (influential_items, self.WARM, "i01", 2),
+            (core.knn_neighbors, "u10", 2),
+            (influential_items, self.WARM, "i01", 2),
+            (influential_items, reversed_warm, "i01", 2),
+            (predict_rating, "u12", "i01", 2),
+            (influential_items, group, "i00", 2),
+            (influential_items, self.WARM, "i01", 3),
+            (member_predictions, Group("m", ("u03", "u00")), None, 2),
+            (influential_items, Group("n", (*self.WARM.members, "nobody")), "i01", 2),
+            (influential_items, self.WARM, "i01", 3),
+            (influential_items, self.WARM, "i99", 2),
+            (influential_items, group, "i00", 2),
+        ]
+
+        def states(shared):
+            found = []
+            for call, *args in calls:
+                outcome(call, shared, *args)
+                memo = cf._memo_of(shared)
+                found.append((list(memo._entries), repr(list(memo._entries.values())), len(memo)))
+            return found
+
+        grouped = states(copy.copy(matrix))
+        monkeypatch.setattr(cf._UserMemo, "every", lambda memo, users, slot, key: None)
+        assert states(copy.copy(matrix)) == grouped
 
 
 class TestMemoLayout:

@@ -317,6 +317,21 @@ class TestMemo:
         # a row counts its entries plus one
         assert len(memo) == entry[cf._COST] == 3 + 2
 
+    def test_a_group_read_moves_users_only_when_each_has_the_key(self, four_users):
+        """``every`` reads one key for each of several users: on a miss it
+        returns None and moves no one, and on a hit it moves each user to
+        the recently used end in the order given."""
+        memo = cf._memo_of(four_users)
+        memo.extend(cf._PREDICTIONS, {"a": {("i4", 2): 4.5}, "b": {("i4", 2): None}})
+        memo.extend(cf._PREDICTIONS, {"c": {("i1", 2): 3.0}})
+        size = len(memo)
+        for users, slot in ((["b", "c"], cf._PREDICTIONS), (["a", "d"], cf._PREDICTIONS),
+                            (["a"], cf._SHIFTS)):
+            assert memo.every(users, slot, ("i4", 2)) is None
+            assert list(memo._entries) == ["a", "b", "c"]
+        assert memo.every(["b", "a"], cf._PREDICTIONS, ("i4", 2)) == [None, 4.5]
+        assert list(memo._entries) == ["c", "b", "a"] and len(memo) == size
+
     def test_threads_sharing_a_matrix_keep_the_count(self, monkeypatch):
         ratings = [
             (f"u{n}", f"i{i}", float((n * 7 + i * 3) % 11) / 2)

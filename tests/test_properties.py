@@ -570,6 +570,21 @@ FORCED = {
         and predict_rating(without_item(matrix, "c"), "m", "t", 1)
         != predict_rating(matrix, "m", "t", 1),
     ),
+    # m did not rate c, which x rated: removing c keeps m's neighbors but
+    # moves the mean of b, m's neighbor who rated t
+    "only-a-neighbor-rated-it": (
+        rating_rows(
+            m=dict(i1=1.0, i2=2.0, i3=4.0),
+            b=dict(i1=2.0, i2=3.0, i3=4.0, t=4.0, c=1.0),
+            z=dict(i1=4.0, i2=2.0, i3=1.0, t=2.0),
+            x=dict(c=3.0),
+        ),
+        ("m", "x"), "t", 1,
+        lambda matrix: matrix.get("m", "c") is None
+        and knn_neighbors(matrix, "m", 1)[0][0] == "b"
+        and predict_rating(without_item(matrix, "c"), "m", "t", 1)
+        != predict_rating(matrix, "m", "t", 1),
+    ),
     # without c, b (who rated c, so its similarity is re-scored) ties z
     # (who did not) for the one slot, with a bound right at the tie: b's
     # lower id must win, so b must not be skipped
