@@ -8,8 +8,9 @@ minimal relaxations when the requirements filter everything away.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import compress, repeat
-from operator import not_
+from operator import and_, not_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -192,28 +193,51 @@ def relaxation_proposals(
     survivors of R are the items whose violation set lies inside R.
     Each attribute column is read once (``core._column``) and each
     requirement checked over it as ``_verdicts`` says, O(items x
-    requirements) checks in all. The verdicts are zipped into one pattern
-    per item at C level, and all further work is done once per distinct
-    pattern: its violation set, the minimality test and the survivors.
-    There is no cap on the number of requirements.
-    Every pair is evaluated. If a column raises, the pairs are checked
-    again item by item, each item's requirements in the order their ids
-    first appear, and the first error is raised: that of the first failing
-    item and its first failing requirement, whatever column raised. So an
-    item lacking a required attribute raises ``MissingAttributeError``
-    whatever the requirement order.
+    requirements) checks in all. Every pair is evaluated. If a column
+    raises, the pairs are checked again item by item, each item's
+    requirements in the order their ids first appear, and the first error
+    is raised: that of the first failing item and its first failing
+    requirement, whatever column raised. So an item lacking a required
+    attribute raises ``MissingAttributeError`` whatever the requirement
+    order.
+
+    Each requirement's verdicts become one int, ``failing``, with one byte
+    lane per item (lane i is 1 when item i violates it), and ``meeting``
+    is its complement in ``every``. The survivors of R are then the AND of
+    ``meeting`` over the requirements outside R. If some item meets every
+    requirement there is nothing to relax. Otherwise ``left`` starts as
+    every item, and each round takes the first item left, sets R to its
+    violation set and makes one pass over R, putting back each
+    requirement that some survivor still meets (the survivors shrink to
+    those that meet it too). The round emits R and its survivors, and
+    clears from ``left`` every item that violates all of R.
+
+    * Survivors only shrink as R shrinks, so a requirement that could not
+      be put back once cannot be later: one pass is enough.
+    * The final R has survivors, but none once any one of its requirements
+      is put back. So R is some item's violation set (a survivor's
+      violation set lies inside R, and a strict subset has no survivors),
+      and no item's violation set is a strict subset of it: R is minimal.
+    * Each round clears the item it started from, and a round starts only
+      from an item whose violation set holds no R found so far, so it
+      finds a new R; an item is cleared only once the R inside its
+      violation set is found, so every minimal R is. The loop runs
+      exactly once per proposal, with O(requirements) int operations each.
 
     Empty list when the requirements already admit an item. Proposals are
     ordered by cardinality, then lexicographically by removed ids; a
-    repeated requirement id counts once, as its last occurrence.
+    repeated requirement id counts once, as its last occurrence, and a
+    repeated item id is a survivor as often as it occurs.
     """
     if not items:
         raise EmptyCatalogError("item catalog is empty")
     by_id = {req.id: req for req in requirements}
     try:
         reads = {at: _column(at, items) for at in {req.attribute for req in by_id.values()}}
-        rows = [_verdicts(req, reads[req.attribute], items) for req in by_id.values()]
-        patterns = list(zip(*rows))
+        rows = [
+            bytes(map(not_, _verdicts(req, reads[req.attribute], items)))
+            for req in by_id.values()
+        ]
     except Exception:  # whatever a check raised, the pair-by-pair order decides
         try:
             for item in items:
@@ -222,22 +246,31 @@ def relaxation_proposals(
         except Exception as first:
             raise first from None
         raise
-    violated = {
-        pattern: frozenset(compress(by_id, map(not_, pattern)))
-        for pattern in dict.fromkeys(patterns)
-    }
-    if not all(violated.values()):
+    every = int.from_bytes(b"\1" * len(items), "little")
+    failing = [int.from_bytes(row, "little") for row in rows]
+    meeting = [every ^ fails for fails in failing]
+    if reduce(and_, meeting, every):
         return []
-    # a strict subset is shorter, so it is kept before any of its supersets
-    minimal: list[frozenset[str]] = []
-    for own in sorted(violated.values(), key=len):
-        if not any(map(own.issuperset, minimal)):
-            minimal.append(own)
-    minimal.sort(key=lambda removed: (len(removed), sorted(removed)))
     ids = [item.id for item in items]
     proposals = []
-    for removed in minimal:
-        inside = {pattern for pattern, own in violated.items() if own <= removed}
-        survivors = compress(ids, map(inside.__contains__, patterns))
+    left = every
+    while left:
+        first = (left & -left).bit_length() // 8  # lane i is bit 8 i
+        inside, own = every, []
+        for rid, row, meets, fails in zip(by_id, rows, meeting, failing):
+            if row[first]:
+                own.append((rid, meets, fails))
+            else:
+                inside &= meets
+        removed, cover = [], every
+        for rid, meets, fails in own:
+            if shrunk := inside & meets:
+                inside = shrunk
+            else:
+                removed.append(rid)
+                cover &= fails
+        left &= ~cover
+        survivors = compress(ids, inside.to_bytes(len(ids), "little"))
         proposals.append(RelaxationProposal(tuple(sorted(removed)), tuple(sorted(survivors))))
+    proposals.sort(key=lambda proposal: (len(proposal.removed), proposal.removed))
     return proposals

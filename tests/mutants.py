@@ -54,9 +54,22 @@ _LAYOUT = "tests/test_cf.py::TestMemoLayout::test_every_table_is_keyed_by_what_i
 _SCORING = "tests/test_cf.py::TestInfluenceScoring::"
 _WORK = "tests/test_cf.py::TestInfluenceWork::"
 _GROUP_READ = "tests/test_core.py::TestMemo::test_a_group_read_moves_users_only_when_each_has_the_key"
+# one round of relaxation_proposals' search after its first item's
+# violation set is read: the shrink pass, then the clearing of left
+_SHRINK = (
+    "        removed, cover = [], every\n"
+    "        for rid, meets, fails in own:\n"
+    "            if shrunk := inside & meets:\n"
+    "                inside = shrunk\n"
+    "            else:\n"
+    "                removed.append(rid)\n"
+    "                cover &= fails\n"
+    "        left &= ~cover\n"
+)
+_SURVIVORS = '        survivors = compress(ids, inside.to_bytes(len(ids), "little"))\n'
 
 MUTANTS = (
-    # relaxation patterns and the causal short-circuit
+    # the causal short-circuit and the column checks
     Mutant(
         "causal short-circuit placed before the kinds check",
         _CONSTRAINT,
@@ -72,20 +85,6 @@ MUTANTS = (
         (_COLUMNS + "test_an_int_subclass_value_is_checked_pair_by_pair", _PER_PAIR),
     ),
     Mutant(
-        "all-hold early return dropped",
-        _CONSTRAINT,
-        "    if not all(violated.values()):\n        return []\n",
-        "",
-        (_RELAX + "test_satisfiable_needs_no_relaxation", _PER_PAIR),
-    ),
-    Mutant(
-        "survivors from patterns that are not a subset of the removed set",
-        _CONSTRAINT,
-        "if own <= removed}",
-        "if own & removed}",
-        (_RELAX + "test_large_catalog_with_few_patterns_matches_the_reference",),
-    ),
-    Mutant(
         "the first requirement's verdict reused for every later one on its attribute",
         _CONSTRAINT,
         "    compare = _fast_compare(requirement.operator, kinds)\n",
@@ -93,13 +92,6 @@ MUTANTS = (
         " or [(0, _fast_compare(requirement.operator, kinds))])[0]\n"
         "    kinds.add((0, compare))\n",
         (_PER_PAIR,),
-    ),
-    Mutant(
-        "violation sets keyed per item again",
-        _CONSTRAINT,
-        "        for pattern in dict.fromkeys(patterns)\n",
-        "        for pattern in patterns\n",
-        (_RELAX + "test_work_is_per_distinct_pattern_not_per_item",),
     ),
     Mutant(
         "a well-formed column compared in full",
@@ -121,6 +113,38 @@ MUTANTS = (
         "item.attributes.keys() >= needed",
         "item.attributes.keys() > needed",
         ("tests/test_decisions.py",),
+    ),
+    # the relaxation search over per-requirement item masks
+    Mutant(
+        "the shrink pass skipped",
+        _CONSTRAINT,
+        "            if shrunk := inside & meets:\n",
+        "            if shrunk := 0:\n",
+        (
+            _RELAX + "test_edge_cases_match_the_reference[superset-first]",
+            _RELAX + "test_work_is_per_proposal_not_per_pattern",
+        ),
+    ),
+    Mutant(
+        "left cleared of the start item only",
+        _CONSTRAINT,
+        "        left &= ~cover\n",
+        "        left &= left - 1\n",
+        (_RELAX + "test_single_violations_over_24_requirements",),
+    ),
+    Mutant(
+        "the all-meet early return dropped",
+        _CONSTRAINT,
+        "    if reduce(and_, meeting, every):\n        return []\n",
+        "",
+        (_RELAX + "test_satisfiable_needs_no_relaxation", _PER_PAIR),
+    ),
+    Mutant(
+        "survivors taken before the shrink",
+        _CONSTRAINT,
+        _SHRINK + _SURVIVORS,
+        _SURVIVORS + _SHRINK,
+        (_RELAX + "test_edge_cases_match_the_reference[superset-first]",),
     ),
     # memo layout
     Mutant(

@@ -239,10 +239,34 @@ class TestRelaxation:
         assert sum(map(len, (p.survivors for p in proposals))) > 500
         assert proposals == reference_relaxation_proposals(reqs, items)
 
-    def test_work_is_per_distinct_pattern_not_per_item(self, monkeypatch):
-        # compress picks a violation set out of a pattern, and the
-        # survivors of a proposal out of the catalog
-        reqs, items = self.few_pattern_catalog()
+    @staticmethod
+    def many_pattern_catalog():
+        """12 requirements over 202 items: a contradictory pair on a0 and ten
+        filters that 20 of the 100 attribute values fail, over 200 items of
+        random values, so the catalog holds over a hundred violation
+        patterns. Two more items meet every filter, one at each end of a0,
+        so the pair's members are the only relaxations."""
+        rng = random.Random(29)
+        names = [f"a{m}" for m in range(11)]
+        items = [
+            Item(id=f"i{n:03d}", attributes={a: rng.randrange(100) for a in names})
+            for n in range(200)
+        ]
+        items += [
+            Item(id=f"end{a0}", attributes={**dict.fromkeys(names, 50), "a0": a0})
+            for a0 in (0, 99)
+        ]
+        reqs = [_req("lo", "a0", "<=", 30), _req("hi", "a0", ">=", 70)]
+        reqs += [
+            _req(f"f{m}", f"a{m}", *rng.choice([("<=", 79), (">=", 20)])) for m in range(1, 11)
+        ]
+        return reqs, items
+
+    @staticmethod
+    def compress_calls(monkeypatch, reqs, items):
+        """``relaxation_proposals(reqs, items)`` and how often it called
+        ``constraint.compress``, which picks each proposal's survivors out
+        of the catalog."""
         calls = []
 
         def counting(*args, _original=constraint.compress):
@@ -251,7 +275,74 @@ class TestRelaxation:
 
         monkeypatch.setattr(constraint, "compress", counting)
         proposals = relaxation_proposals(reqs, items)
-        assert 0 < len(calls) <= 9 + len(proposals)
+        monkeypatch.undo()
+        return proposals, len(calls)
+
+    def test_work_is_per_distinct_pattern_not_per_item(self, monkeypatch):
+        reqs, items = self.few_pattern_catalog()
+        proposals, calls = self.compress_calls(monkeypatch, reqs, items)
+        assert 0 < calls <= 9 + len(proposals)
+
+    def test_work_is_per_proposal_not_per_pattern(self, monkeypatch):
+        reqs, items = self.many_pattern_catalog()
+        patterns = {frozenset(r.id for r in reqs if not r.matches(item)) for item in items}
+        proposals, calls = self.compress_calls(monkeypatch, reqs, items)
+        assert len(patterns) >= 100
+        assert [p.removed for p in proposals] == [("hi",), ("lo",)]
+        assert proposals == reference_relaxation_proposals(reqs, items)
+        assert 0 < calls <= 2 * len(proposals)
+
+    @pytest.mark.parametrize(
+        "reqs, items, expected",
+        [
+            # the search starts from i0, whose violation set {r1, r2} is
+            # not minimal: it must put r1 back and emit {r2} alone
+            (
+                [_req("r1", "a", "<=", 0), _req("r2", "b", "<=", 0)],
+                [
+                    Item(id="i0", attributes={"a": 1, "b": 1}),
+                    Item(id="i1", attributes={"a": 1, "b": 0}),
+                    Item(id="i2", attributes={"a": 0, "b": 1}),
+                ],
+                [(("r1",), ("i1",)), (("r2",), ("i2",))],
+            ),
+            (
+                [_req("r1", "a", "<=", 1), _req("r2", "b", "<=", 1)],
+                [
+                    Item(id="i1", attributes={"a": 5, "b": 5}),
+                    Item(id="i2", attributes={"a": 9, "b": 7}),
+                ],
+                [(("r1", "r2"), ("i1", "i2"))],
+            ),
+            (
+                [_req("r1", "a", "<=", 1), _req("r2", "b", "<=", 1), _req("r3", "b", ">=", 3)],
+                [Item(id="i1", attributes={"a": 5, "b": 0})],
+                [(("r1", "r3"), ("i1",))],
+            ),
+            (
+                [_req("r1", "a", "<=", 1), _req("r2", "b", "<=", 1)],
+                [
+                    Item(id="x", attributes={"a": 0, "b": 5}),
+                    Item(id="y", attributes={"a": 5, "b": 0}),
+                    Item(id="x", attributes={"a": 0, "b": 5}),
+                    Item(id="x", attributes={"a": 5, "b": 5}),
+                ],
+                [(("r1",), ("y",)), (("r2",), ("x", "x"))],
+            ),
+            ([], [Item(id="i1", attributes={"a": 5})], []),
+        ],
+        ids=[
+            "superset-first",
+            "all-violate-all",
+            "one-item",
+            "repeated-item-ids",
+            "no-requirements",
+        ],
+    )
+    def test_edge_cases_match_the_reference(self, reqs, items, expected):
+        proposals = relaxation_proposals(reqs, items)
+        assert [(p.removed, p.survivors) for p in proposals] == expected
+        assert proposals == reference_relaxation_proposals(reqs, items)
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)], ids=["r2-last", "r2-first"])
     def test_missing_attribute_regardless_of_order(self, order):

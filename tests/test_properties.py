@@ -1,8 +1,9 @@
 """Property suites: invariants that must hold on randomized inputs.
 
-Nineteen suites, 200 examples each. The relaxation suite checks the
+Twenty suites, 200 examples each. The relaxation suite checks the
 implementation against a brute-force subset enumeration written here, the
-column-check suite the column-wise requirement checks against the frozen
+large relaxation suite (20-40 requirements over 100-400 items) against the
+frozen per-pair reference in ``helpers``, the column-check suite the column-wise requirement checks against the frozen
 per-pair checks in ``helpers`` (same result, or same error type and
 message), the two influence suites against the leave-one-out definition
 (a reduced copy of the matrix per removed item), the bound suite the
@@ -17,6 +18,7 @@ recount of the values it keeps.
 """
 
 import math
+import random
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -231,6 +233,56 @@ def test_relaxation_matches_brute_force(instance):
     assert [(p.removed, p.survivors) for p in proposals] == expected
 
 
+@st.composite
+def large_relaxation_catalogs(draw):
+    """20-40 requirements over 100-400 items, built from a drawn seed: a
+    contradictory pair on a0 (``<= 3`` and ``>= 7``), so every item
+    violates one of them and relaxations exist, plus filters on a1-a11
+    (ints and half steps in [0, 10]) and ``=`` filters on a mostly "x"
+    string attribute. A few item ids repeat."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(100, 400))
+    numeric = [f"a{m}" for m in range(1, 12)]
+    items = []
+    for n in range(size):
+        values = {a: rng.choice([rng.randrange(11), rng.randrange(21) / 2]) for a in numeric}
+        values["a0"] = rng.randrange(11)
+        values["kind"] = rng.choice("xxxxxxxxyz")
+        iid = f"i{rng.randrange(size):03d}" if rng.random() < 0.05 else f"i{n:03d}"
+        items.append(Item(id=iid, attributes=values))
+    requirements = [_r("lo", "a0", "<=", 3), _r("hi", "a0", ">=", 7)]
+    for k in range(draw(st.integers(18, 38))):
+        operator = rng.choice(["<=", ">=", "="])
+        if operator == "=":
+            requirements.append(_r(f"f{k:02d}", "kind", "=", "x"))
+        else:
+            bound = rng.choice([6, 7.5, 9]) if operator == "<=" else rng.choice([1, 2.5, 4])
+            requirements.append(_r(f"f{k:02d}", rng.choice(numeric), operator, bound))
+    return requirements, items
+
+
+@given(instance=large_relaxation_catalogs())
+@RUNS
+def test_relaxation_at_20_to_40_requirements_matches_the_per_pair_reference(instance):
+    requirements, items = instance
+    proposals = relaxation_proposals(requirements, items)
+    assert proposals
+    assert proposals == reference_relaxation_proposals(requirements, items)
+
+
+class Verdict:
+    """An attribute value whose ``==`` returns a fixed object, not a bool."""
+
+    def __init__(self, result):
+        self.result = result
+
+    def __eq__(self, other):
+        return self.result
+
+    def __repr__(self):
+        return f"Verdict({self.result!r})"
+
+
 attribute_values = st.one_of(
     st.integers(-4, 4),
     st.integers(-8, 8).map(lambda n: n / 2),
@@ -295,6 +347,22 @@ def _r(rid, attribute, operator, bound):
 @example(instance=(
     [_r("r0", "a", "<=", 1), _r("r0", "b", "<=", 1), _r("r1", "a", ">=", 3)],
     [Item(id="p0", attributes={"a": 5, "b": 0}), Item(id="p1", attributes={"a": 0, "b": 5})],
+))
+# "=" on values whose == returns a truthy non-bool (2, "yes") or a falsy
+# one (0, ""): each lane holds the verdict's truth, never the object
+@example(instance=(
+    [_r("r0", "a", "=", "x"), _r("r1", "b", "<=", 1)],
+    [
+        Item(id="p0", attributes={"a": Verdict(2), "b": 5}),
+        Item(id="p1", attributes={"a": Verdict(0), "b": 0}),
+    ],
+))
+@example(instance=(
+    [_r("r0", "a", "=", "x"), _r("r1", "b", "<=", 1)],
+    [
+        Item(id="p0", attributes={"a": Verdict("yes"), "b": 5}),
+        Item(id="p1", attributes={"a": Verdict(""), "b": 0}),
+    ],
 ))
 @RUNS
 def test_column_checks_match_the_per_pair_reference(instance):
