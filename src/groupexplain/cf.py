@@ -18,7 +18,7 @@ from functools import partial
 from itertools import compress, repeat
 from operator import itemgetter, truediv
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .core import (
     NN_MODE_INTERSECTION, NN_MODE_UNION, RATING_MAX, RATING_MIN, AggregationStrategy, Group,
@@ -62,19 +62,21 @@ class MemberPrediction(NamedTuple):
 
 #: Most values the memo of one ``RatingsMatrix`` (``_memo_of``) keeps, over
 #: all the tables of ``_UserMemo``: the entries of its similarity maps,
-#: removal-bound lists and shift rows, its predictions and means, and the
-#: values of its neighbor lists (plus one per list and per row). Measured
-#: with tracemalloc at 1,000 users x 200 items x 30k ratings, a map entry
-#: takes about 52 bytes, a bound or neighbor-list value, kept ranking
-#: included, about 87 (~304 per list at k = 2-3), a kept mean about 57, a
-#: shift-row entry about 50 and a prediction, with its (item, k) key, about
-#: 120, so a full memo holds at most ~31 MB: every map of a 500-user matrix,
-#: or the maps and bounds of ~49 members of a 1,000-user one.
+#: removal-bound lists and shift rows, its means and predictions, and the
+#: values of its neighbor lists and removal maps (plus one per list and per
+#: row). Measured with tracemalloc at 1,000 users x 200 items x 30k ratings,
+#: a map entry takes about 50 bytes, a bound or neighbor-list value about
+#: 89, a removal-map value about 73 (~220 per list at k = 2), a shift-row
+#: entry about 48 and a prediction, with its (item, k) key, about 132, so a
+#: full memo holds at most ~35 MB: every map of a 500-user matrix, or the
+#: maps and bounds of ~20 members of a 1,000-user one (~13,000 values
+#: each). A mean, alone in its table, takes about 250, at most once per
+#: user of the matrix.
 _MEMO_CAP = 1 << 18
 
 # The tables of a memo entry, then the count of the entry's values toward
 # the cap (see ``_UserMemo`` for their keys).
-_SIMILARITIES, _MEANS, _BOUNDS, _NEAREST, _PREDICTIONS, _SHIFTS, _COST = range(7)
+_SIMILARITIES, _MEANS, _BOUNDS, _NEAREST, _REMOVALS, _PREDICTIONS, _SHIFTS, _COST = range(8)
 
 
 def _lists(lists) -> int:
@@ -88,6 +90,7 @@ _SLOT_COSTS = (
     len,
     lambda tables: sum(len(raters) for bounds in tables for raters in bounds.values()),
     _lists,
+    lambda maps: sum(_lists(removals.values()) for removals in maps),
     len,
     _lists,
 )
@@ -96,20 +99,21 @@ _SLOT_COSTS = (
 class _UserMemo:
     """Per-user kNN state of one matrix, computed once and kept least
     recently used first. Each user's entry holds one table per slot, keyed
-    as listed, where a removed item of None means no item is removed:
+    as listed, where None keys a slot's one value:
 
     - ``_SIMILARITIES`` {None: the user's similarity map};
-    - ``_MEANS`` {None or an item c the user rated: the mean without c};
+    - ``_MEANS`` {None: the user's mean rating};
     - ``_BOUNDS`` {None: the removal bounds (``_removal_bounds``)};
-    - ``_NEAREST`` {(None or an item c the user rated, k): the k nearest
-      neighbors without c, a tuple};
+    - ``_NEAREST`` {k: the k nearest neighbors, a tuple};
+    - ``_REMOVALS`` {k: {item c: the k nearest neighbors without c}, for
+      each item c of the removal bounds (``_shift_row``)};
     - ``_PREDICTIONS`` {(item, k): the prediction, or None: no basis};
     - ``_SHIFTS`` {(target t, k): the shift row of t (``_shift_row``)}.
 
-    ``get`` reads one value, ``every`` one key's value for each of a group
-    of users or none, ``tables`` a user's whole table, and ``extend`` is
-    the only write. A user's entry is dropped whole. A matrix
-    gets its memo from ``_memo_of``, on its first kNN read.
+    ``get`` reads one value and is the only write: it stores the value it
+    computes on a miss. ``every`` reads one key's value for each of a group
+    of users, or none. A user's entry is dropped whole. A matrix gets its
+    memo from ``_memo_of``, on its first kNN read.
     """
 
     __slots__ = ("_entries", "_size", "_lock")
@@ -125,7 +129,9 @@ class _UserMemo:
 
     def get(self, user: str, slot: int, key, compute: Callable[..., Any], *args) -> Any:
         """The value under *key* in *user*'s table in *slot*,
-        ``compute(*args)`` the first time."""
+        ``compute(*args)`` the first time, kept unless it alone would pass
+        the cap. If another call kept the key while this one computed, its
+        value is returned and nothing more is counted."""
         with self._lock:
             entry = self._entries.get(user)
             if entry is not None:
@@ -133,23 +139,19 @@ class _UserMemo:
                 table = entry[slot]
                 if table is not None and key in table:
                     return table[key]
-        value = compute(*args)
-        self.extend(slot, {user: {key: value}})
-        return value
-
-    def tables(self, users: Iterable[str], slot: int) -> dict[str, Mapping]:
-        """Each user's table in *slot* (a new empty dict if none), to read;
-        ``extend`` adds to them."""
-        found = {}
+        value = compute(*args)  # unlocked: another thread may keep the key meanwhile
         with self._lock:
-            for user in users:
-                entry = self._entries.get(user)
-                if entry is None or entry[slot] is None:
-                    found[user] = {}
+            entry = self._entries.get(user)
+            table = None if entry is None else entry[slot]
+            if table is not None and key in table:  # kept meanwhile: counted once
+                return table[key]
+            entry = self._admit(user, entry, _SLOT_COSTS[slot]((value,)))
+            if entry is not None:
+                if table is None:
+                    entry[slot] = {key: value}
                 else:
-                    self._entries.move_to_end(user)
-                    found[user] = entry[slot]
-        return found
+                    table[key] = value
+        return value
 
     def every(self, users: Sequence[str], slot: int, key) -> list | None:
         """The value under *key* in each user's table in *slot*, in order,
@@ -165,26 +167,6 @@ class _UserMemo:
             for user in users:
                 self._entries.move_to_end(user)
         return found
-
-    def extend(self, slot: int, new: Mapping[str, dict]) -> None:
-        """Add each user's values in *new*, computed by the caller, to the
-        user's table in *slot*. The memo may keep a values dict itself: the
-        caller drops it."""
-        with self._lock:
-            for user, values in new.items():
-                if not values:
-                    continue
-                entry = self._entries.get(user)
-                table = None if entry is None else entry[slot]
-                if table is not None:  # a key another thread added meanwhile counts once
-                    values = {key: value for key, value in values.items() if key not in table}
-                entry = self._admit(user, entry, _SLOT_COSTS[slot](values.values()))
-                if entry is None:
-                    continue
-                if table is None:
-                    entry[slot] = values
-                else:
-                    table.update(values)
 
     def _admit(self, user: str, entry: list | None, cost: int) -> list | None:
         """*user*'s *entry* (None: a new one) counting *cost* more values,
@@ -288,7 +270,7 @@ def _ranking(matrix: RatingsMatrix, user: str, k: int) -> tuple[tuple[str, float
     """*user*'s k nearest neighbors, ranked once per matrix, user and k. Only
     ranking reads the similarity map, which names an unknown user before a bad k."""
     return _memo_of(matrix).get(
-        user, _NEAREST, (None, k), lambda: _nearest(_similarities(matrix, user), k)
+        user, _NEAREST, k, lambda: _nearest(_similarities(matrix, user), k)
     )
 
 
@@ -554,11 +536,13 @@ def influential_items(
 
     The matrix is never copied, and no shift depends on the group: each
     member's shifts of the target at k are computed once per matrix, as one
-    row (``_shift_row``) kept in the matrix's bounded memo, and a later
-    call for any group that holds the member reads them. When every
-    member has a kept row for the target at k, the call reads all the rows
-    in one locked memo read (``_UserMemo.every``) and nothing else: only a
-    member ``member_predictions`` admitted on this matrix has a row.
+    row (``_shift_row``, which reads and keeps only the member's own memo
+    entry: its bounds and its removal map at k) kept in the matrix's
+    bounded memo, and a later call for any group that holds the member
+    reads them. When every member has a kept row for the target at k, the
+    call reads all the rows in one locked memo read (``_UserMemo.every``)
+    and nothing else: only a member ``member_predictions`` admitted on this
+    matrix has a row.
     Otherwise (a member never asked, evicted, without ratings or without
     a prediction) ``member_predictions`` picks the members, raising any
     error, and each row is read or computed.
@@ -607,55 +591,49 @@ def _shift_row(
     The member's similarities to all other users, and the bounds from one
     more pass over each member/user pair (per co-rated item, an upper bound
     on the pair's similarity without that item: ``_removal_bounds``), are
-    computed once per matrix and member and kept in the memo with every
-    user's mean; none depends on k. Removing an item c changes the member's
-    neighbors only if the member rated c, and only through the users who
-    also rated c: they are re-scored exactly with ``pearson`` on the
-    remaining co-rated items, by descending bound, until k similarities are
-    known and the next bound is strictly below the k-th best
-    (``_nearest_without``). A user skipped then has an exact similarity at
-    most its bound, so strictly below k known ones: it cannot enter the top
-    k, ties included, and the k nearest are those of a full re-scan.
-    Neither the member's k nearest neighbors without c nor a user's mean
-    without c depends on the target: each is kept in the memo the first
-    time it is computed, and read by a later row that removes c. A user who
-    did not rate c keeps its mean, read under the key None. The bounds
-    only decide what to skip: every similarity that is ranked or weighs a
-    prediction comes from ``pearson``, so each shift equals the one from
-    rebuilding the matrix without c's ratings and calling
-    ``predict_rating``, bit for bit. A member with a prediction has a
-    neighbor, hence two ratings, so no removal leaves it without ratings.
+    computed once per matrix and member and kept in the memo; neither
+    depends on k. Removing an item c changes the member's neighbors only if
+    the member rated c, and only through the users who also rated c: they
+    are re-scored exactly with ``pearson`` on the remaining co-rated items,
+    by descending bound, until k similarities are known and the next bound
+    is strictly below the k-th best (``_nearest_without``). A user skipped
+    then has an exact similarity at most its bound, so strictly below k
+    known ones: it cannot enter the top k, ties included, and the k nearest
+    are those of a full re-scan. The member's k nearest neighbors without
+    c do not depend on the target: the first row at k computes them for
+    every item c of the bounds, as one removal map kept in the memo, and a
+    later row at k reads that map. A user's mean without c is computed
+    exactly where it is needed (``core._mean``), and a user who did not
+    rate c keeps its mean, computed once per row. The bounds only decide
+    what to skip: every similarity that is ranked or weighs a prediction
+    comes from ``pearson``, so each shift equals the one from rebuilding
+    the matrix without c's ratings and calling ``predict_rating``, bit for
+    bit. A member with a prediction has a neighbor, hence two ratings, so
+    no removal leaves it without ratings. The row reads and writes only
+    the member's memo entry.
     """
     memo, rows = _memo_of(matrix), matrix._by_user  # rows are read, never changed
     own, (scored, nearest, before) = rows[member], taking_part
-    bounds = memo.get(member, _BOUNDS, None, _removal_bounds, own, scored, rows)
-    voting = [rows[v] for v, _ in nearest if target in rows[v]]
-    weighing = [v for v in scored if target in rows[v]] + [member]
-    kept_nearest = memo.tables([member], _NEAREST)[member]
-    kept_means = memo.tables(weighing, _MEANS)
-    new_nearest: dict = {}
-    new_means: dict[str, dict] = {}
+
+    def removal_map() -> dict[str, tuple[tuple[str, float], ...]]:
+        bounds = memo.get(member, _BOUNDS, None, _removal_bounds, own, scored, rows)
+        return {c: _nearest_without(own, scored, users, c, rows, k) for c, users in bounds.items()}
+
+    removals = memo.get(member, _REMOVALS, k, removal_map)
+    means: dict[str, float] = {}
 
     def mean(user: str) -> float:  # *user*'s mean once *candidate* is removed
         ratings = rows[user]
-        removed = candidate if candidate in ratings else None
-        value = kept_means[user].get(removed)
+        if candidate in ratings:
+            return _mean(ratings, candidate)
+        value = means.get(user)
         if value is None:
-            value = new_means.setdefault(user, {})[removed] = _mean(ratings, removed)
+            value = means[user] = _mean(ratings)
         return value
 
+    voting = [rows[v] for v, _ in nearest if target in rows[v]]
     row = {}
     for candidate in set(own).union(*voting) - {target}:
-        without = nearest
-        raters = bounds.get(candidate) if candidate in own else None
-        if raters:
-            without = kept_nearest.get((candidate, k))
-            if without is None:
-                without = new_nearest[candidate, k] = _nearest_without(
-                    own, scored, raters, candidate, rows, k
-                )
-        after = _predict(matrix, member, target, without, mean)
+        after = _predict(matrix, member, target, removals.get(candidate, nearest), mean)
         row[candidate] = None if after is None else abs(after - before)
-    memo.extend(_NEAREST, {member: new_nearest})
-    memo.extend(_MEANS, new_means)
     return row

@@ -15,6 +15,7 @@ import enum
 import math
 import sys
 from importlib import import_module
+from itertools import chain
 from operator import eq, ge, le, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -445,9 +446,12 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _mean(row: Mapping[str, float], without: str | None = None) -> float:
-    """Mean of a rating row, leaving out the rating of *without*."""
-    values = [value for item, value in row.items() if item != without]
-    return math.fsum(values) / len(values)
+    """Mean of a rating row, leaving out the rating of *without*, an item
+    of the row. ``fsum`` rounds the exact sum once, so adding -row[without]
+    gives the sum of the other ratings bit for bit."""
+    if without is None:
+        return math.fsum(row.values()) / len(row)
+    return math.fsum(chain(row.values(), (-row[without],))) / (len(row) - 1)
 
 
 def _ranked(rows: Iterable[Sequence]) -> list:

@@ -42,9 +42,9 @@ def outcome(fn, *args):
 def kept_values(entry):
     """The values a memo entry holds, counted from its tables as
     ``cf._MEMO_CAP`` counts them: one per map entry, mean, bound-list
-    entry and prediction, and per neighbor list and shift row its length
-    plus one."""
-    scored, means, bounds, nearest, predictions, shifts = (
+    entry and prediction, and per neighbor list, removed item's neighbor
+    list and shift row its length plus one."""
+    scored, means, bounds, nearest, removals, predictions, shifts = (
         (table or {}).values() for table in entry[:cf._COST]
     )
     return (
@@ -52,6 +52,7 @@ def kept_values(entry):
         + len(means)
         + sum(len(raters) for table in bounds for raters in table.values())
         + sum(len(neighbors) + 1 for neighbors in nearest)
+        + sum(len(neighbors) + 1 for table in removals for neighbors in table.values())
         + len(predictions)
         + sum(len(row) + 1 for row in shifts)
     )

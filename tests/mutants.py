@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 _CONSTRAINT = "src/groupexplain/constraint.py"
 _DATASET = "src/groupexplain/dataset.py"
 _CF = "src/groupexplain/cf.py"
+_CORE = "src/groupexplain/core.py"
 _COLUMNS = "tests/test_constraint.py::TestColumnWork::"
 _RELAX = "tests/test_constraint.py::TestRelaxation::"
 _PER_PAIR = "tests/test_properties.py::test_column_checks_match_the_per_pair_reference"
@@ -148,18 +149,41 @@ MUTANTS = (
     ),
     # memo layout
     Mutant(
-        "a mean keyed by an item the user never rated",
+        "a ranking keyed (None, k) instead of k",
         _CF,
-        "        removed = candidate if candidate in ratings else None",
-        "        removed = candidate",
-        (_LAYOUT,),
+        "_NEAREST, k, lambda",
+        "_NEAREST, (None, k), lambda",
+        (_LAYOUT, "tests/test_core.py::TestMemo::test_a_value_larger_than_the_cap_is_not_kept"),
     ),
     Mutant(
-        "a ranking keyed k instead of (None, k)",
+        "the removal map keyed without k",
         _CF,
-        "_NEAREST, (None, k), lambda",
-        "_NEAREST, k, lambda",
-        (_LAYOUT, "tests/test_core.py::TestMemo::test_a_value_larger_than_the_cap_is_not_kept"),
+        "memo.get(member, _REMOVALS, k, removal_map)",
+        "memo.get(member, _REMOVALS, None, removal_map)",
+        (_LAYOUT, _WORK + "test_a_kept_group_at_a_new_k"),
+    ),
+    Mutant(
+        "get storing a value another thread already kept",
+        _CF,
+        "            if table is not None and key in table:  # kept meanwhile: counted once\n"
+        "                return table[key]\n",
+        "",
+        ("tests/test_core.py::TestMemo::test_two_gets_of_one_key_count_it_once",),
+    ),
+    # the means of a shift row
+    Mutant(
+        "the mean without c computed as (fsum(row.values()) - row[c]) / (n - 1)",
+        _CORE,
+        "    return math.fsum(chain(row.values(), (-row[without],))) / (len(row) - 1)",
+        "    return (math.fsum(row.values()) - row[without]) / (len(row) - 1)",
+        ("tests/test_properties.py::test_a_mean_without_an_item_is_the_mean_of_the_others",),
+    ),
+    Mutant(
+        "a user who rated the removed item keeps its plain mean",
+        _CF,
+        "        if candidate in ratings:\n            return _mean(ratings, candidate)\n",
+        "",
+        ("tests/test_properties.py::test_influence_forced_cases",),
     ),
     # influence candidates scored as columns
     Mutant(
@@ -239,9 +263,9 @@ MUTANTS = (
     Mutant(
         "no _predict for a member who is the only rater of a removed item",
         _CF,
-        "        raters = bounds.get(candidate) if candidate in own else None\n",
-        "        raters = bounds.get(candidate) if candidate in own else None\n"
-        "        if candidate in own and not raters:\n            continue\n",
+        "        after = _predict(matrix, member, target, removals.get(candidate, nearest), mean)\n",
+        "        if candidate in own and candidate not in removals:\n            continue\n"
+        "        after = _predict(matrix, member, target, removals.get(candidate, nearest), mean)\n",
         ("tests/test_properties.py::test_influence_forced_cases",),
     ),
     Mutant(

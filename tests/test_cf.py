@@ -455,7 +455,7 @@ class TestInfluenceWork:
         and each similarity scan, ranking, prediction and Pearson call."""
         calls = Counter()
         for owner, name in (
-            (cf._UserMemo, "get"), (cf._UserMemo, "tables"), (cf._UserMemo, "every"),
+            (cf._UserMemo, "get"), (cf._UserMemo, "every"),
             (cf, "member_predictions"), (cf, "_scan"), (cf, "_nearest"), (cf, "_predict"),
             (cf, "pearson"),
         ):
@@ -529,6 +529,32 @@ class TestInfluenceWork:
             "no-prediction-basis: no member of 'w' has a prediction for 'i99'"
         )
 
+    def test_a_shift_row_reads_and_keeps_its_own_members_entry_only(self, monkeypatch):
+        """Building u00's first shift row, its bounds and removal map
+        included, calls ``_UserMemo.get`` for u00 alone: every other
+        user's entry, and the order of the entries, stay as they were."""
+        matrix, _, _ = _generated_case()
+        taking_part = member_predictions(matrix, Group("s", ("u00", "u01")), "i01", 2)["u00"]
+        entries = cf._memo_of(matrix)._entries
+        assert "u00" in entries and len(entries) > 1
+        others = [(user, repr(entry)) for user, entry in entries.items() if user != "u00"]
+        users, get = [], cf._UserMemo.get
+
+        def recording_get(memo, user, *args):
+            users.append(user)
+            return get(memo, user, *args)
+
+        monkeypatch.setattr(cf._UserMemo, "get", recording_get)
+        row = cf._shift_row(matrix, "u00", "i01", 2, taking_part)
+        monkeypatch.undo()
+        assert users and set(users) == {"u00"}
+        after = [(user, repr(entry)) for user, entry in entries.items()]
+        assert after == [*others, ("u00", repr(entries["u00"]))]
+        assert entries["u00"][cf._REMOVALS].keys() == {2}
+        assert row and repr(row) == repr(
+            cf._shift_row(copy.copy(matrix), "u00", "i01", 2, taking_part)
+        )
+
     @pytest.mark.parametrize("kept", [4, 2], ids=["every-row-kept", "two-rows-kept"])
     def test_another_call_evicts_the_group_right_after_its_read(self, kept, monkeypatch):
         """A call reads its group's rows, and before it goes on, another
@@ -598,7 +624,9 @@ class TestInfluenceWork:
 
 class TestMemoLayout:
     """Every slot of a memo entry is a table, keyed as ``cf._UserMemo``
-    lists: a removed item is None (none removed) or an item the user rated."""
+    lists: None keys a slot's one value and never means "no item removed",
+    a neighbor list is keyed by k, and a removal map by k, then by each
+    item of the user's removal bounds, an item the user rated."""
 
     @staticmethod
     def assert_layout(matrix):
@@ -608,13 +636,14 @@ class TestMemoLayout:
             rated = matrix.items_rated_by(user).keys()
             tables = entry[:cf._COST]
             assert all(table is None or type(table) is dict for table in tables), user
-            scored, means, bounds, nearest, _, _ = (table or {} for table in tables)
-            assert set(scored) <= {None} and set(bounds) <= {None}
-            assert all(removed is None or removed in rated for removed in means), user
-            for key in nearest:
-                assert type(key) is tuple and len(key) == 2, key
-                removed, k = key
-                assert (removed is None or removed in rated) and k >= 1, key
+            scored, means, bounds, nearest, removals, _, _ = (table or {} for table in tables)
+            assert set(scored) <= {None} and set(means) <= {None} and set(bounds) <= {None}
+            for k in (*nearest, *removals):
+                assert type(k) is int and k >= 1, k
+            for by_item in removals.values():
+                assert by_item.keys() <= rated, user
+                if bounds:
+                    assert by_item.keys() == bounds[None].keys(), user
 
     def test_every_table_is_keyed_by_what_it_removes(self, dataset, g1):
         matrix = copy.copy(dataset.matrix)  # a new, empty memo

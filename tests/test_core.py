@@ -233,7 +233,7 @@ class TestMemo:
         )
         memo = cf._memo_of(four_users)
         entry = memo._entries["a"]
-        assert entry[cf._SIMILARITIES] is None and list(entry[cf._NEAREST]) == [(None, 1)]
+        assert entry[cf._SIMILARITIES] is None and list(entry[cf._NEAREST]) == [1]
         assert cf._user_mean(four_users, "a") == 4.0  # would take a's entry past the cap
         assert entry[cf._MEANS] is None
         assert len(memo) == 2 and list(memo._entries) == ["a"]
@@ -303,27 +303,35 @@ class TestMemo:
     def test_every_slot_has_a_cost(self):
         assert len(cf._SLOT_COSTS) == cf._COST
 
-    def test_two_extends_of_one_key_count_it_once(self, four_users):
-        """Two callers read a member's shift rows before either keeps any,
-        then both add the same key: the memo counts its row once."""
+    def test_two_gets_of_one_key_count_it_once(self, four_users):
+        """Two gets of a member's shift row both miss, and the second runs
+        and keeps its row inside the first's compute, as another thread's
+        get can (forced here without threads): the first returns the kept
+        row, and the memo counts it once."""
         memo, key, row = cf._memo_of(four_users), ("i4", 2), {"i1": 0.25, "i2": None}
-        first = memo.tables(["a"], cf._SHIFTS)
-        second = memo.tables(["a"], cf._SHIFTS)
-        assert first == second == {"a": {}}
-        memo.extend(cf._SHIFTS, {"a": {key: row}})
-        memo.extend(cf._SHIFTS, {"a": {key: dict(row), ("i4", 3): {"i1": 0.5}}})
+        computes = []
+
+        def overlapping():
+            computes.append("first")
+            assert memo.get("a", cf._SHIFTS, key, lambda: computes.append("second") or row) is row
+            return dict(row)
+
+        assert memo.get("a", cf._SHIFTS, key, overlapping) is row
+        assert memo.get("a", cf._SHIFTS, ("i4", 3), dict, {"i1": 0.5}) == {"i1": 0.5}
+        assert computes == ["first", "second"]
         entry = memo._entries["a"]
         assert entry[cf._SHIFTS] == {key: row, ("i4", 3): {"i1": 0.5}}
         # a row counts its entries plus one
-        assert len(memo) == entry[cf._COST] == 3 + 2
+        assert len(memo) == entry[cf._COST] == kept_values(entry) == 3 + 2
 
     def test_a_group_read_moves_users_only_when_each_has_the_key(self, four_users):
         """``every`` reads one key for each of several users: on a miss it
         returns None and moves no one, and on a hit it moves each user to
         the recently used end in the order given."""
         memo = cf._memo_of(four_users)
-        memo.extend(cf._PREDICTIONS, {"a": {("i4", 2): 4.5}, "b": {("i4", 2): None}})
-        memo.extend(cf._PREDICTIONS, {"c": {("i1", 2): 3.0}})
+        for user, key, value in (("a", ("i4", 2), 4.5), ("b", ("i4", 2), None),
+                                 ("c", ("i1", 2), 3.0)):
+            assert memo.get(user, cf._PREDICTIONS, key, lambda: value) == value
         size = len(memo)
         for users, slot in ((["b", "c"], cf._PREDICTIONS), (["a", "d"], cf._PREDICTIONS),
                             (["a"], cf._SHIFTS)):
@@ -437,7 +445,7 @@ class TestCfStateLayout:
 
     MEMO = {
         "_UserMemo", "_MEMO_CAP", "_SLOT_COSTS", "_lists", "_SIMILARITIES", "_MEANS", "_BOUNDS",
-        "_NEAREST", "_PREDICTIONS", "_SHIFTS", "_COST",
+        "_NEAREST", "_REMOVALS", "_PREDICTIONS", "_SHIFTS", "_COST",
     }
     KNN = {"_similarity", "_similarities", "_scan", "_nearest", "_predict", "_ranking",
            "_prediction"}

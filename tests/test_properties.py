@@ -1,6 +1,6 @@
 """Property suites: invariants that must hold on randomized inputs.
 
-Twenty suites, 200 examples each. The relaxation suite checks the
+Twenty-one suites, 200 examples each. The relaxation suite checks the
 implementation against a brute-force subset enumeration written here, the
 large relaxation suite (20-40 requirements over 100-400 items) against the
 frozen per-pair reference in ``helpers``, the column-check suite the column-wise requirement checks against the frozen
@@ -9,7 +9,9 @@ message), the two influence suites against the leave-one-out definition
 (a reduced copy of the matrix per removed item), the bound suite the
 influence scan's leave-one-out similarity bounds against exact
 similarities, the premise suite the Pearson kernel's deviations and
-centred sums against exact rational arithmetic, the critique suite
+centred sums against exact rational arithmetic, the mean suite a
+mean without one item against the ``fsum`` of the other ratings, bit for
+bit, the critique suite
 against a count of each critique by hand, the kernel suite the
 library's neighbors and predictions against the frozen reference kernel
 in ``helpers``, and the two memo suites each call on one shared matrix
@@ -487,6 +489,36 @@ def test_centred_sums_keep_the_rounding_premises(pair):
         (sxy, sum(a * b for a, b in zip(ex, ey))),
     ):
         assert abs(Fraction(got) - exact) <= 200 * n * u
+
+
+# Ratings to average: many-digit floats, subnormals and zeros of either
+# sign, with repeats drawn often from the fixed values.
+mean_ratings = st.one_of(
+    st.floats(0.0, 5.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 2.5, 5.0]),
+)
+
+
+@st.composite
+def rows_without_an_item(draw):
+    """A row of 2-40 ratings drawn from ``mean_ratings``, and one of its items."""
+    values = draw(st.lists(mean_ratings, min_size=2, max_size=40))
+    row = {f"i{i}": value for i, value in enumerate(values)}
+    return row, draw(st.sampled_from(sorted(row)))
+
+
+@given(case=rows_without_an_item())
+@example(case=({"i0": 0.1, "i1": 0.2, "i2": 5.0}, "i2"))  # 5.3 - 5.0 rounds twice
+@example(case=({"i0": -0.0, "i1": 3.0}, "i1"))
+@RUNS
+def test_a_mean_without_an_item_is_the_mean_of_the_others(case):
+    # ``core._mean`` adds the removed rating's negation to one correctly
+    # rounded fsum: bit for bit the mean of the other ratings
+    row, removed = case
+    got = core._mean(row, removed)
+    expected = math.fsum([v for i, v in row.items() if i != removed]) / (len(row) - 1)
+    assert repr(got) == repr(expected)
+    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
 
 
 @st.composite
