@@ -91,17 +91,52 @@ class _Parser(argparse.ArgumentParser):
 
 
 class CommandResult(NamedTuple):
-    lines: list[str]
+    """What one row found, in raw values; ``_emit`` derives each view.
+
+    ``lines`` is the text: sentences, and ``(pattern, *values)`` lines of
+    ids and numbers (``_text``). ``payload`` is the JSON body (``_json``).
+    ``chart`` draws a series of the same values.
+    """
+
+    lines: list
     payload: dict
     chart: ChartData | None = None
 
 
-def _r2(value: float) -> float:
-    return display_round(value, 2)
+def _text(line) -> str:
+    """A text line, each number shown by ``fmt_num``."""
+    if isinstance(line, str):
+        return line
+    pattern, *values = line
+    return pattern.format(*(v if isinstance(v, str) else fmt_num(v) for v in values))
 
 
-def _listing(first: str, pairs) -> list[str]:
-    return [first] + [f"{label}: {fmt_num(value)}" for label, value in pairs]
+# The JSON shows a number rounded to two places, halves away from zero,
+# at any depth, but under these top-level keys.
+_JSON_SHOWN = {
+    "supports": display_trunc,  # a critique support: 2/3 shows 0.66, in the text too
+    "adapted_weights": lambda weight: display_round(weight, 4),
+    "threshold": float,  # the --threshold given, as given
+}
+
+
+def _json(value, show: Callable[[float], float]):
+    """*value* as the JSON shows it, each float through *show*."""
+    if type(value) is float:
+        return show(value)
+    if isinstance(value, dict):
+        return {key: _json(inner, show) for key, inner in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(inner, show) for inner in value]
+    return value
+
+
+def _sentence(args, template_id: str, **slots) -> str:
+    return render_explanation(template_id, args.privacy, slots).text
+
+
+def _listing(first: str, pairs) -> list:
+    return [first, *(("{}: {}", label, value) for label, value in pairs)]
 
 
 def _bar(series, **meta) -> ChartData:
@@ -134,36 +169,28 @@ def _cf_aggregation(dataset: Dataset, args, group: Group, item: Item) -> Command
     ordered = sorted(scores.items())
     payload = dict(
         strategy=strategy.value,
-        score=_r2(slots["score"]),
+        score=slots["score"],
         explanation=explanation.text,
         template=explanation.template_id,
     )
-    lines = [explanation.text]
     if args.privacy == PRIVACY_NAMED:
-        payload.update(
-            scores={m: _r2(s) for m, s in ordered}, contributors=list(slots["users"])
-        )
-        lines += [f"{m}: {fmt_num(s)}" for m, s in ordered]
-        series = ordered
+        payload.update(scores=scores, contributors=slots["users"])
+        lines, series = _listing(explanation.text, ordered), ordered
     else:
         payload.update(contributor_count=slots["count"], member_count=slots["total"])
-        series = _anonymous_labels(ordered)
-    lines.append(f"group score ({strategy.value}): {fmt_num(slots['score'])}")
+        lines, series = [explanation.text], _anonymous_labels(ordered)
+    lines.append(("group score ({}): {}", strategy.value, slots["score"]))
     return CommandResult(lines, payload, _bar(series, max=5.0))
 
 
 def _histogram_result(args, histogram, template_id: str, **body) -> CommandResult:
     counts = histogram.counts._asdict()
-    explanation = render_explanation(
-        template_id, args.privacy, dict(item=histogram.item)
-    )
-    counts_line = render_explanation("cf-histogram-counts", args.privacy, counts)
-    payload = dict(
-        source=histogram.source, histogram=counts, explanation=explanation.text, **body
-    )
-    return CommandResult(
-        [explanation.text, counts_line.text], payload, histogram_chart(histogram)
-    )
+    lines = [
+        _sentence(args, template_id, item=histogram.item),
+        _sentence(args, "cf-histogram-counts", **counts),
+    ]
+    payload = dict(source=histogram.source, histogram=counts, explanation=lines[0], **body)
+    return CommandResult(lines, payload, histogram_chart(histogram))
 
 
 def _cf_histogram(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
@@ -198,14 +225,9 @@ def _cf_group_histogram(
 def _cf_spider(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
     ratings = dataset.neighbor_group_row(item.id)
     chart = spider_chart(ratings, item.id)
-    explanation = render_explanation(
-        "cf-group-histogram", args.privacy, dict(item=item.id)
-    )
-    ordered = sorted(ratings.items())
-    payload = dict(
-        ratings={gp: _r2(r) for gp, r in ordered}, explanation=explanation.text
-    )
-    return CommandResult(_listing(explanation.text, ordered), payload, chart)
+    explanation = _sentence(args, "cf-group-histogram", item=item.id)
+    lines = _listing(explanation, sorted(ratings.items()))
+    return CommandResult(lines, dict(ratings=ratings, explanation=explanation), chart)
 
 
 def _cf_influence(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
@@ -213,20 +235,13 @@ def _cf_influence(dataset: Dataset, args, group: Group, item: Item) -> CommandRe
 
     results = cf.influential_items(dataset.matrix, group, item.id, k=args.k)
     top = results[0]
-    explanation = render_explanation(
-        "cf-influence",
-        args.privacy,
-        dict(influencer=top.item, item=item.id, delta=top.delta),
-    )
-    lines = [explanation.text]
-    for result in results:
-        flag = " (basis-destroying)" if result.basis_destroying else ""
-        lines.append(f"{result.item}: {fmt_num(result.delta)}{flag}")
-    ranking = [
-        dict(item=r.item, delta=_r2(r.delta), basis_destroying=r.basis_destroying)
+    lines = [_sentence(args, "cf-influence", influencer=top.item, item=item.id, delta=top.delta)]
+    lines += [
+        ("{}: {} (basis-destroying)" if r.basis_destroying else "{}: {}", r.item, r.delta)
         for r in results
     ]
-    chart = _bar(((r.item, r.delta) for r in results[:10]))
+    ranking = [r._asdict() for r in results]
+    chart = _bar((r.item, r.delta) for r in results[:10])
     return CommandResult(lines, dict(ranking=ranking), chart)
 
 
@@ -238,15 +253,13 @@ def _cb_category(dataset: Dataset, args, group: Group, item: Item) -> CommandRes
 
     ranked = cb.rank_categories(group, dataset.user_category_weights, item)
     top = ranked[0][0]
-    explanation = render_explanation(
-        "cb-category", args.privacy, dict(item=item.id, category=top)
-    )
+    explanation = _sentence(args, "cb-category", item=item.id, category=top)
     payload = dict(
         top=top,
-        ranking=[dict(category=c, relevance=_r2(er)) for c, er in ranked],
-        explanation=explanation.text,
+        ranking=[dict(category=c, relevance=er) for c, er in ranked],
+        explanation=explanation,
     )
-    return CommandResult(_listing(explanation.text, ranked), payload, _bar(ranked))
+    return CommandResult(_listing(explanation, ranked), payload, _bar(ranked))
 
 
 def _cb_opinion(dataset: Dataset, args, group: Group, item: Item) -> CommandResult:
@@ -256,19 +269,17 @@ def _cb_opinion(dataset: Dataset, args, group: Group, item: Item) -> CommandResu
     if profile is None:
         raise MissingFeatureError(f"group {group.id!r} has no sentiment profile")
     pros, cons = cb.pros_cons(profile, item, threshold=args.threshold)
-    explanation = render_explanation(
-        "cb-opinion",
-        args.privacy,
-        dict(item=item.id, pros=[f for f, _ in pros], cons=[f for f, _ in cons]),
+    explanation = _sentence(
+        args, "cb-opinion", item=item.id, pros=[f for f, _ in pros], cons=[f for f, _ in cons]
     )
     merged = pros + cons
     payload = dict(
         threshold=args.threshold,
-        pros=[dict(feature=f, relevance=_r2(er)) for f, er in pros],
-        cons=[dict(feature=f, relevance=_r2(er)) for f, er in cons],
-        explanation=explanation.text,
+        pros=[dict(feature=f, relevance=er) for f, er in pros],
+        cons=[dict(feature=f, relevance=er) for f, er in cons],
+        explanation=explanation,
     )
-    return CommandResult(_listing(explanation.text, merged), payload, _bar(merged))
+    return CommandResult(_listing(explanation, merged), payload, _bar(merged))
 
 
 def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
@@ -277,24 +288,20 @@ def _cb_tags(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
     rows, favored = cb.tag_summary(
         dataset.matrix, dataset.tags, group, args.threshold, args.privacy
     )
-    explanation = render_explanation("cb-tags", args.privacy, dict(tags=favored))
+    explanation = _sentence(args, "cb-tags", tags=favored)
     member_likes = {tag: likers for tag, _, _, likers in rows if likers}
     cloud = tag_cloud(
         {tag: pref for tag, pref, _, _ in rows}, member_likes, privacy=args.privacy
     )
     payload = dict(
         threshold=args.threshold,
-        tags=[
-            dict(tag=tag, preference=_r2(pref), relevance=_r2(rel))
-            for tag, pref, rel, _ in rows
-        ],
-        explanation=explanation.text,
+        tags=[dict(tag=tag, preference=pref, relevance=rel) for tag, pref, rel, _ in rows],
+        explanation=explanation,
     )
     if args.privacy == PRIVACY_NAMED:
         payload.update(member_likes=member_likes)
-    lines = [explanation.text] + [
-        f"{tag}: preference {fmt_num(pref)}, relevance {fmt_num(rel)}"
-        for tag, pref, rel, _ in rows
+    lines = [explanation] + [
+        ("{}: preference {}, relevance {}", tag, pref, rel) for tag, pref, rel, _ in rows
     ]
     return CommandResult(lines, payload, cloud)
 
@@ -309,19 +316,17 @@ def _constraint_requirements(
 
     ranking = constraint.rank_requirements(group, dataset.requirements, dataset.items)
     top = ranking[0][0]
-    explanation = render_explanation(
-        "constraint-requirement", args.privacy, dict(requirement=top)
-    )
+    explanation = _sentence(args, "constraint-requirement", requirement=top)
     payload = dict(
         top=top,
         ranking=[
-            dict(requirement=rid, relevance=_r2(rel), causally_relevant=causal)
+            dict(requirement=rid, relevance=rel, causally_relevant=causal)
             for rid, rel, causal in ranking
         ],
-        explanation=explanation.text,
+        explanation=explanation,
     )
-    lines = [explanation.text] + [
-        f"{rid}: {fmt_num(rel)}{' (causally relevant)' if causal else ''}"
+    lines = [explanation] + [
+        ("{}: {} (causally relevant)" if causal else "{}: {}", rid, rel)
         for rid, rel, causal in ranking
     ]
     chart = _bar((rid, rel) for rid, rel, _ in ranking)
@@ -333,17 +338,15 @@ def _constraint_maut(dataset: Dataset, args, group: Group, item: Item) -> Comman
 
     ranking = constraint.rank_dimensions(group, dataset.dimensions, item)
     top = ranking[0][0]
-    explanation = render_explanation(
-        "constraint-maut", args.privacy, dict(item=item.id, dimension=top)
-    )
+    explanation = _sentence(args, "constraint-maut", item=item.id, dimension=top)
     means = sorted((d, mean) for d, _, mean in ranking)
     payload = dict(
         top=top,
-        ranking=[dict(dimension=d, relevance=_r2(rel)) for d, rel, _ in ranking],
-        importance_means={d: _r2(v) for d, v in means},
-        explanation=explanation.text,
+        ranking=[dict(dimension=d, relevance=rel) for d, rel, _ in ranking],
+        importance_means=dict(means),
+        explanation=explanation,
     )
-    lines = _listing(explanation.text, ((d, rel) for d, rel, _ in ranking))
+    lines = _listing(explanation, ((d, rel) for d, rel, _ in ranking))
     return CommandResult(lines, payload, _bar(means))
 
 
@@ -352,19 +355,20 @@ def _critique(dataset: Dataset, args, group: Group, item: Item) -> CommandResult
 
     critiques = critique.group_critiques(dataset.critiques, group)
     result = critique.support_matrix(critiques, item)
-    explanation = critique.summary_explanation(result, item, args.privacy)
-    shown = [(a, display_trunc(s)) for a, s in result.supports.items()]
+    explanation = critique.summary_explanation(result, item, args.privacy).text
+    supports = result.supports.items()
     payload = dict(
-        supports=[dict(attribute=a, support=s) for a, s in shown],
-        explanation=explanation.text,
+        supports=[dict(attribute=a, support=s) for a, s in supports],
+        explanation=explanation,
     )
     if args.privacy == PRIVACY_NAMED:
         matrix: dict[str, dict[str, bool]] = {}
         for (author, attribute), satisfied in result.cells.items():
             matrix.setdefault(author, {})[attribute] = satisfied
         payload.update(matrix=matrix)
-    chart = _bar(result.supports.items(), max=1.0)
-    return CommandResult(_listing(explanation.text, shown), payload, chart)
+    shown = _JSON_SHOWN["supports"]
+    lines = _listing(explanation, ((a, shown(s)) for a, s in supports))
+    return CommandResult(lines, payload, _bar(supports, max=1.0))
 
 
 def _fairness_adapt(dataset: Dataset, args, group: Group, item: None) -> CommandResult:
@@ -379,20 +383,13 @@ def _fairness_adapt(dataset: Dataset, args, group: Group, item: None) -> Command
     if args.privacy == PRIVACY_NAMED:
         slots.update(users=upgraded)
     template = "constraint-fairness" if upgraded else "constraint-fairness-balanced"
-    explanation = render_explanation(template, args.privacy, slots)
-    payload = dict(mean_fairness=_r2(mean), explanation=explanation.text)
-    lines = [explanation.text, f"mean fairness: {fmt_num(mean)}"]
+    explanation = _sentence(args, template, **slots)
+    payload = dict(mean_fairness=mean, explanation=explanation)
+    lines = [explanation, ("mean fairness: {}", mean)]
     ordered = sorted(fairness.items())
     if args.privacy == PRIVACY_NAMED:
-        payload.update(
-            fairness={m: _r2(f) for m, f in ordered},
-            adapted_weights={
-                m: {d: display_round(w, 4) for d, w in sorted(weights.items())}
-                for m, weights in sorted(adapted.items())
-            },
-            upgraded=upgraded,
-        )
-        lines += [f"{m}: fairness {fmt_num(f)}" for m, f in ordered]
+        payload.update(fairness=fairness, adapted_weights=adapted, upgraded=upgraded)
+        lines += [("{}: fairness {}", m, f) for m, f in ordered]
         series = ordered
     else:
         payload.update(upgraded_count=len(upgraded), member_count=len(group.members))
@@ -406,18 +403,11 @@ def _relax(dataset: Dataset, args, group: None, item: None) -> CommandResult:
     catalog = constraint.constrained_items(dataset.requirements, dataset.items)
     proposals = constraint.relaxation_proposals(dataset.requirements, catalog)
     lines = [
-        render_explanation(
-            "relax-proposal",
-            args.privacy,
-            dict(requirements=list(p.removed), items=list(p.survivors)),
-        ).text
+        _sentence(args, "relax-proposal", requirements=p.removed, items=p.survivors)
         for p in proposals
-    ] or [render_explanation("relax-none", args.privacy, {}).text]
+    ] or [_sentence(args, "relax-none")]
     payload = dict(
-        proposals=[
-            dict(remove=list(p.removed), survivors=list(p.survivors))
-            for p in proposals
-        ]
+        proposals=[dict(remove=p.removed, survivors=p.survivors) for p in proposals]
     )
     return CommandResult(lines, payload)
 
@@ -567,9 +557,13 @@ def _run(dataset: Dataset, args) -> CommandResult:
 
 def _emit(result: CommandResult, args) -> str:
     if args.fmt == "text":
-        return "\n".join(result.lines) + "\n"
+        return "".join(_text(line) + "\n" for line in result.lines)
     if args.fmt == "json":
-        return json.dumps(result.payload, indent=2, sort_keys=True) + "\n"
+        payload = {
+            key: _json(value, _JSON_SHOWN.get(key, display_round))
+            for key, value in result.payload.items()
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if result.chart is None:
         raise _CliUsageError(f"{args.command} has no chart; --format svg unsupported")
     from . import svg
