@@ -5,7 +5,8 @@ requirement relaxation. Every subcommand reads a dataset (bundled worked
 examples by default), computes through the library and emits text, JSON
 or SVG. Exit codes: 0 ok, 2 usage, 3 dataset problem, 4 computation
 problem. Each (subcommand, mode) pair is one row of ``_TABLE``, which
-also gives the parser its ``--mode`` choices. Each row imports its
+also gives the parser its ``--mode`` choices. A row returns one record of
+raw values, and ``_emit`` derives the requested view. Each row imports its
 paradigm module (``cb``, ``cf``, ``constraint`` or ``critique``) and
 ``_emit`` imports ``svg`` when they run, so a process loads only the
 modules its request uses.

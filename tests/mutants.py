@@ -48,6 +48,8 @@ _CONSTRAINT = "src/groupexplain/constraint.py"
 _DATASET = "src/groupexplain/dataset.py"
 _CF = "src/groupexplain/cf.py"
 _CORE = "src/groupexplain/core.py"
+_CLI = "src/groupexplain/cli.py"
+_VIEWS = "tests/test_cli_views.py::test_the_views_agree_on_the_bundled_data"
 _COLUMNS = "tests/test_constraint.py::TestColumnWork::"
 _RELAX = "tests/test_constraint.py::TestRelaxation::"
 _PER_PAIR = "tests/test_properties.py::test_column_checks_match_the_per_pair_reference"
@@ -299,6 +301,40 @@ MUTANTS = (
         "            raise first from None\n        raise\n",
         "            raise first from None\n        pass\n",
         (_RELAX + "test_a_column_error_the_item_by_item_check_misses_is_raised",),
+    ),
+    # the CLI's imports, its templates and its three views
+    Mutant(
+        "a module-level paradigm import in cli.py",
+        _CLI,
+        "from .dataset import Dataset, builtin_dataset_path, load_dataset\n",
+        "from .dataset import Dataset, builtin_dataset_path, load_dataset\nfrom . import cf\n",
+        (
+            "tests/test_cold_start.py::test_cli_imports_no_paradigm_module_or_svg_at_module_level",
+            "tests/test_cold_start.py::test_requests_load_cf_and_svg_only_when_they_use_them",
+        ),
+    ),
+    Mutant(
+        "render_explanation filling one slot at a time with str.replace",
+        "src/groupexplain/render.py",
+        "    text = _SLOT.sub(fill, _TEMPLATES[resolved])\n",
+        "    text = _TEMPLATES[resolved]\n"
+        "    for marker in _SLOT.findall(text):\n"
+        "        text = text.replace(f\"{{{marker}}}\", fill(_SLOT.search(f\"{{{marker}}}\")))\n",
+        ("tests/test_render.py::TestTemplates::test_smuggled_marker_is_not_filled",),
+    ),
+    Mutant(
+        "the text view formatting a number with str()",
+        _CLI,
+        "v if isinstance(v, str) else fmt_num(v) for v in values",
+        "str(v) for v in values",
+        (_VIEWS,),
+    ),
+    Mutant(
+        "the chart series built from the JSON's rounded values",
+        _CLI,
+        'return ChartData(kind="bar", series=tuple(series), meta=meta)',
+        'return ChartData(kind="bar", series=tuple((k, display_round(v)) for k, v in series), meta=meta)',
+        (_VIEWS,),
     ),
 )
 

@@ -84,6 +84,8 @@ class TestCategoryRelevance:
         bare = Item(id="bare")
         with pytest.raises(MissingWeightError):
             category_relevance(g1, dataset.user_category_weights, bare, "cat2")
+        with pytest.raises(MissingWeightError, match="item 'bare' carries no category"):
+            rank_categories(g1, dataset.user_category_weights, bare)
 
 
 class TestOpinions:
